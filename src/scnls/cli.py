@@ -2,14 +2,15 @@
 
 Subcommands: simulate, ensemble, groundstate, verify, criterion.
 Exit codes: 0 completed, 1 config error, 2 blow-up detected (simulate),
-3 runtime or I/O failure.  SCNLS_OUTPUT_DIR and SCNLS_WORKERS override the
-output directory and worker count.
+3 runtime or I/O failure.  SCNLS_OUTPUT_DIR overrides the configured output
+directory; SCNLS_WORKERS sets the default of ``ensemble --workers``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -24,6 +25,8 @@ from .harness import (
     threshold_study,
     verify,
 )
+
+ENV_WORKERS = "SCNLS_WORKERS"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,7 +44,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="Monte Carlo ensemble of independent paths")
     p.add_argument("config")
     p.add_argument("--paths", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    # a string default goes through type=int, so a bad value is a usage error
+    p.add_argument("--workers", type=int, default=os.environ.get(ENV_WORKERS, "1"))
     p.add_argument("--output-dir", default=None)
     p.add_argument("--threshold-study", type=str, default=None, metavar="MASSES",
                    help="comma-separated mass-combination targets; runs the "

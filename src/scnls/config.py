@@ -214,6 +214,11 @@ class RunConfig:
                 "snapshot_final": self.snapshot_final,
             },
             "detector": {"theta_grad": self.theta_grad, "theta_tail": self.theta_tail},
+            "groundstate": {
+                "beta": self.groundstate_beta,
+                "tol": self.groundstate_tol,
+                "max_iter": self.groundstate_max_iter,
+            },
         }
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Coupling",
     "SystemState",
     "TrajectoryResult",
+    "Workspace",
     "nonlinear_phase",
     "strang_step",
     "evolve",
@@ -127,39 +128,101 @@ class SystemState:
             raise ValueError("field shapes do not match the grid")
 
     def copy(self) -> "SystemState":
-        return SystemState(self.u.copy(), self.v.copy(), self.t, self.grid, self.blown_up)
+        """Independent complex128 copy (the in-place step writes complex values)."""
+        return SystemState(self.u.astype(complex), self.v.astype(complex), self.t,
+                           self.grid, self.blown_up)
 
     def is_finite(self) -> bool:
         return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
 
 
+class Workspace:
+    """Buffers a path reuses every step, so that N, L and the diagnostics allocate no field.
+
+    Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
+    the 2/3-rule mask of kept modes, one complex scratch field and three real
+    scratch fields.  The N step keeps the two moduli and the phase angle in
+    the real fields and uses the real and imaginary parts of the complex one
+    as temporaries before it writes the unimodular factor there; the
+    diagnostics transform into the complex field and sum powers in the real
+    ones.  One workspace serves one path at a time.
+    """
+
+    def __init__(self, grid: Grid, dt: float | None = None):
+        self.dt = dt
+        self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt)
+        self.keep = grid.dealias_mask()
+        self.scratch = np.empty(grid.shape, dtype=complex)
+        self.real = tuple(np.empty(grid.shape) for _ in range(3))
+
+
 def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
-                      l_mixed: float, sigma: float) -> np.ndarray:
-    """Real multiplier l_self*|f|^(2s) + l_mixed*|g|^(s+1)*|f|^(s-1)."""
-    mult = l_self * a_self ** (2.0 * sigma)
+                      l_mixed: float, sigma: float, out: np.ndarray,
+                      tmp: np.ndarray, tmp2: np.ndarray) -> np.ndarray:
+    """Real multiplier l_self*|f|^(2s) + l_mixed*|g|^(s+1)*|f|^(s-1) into ``out``.
+
+    The singular factor |f|^(s-1) is taken as 0 where |f| <= _TINY_MODULUS.
+    Written through ``out`` and the temporaries ``tmp``/``tmp2`` without
+    allocating; sigma = 1 (every shipped config) squares instead of calling
+    the general power.
+    """
+    if sigma == 1.0:
+        np.square(a_self, out=out)
+    else:
+        np.power(a_self, 2.0 * sigma, out=out)
+    out *= l_self
     if l_mixed != 0.0:
-        mixed = np.zeros_like(a_self)
-        mask = a_self > _TINY_MODULUS
-        mixed[mask] = a_other[mask] ** (sigma + 1.0) * a_self[mask] ** (sigma - 1.0)
-        mult = mult + l_mixed * mixed
-    return mult
+        # 1.0 where the mixed term is kept, 0.0 where it is dropped
+        np.greater(a_self, _TINY_MODULUS, out=tmp)
+        if sigma == 1.0:
+            tmp *= a_other
+            tmp *= a_other
+        else:
+            # clamping keeps |f|^(s-1) finite at the dropped nodes, so the
+            # 0.0 there survives the product
+            np.maximum(a_self, _TINY_MODULUS, out=tmp2)
+            np.power(tmp2, sigma - 1.0, out=tmp2)
+            tmp *= tmp2
+            np.power(a_other, sigma + 1.0, out=tmp2)
+            tmp *= tmp2
+        tmp *= l_mixed
+        out += tmp
+    return out
 
 
-def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling) -> SystemState:
+def _rotate(f: np.ndarray, a_self: np.ndarray, a_other: np.ndarray, l_self: float,
+            l_mixed: float, sigma: float, dt: float, work: Workspace) -> None:
+    """f <- f * exp(1j*dt*multiplier), in place."""
+    theta = work.real[2]
+    e = work.scratch
+    _phase_multiplier(a_self, a_other, l_self, l_mixed, sigma, theta, e.real, e.imag)
+    theta *= dt
+    np.cos(theta, out=e.real)
+    np.sin(theta, out=e.imag)
+    f *= e
+
+
+def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
+                    work: Workspace | None = None) -> SystemState:
     """Exact flow of the nonlinear sub-equation: pointwise phase rotation.
 
     u <- u * exp(i*dt*(l11|u|^(2s) + l12|v|^(s+1)|u|^(s-1))) and the symmetric
-    update for v with (l22, l21).  Moduli are pointwise invariant; t is left
-    to the step driver.
+    update for v with (l22, l21), both from the moduli before the update.
+    Moduli are pointwise invariant; t is left to the caller.
+
+    Without ``work`` the input is left untouched and a new state is returned.
+    With a :class:`Workspace` (as ``evolve`` passes) ``state`` itself is
+    updated and returned.
     """
+    if work is None:
+        state, work = state.copy(), Workspace(state.grid)
+    au, av, _ = work.real
+    np.abs(state.u, out=au)
+    np.abs(state.v, out=av)
     s = coupling.sigma
-    au = np.abs(state.u)
-    av = np.abs(state.v)
-    mult_u = _phase_multiplier(au, av, coupling.l11, coupling.l12, s)
-    mult_v = _phase_multiplier(av, au, coupling.l22, coupling.l21, s)
-    u = state.u * np.exp(1j * dt * mult_u)
-    v = state.v * np.exp(1j * dt * mult_v)
-    return SystemState(u, v, state.t, state.grid, state.blown_up)
+    _rotate(state.u, au, av, coupling.l11, coupling.l12, s, dt, work)
+    _rotate(state.v, av, au, coupling.l22, coupling.l21, s, dt, work)
+    return state
 
 
 def strang_step(
@@ -168,40 +231,39 @@ def strang_step(
     model: NoiseModel,
     increments: np.ndarray,
     coupling: Coupling,
-    linear_multiplier: np.ndarray | None = None,
+    work: Workspace | None = None,
     dealias: bool = False,
 ) -> SystemState:
     """One full step N(dt/2) . L(dt) . W(dB) . N(dt/2); advances t by dt.
 
-    ``linear_multiplier`` may carry a precomputed exp(-1j*k_sq*dt) to avoid
-    re-evaluating it every step.  Non-finite output is flagged on the returned
-    state instead of being raised.
+    Without ``work`` the input is left untouched and a new state is returned.
+    With a :class:`Workspace` built for this ``dt`` (as ``evolve`` passes)
+    ``state`` itself is advanced and returned.  Non-finite output is flagged
+    on the returned state instead of being raised.
     """
+    if work is None:
+        state, work = state.copy(), Workspace(state.grid, dt)
+    elif work.dt != dt:
+        raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
     grid = state.grid
-    if linear_multiplier is None:
-        linear_multiplier = np.exp(-1j * grid.k_sq * dt)
-    half = nonlinear_phase(state, 0.5 * dt, coupling)
+    nonlinear_phase(state, 0.5 * dt, coupling, work)
 
-    u_hat = np.fft.fftn(half.u) * linear_multiplier
-    v_hat = np.fft.fftn(half.v) * linear_multiplier
-    if dealias:
-        keep = grid.dealias_mask()
-        u_hat *= keep
-        v_hat *= keep
-    u = np.fft.ifftn(u_hat)
-    v = np.fft.ifftn(v_hat)
+    for f in (state.u, state.v):
+        grid.fft(f, out=f)
+        f *= work.lin
+        if dealias:
+            f *= work.keep
+        grid.ifft(f, out=f)
 
     if model.K > 0:
-        u = stratonovich_phase(u, 1, model, increments)
-        v = stratonovich_phase(v, 2, model, increments)
+        state.u = stratonovich_phase(state.u, 1, model, increments)
+        state.v = stratonovich_phase(state.v, 2, model, increments)
 
-    out = nonlinear_phase(
-        SystemState(u, v, state.t, grid, state.blown_up), 0.5 * dt, coupling
-    )
-    out.t = state.t + dt
-    if not out.is_finite():
-        out.blown_up = True
-    return out
+    nonlinear_phase(state, 0.5 * dt, coupling, work)
+    state.t = state.t + dt
+    if not state.is_finite():
+        state.blown_up = True
+    return state
 
 
 @dataclass
@@ -221,19 +283,30 @@ class TrajectoryResult:
     steps: int = 0
 
 
-def _spectral_diagnostics(state: SystemState) -> tuple[float, float]:
+def _spectral_diagnostics(state: SystemState, work: Workspace) -> tuple[float, float]:
     """(grad_norm_sq, spectral_tail_fraction) from one FFT per component.
 
     grad_norm_sq is ||grad u||^2 + ||grad v||^2 by Parseval; the tail fraction
     is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the top third of
-    the resolvable frequency range (resolution-loss gauge, in [0, 1]).
+    the resolvable frequency range (resolution-loss gauge, in [0, 1]).  The
+    transforms and powers go through the buffers of ``work``.
     """
     grid = state.grid
-    power = np.abs(np.fft.fftn(state.u)) ** 2 + np.abs(np.fft.fftn(state.v)) ** 2
+    f_hat = work.scratch
+    power, term, _ = work.real
+    grid.fft(state.u, out=f_hat)
+    np.abs(f_hat, out=power)
+    np.square(power, out=power)
+    grid.fft(state.v, out=f_hat)
+    np.abs(f_hat, out=term)
+    np.square(term, out=term)
+    power += term
     scale = grid.spacing**grid.dim / grid.node_count
-    grad_norm_sq = float(np.sum(grid.k_sq * power) * scale)
+    grad_norm_sq = float(np.multiply(grid.k_sq, power, out=term).sum() * scale)
     total = float(power.sum())
-    tail = float(power[grid.tail_mask].sum() / total) if total > 0 else 0.0
+    tail = 0.0
+    if total > 0:
+        tail = float(np.multiply(power, grid.tail_mask, out=term).sum() / total)
     return grad_norm_sq, tail
 
 
@@ -291,11 +364,11 @@ def evolve(
 
         recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities)
 
-    grid = state0.grid
+    # the path advances a private copy in place, through one workspace
     state = state0.copy()
-    linear_multiplier = np.exp(-1j * grid.k_sq * dt)
+    work = Workspace(state.grid, dt)
 
-    diag = _spectral_diagnostics(state)
+    diag = _spectral_diagnostics(state, work)
     recorder.record(state, *diag)
     if n_steps == 0:
         return TrajectoryResult("completed", state, recorder.finalize(),
@@ -304,8 +377,7 @@ def evolve(
     for j in range(n_steps):
         inc = increments[j] if increments is not None else sample_increments(model.K, dt, rng)
         recorder.on_step(state, inc)
-        state = strang_step(state, dt, model, inc, coupling,
-                            linear_multiplier=linear_multiplier, dealias=dealias)
+        strang_step(state, dt, model, inc, coupling, work=work, dealias=dealias)
 
         if state.blown_up:
             return TrajectoryResult("invalid", state, recorder.finalize(), t_star=state.t,
@@ -315,7 +387,7 @@ def evolve(
         due = (j + 1) % record_every == 0 or j == n_steps - 1
         if detector is None and not due:
             continue
-        diag = _spectral_diagnostics(state)
+        diag = _spectral_diagnostics(state, work)
         fired = bool(detector(*diag)) if detector is not None else False
         if fired or due:
             recorder.record(state, *diag)

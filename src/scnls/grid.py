@@ -82,11 +82,14 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.fftn(values)
+    # every transform in the package goes through these two methods; ``out``
+    # may be the input itself (an in-place transform, bitwise equal)
 
-    def ifft(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.ifftn(coeffs)
+    def fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.fftn(values, out=out)
+
+    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.ifftn(coeffs, out=out)
 
     def free_propagate(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Apply the free flow ``exp(i*dt*Lap)``: multiply mode k by exp(-i|k|^2 dt).
@@ -95,7 +98,7 @@ class Grid:
         """
         if not np.all(np.isfinite(values)):
             raise ValueError("free_propagate requires a finite field")
-        return np.fft.ifftn(np.fft.fftn(values) * np.exp(-1j * self.k_sq * dt))
+        return self.ifft(self.fft(values) * np.exp(-1j * self.k_sq * dt))
 
     def gradient(self, values: np.ndarray) -> list[np.ndarray]:
         """Spectral gradient: Fourier multiplier ``i*k`` per axis.
@@ -103,8 +106,8 @@ class Grid:
         The Nyquist frequency is excluded from the multiplier so that real
         input yields a real-valued derivative to round-off.
         """
-        coeffs = np.fft.fftn(values)
-        return [np.fft.ifftn(1j * ka * coeffs) for ka in self._k_deriv]
+        coeffs = self.fft(values)
+        return [self.ifft(1j * ka * coeffs) for ka in self._k_deriv]
 
     # -- quadrature ---------------------------------------------------------
 

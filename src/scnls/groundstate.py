@@ -146,11 +146,11 @@ def solve_ground_state(
     h = grid.spacing**dim
 
     def _apply_inv(f):
-        return np.fft.ifftn(np.fft.fftn(f) * inv_symbol).real
+        return grid.ifft(grid.fft(f) * inv_symbol).real
 
     def _apply_op(f):
         # (1 - Lap) f via the spectral symbol 1 + |k|^2
-        return np.fft.ifftn(np.fft.fftn(f) * (1.0 + grid.k_sq)).real
+        return grid.ifft(grid.fft(f) * (1.0 + grid.k_sq)).real
 
     trace: list[float] = []
     residual = np.inf

@@ -65,7 +65,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 ENV_OUTPUT_DIR = "SCNLS_OUTPUT_DIR"
-ENV_WORKERS = "SCNLS_WORKERS"
 
 
 class HarnessError(RuntimeError):
@@ -365,7 +364,6 @@ def run_ensemble(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    workers = int(os.environ.get(ENV_WORKERS, workers))
     out = _resolve_output_dir(cfg, output_dir)
     paths_dir = None
     if write_paths:

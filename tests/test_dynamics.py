@@ -256,3 +256,127 @@ class TestEvolve:
         tail_cut = np.abs(np.fft.fftn(cut.u))[grid_1d.tail_mask].max()
         assert tail_plain > 0.5
         assert tail_cut < 1e-10
+
+
+def reference_strang_step(st_, dt, model, inc, c, dealias=False):
+    """N(dt/2) L(dt) W(dB) N(dt/2) from fresh numpy temporaries, as printed."""
+    g = st_.grid
+    s = c.sigma
+
+    def multiplier(a, b, l_self, l_mixed):
+        mixed = np.zeros_like(a)
+        keep = a > 1e-300
+        mixed[keep] = b[keep] ** (s + 1.0) * a[keep] ** (s - 1.0)
+        return l_self * a ** (2.0 * s) + l_mixed * mixed
+
+    def half_phase(u, v):
+        au, av = np.abs(u), np.abs(v)
+        return (u * np.exp(0.5j * dt * multiplier(au, av, c.l11, c.l12)),
+                v * np.exp(0.5j * dt * multiplier(av, au, c.l22, c.l21)))
+
+    u, v = half_phase(st_.u, st_.v)
+    lin = np.exp(-1j * g.k_sq * dt)
+    keep = g.dealias_mask() if dealias else 1.0
+    u = np.fft.ifftn(np.fft.fftn(u) * lin * keep)
+    v = np.fft.ifftn(np.fft.fftn(v) * lin * keep)
+    if model.K:
+        u = u * np.exp(-1j * np.tensordot(inc, model.modes_u, axes=(0, 0)))
+        v = v * np.exp(-1j * np.tensordot(inc, model.modes_v, axes=(0, 0)))
+    return half_phase(u, v)
+
+
+class TestKernel:
+    """The in-place split-step kernel against its value-semantics contract."""
+
+    def _pair(self, grid, seed):
+        rng = np.random.default_rng(seed)
+        return make_state(grid, random_smooth_field(grid, rng, scale=2.0),
+                          random_smooth_field(grid, rng, scale=1.5))
+
+    def test_evolve_leaves_initial_state_unchanged(self, grid_2d):
+        st_ = self._pair(grid_2d, 11)
+        u0, v0 = st_.u.copy(), st_.v.copy()
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_2d)
+        lam = np.array([[1.0, 0.5], [0.5, 1.0]])
+        res = evolve(st_, 0.01, 1e-3, model, Coupling(1.0, lam), seed=3,
+                     record_every=5, track_identities=False)
+        assert res.steps == 10
+        np.testing.assert_array_equal(st_.u, u0)
+        np.testing.assert_array_equal(st_.v, v0)
+        assert st_.t == 0.0 and not st_.blown_up
+
+    def test_step_and_phase_leave_input_unchanged(self, grid_2d):
+        st_ = self._pair(grid_2d, 12)
+        u0, v0 = st_.u.copy(), st_.v.copy()
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_2d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        stepped = strang_step(st_, 1e-3, model, np.array([0.01, -0.02]), c, dealias=True)
+        rotated = nonlinear_phase(st_, 1e-3, c)
+        for out in (stepped, rotated):
+            assert out is not st_
+            assert not np.shares_memory(out.u, st_.u)
+            assert not np.shares_memory(out.v, st_.v)
+        np.testing.assert_array_equal(st_.u, u0)
+        np.testing.assert_array_equal(st_.v, v0)
+        assert st_.t == 0.0
+        assert stepped.t == 1e-3
+
+    def test_workspace_dt_mismatch_rejected(self, grid_1d, no_noise_1d):
+        from scnls.dynamics import Workspace
+
+        st_ = make_state(grid_1d, np.exp(-grid_1d.x[0] ** 2))
+        with pytest.raises(ValueError, match="workspace"):
+            strang_step(st_, 1e-3, no_noise_1d, np.zeros(0), scalar_coupling(),
+                        work=Workspace(grid_1d, 2e-3))
+
+    @pytest.mark.parametrize("sigma, dealias, K", [(1.0, False, 2), (1.0, True, 0),
+                                                   (0.5, False, 2), (1.7, True, 1)])
+    def test_step_matches_plain_numpy_reference(self, grid_2d, sigma, dealias, K):
+        st_ = self._pair(grid_2d, 13)
+        st_.u[:3, :] = 0.0  # exact zeros exercise the mixed-term mask
+        model = build_noise_model(NoiseSpec(K=K, a0=0.3), grid_2d)
+        c = Coupling(sigma, np.array([[1.2, -0.4], [-0.4, 0.8]]))
+        inc = np.linspace(-0.05, 0.05, K)
+        dt = 2e-3
+        out = strang_step(st_, dt, model, inc, c, dealias=dealias)
+        ref_u, ref_v = reference_strang_step(st_, dt, model, inc, c, dealias)
+        for got, ref in ((out.u, ref_u), (out.v, ref_v)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_diagnostics_match_plain_numpy(self, grid_2d):
+        from scnls.dynamics import Workspace, _spectral_diagnostics
+
+        rng = np.random.default_rng(15)
+        u, v = rng.standard_normal((2,) + grid_2d.shape) + 1j * rng.standard_normal(
+            (2,) + grid_2d.shape)
+        power = np.abs(np.fft.fftn(u)) ** 2 + np.abs(np.fft.fftn(v)) ** 2
+        scale = grid_2d.spacing**2 / grid_2d.node_count
+        grad, tail = _spectral_diagnostics(make_state(grid_2d, u, v), Workspace(grid_2d))
+        assert grad == pytest.approx(np.sum(grid_2d.k_sq * power) * scale, rel=1e-13)
+        assert tail == pytest.approx(power[grid_2d.tail_mask].sum() / power.sum(), rel=1e-13)
+        assert 0.4 < tail < 0.7  # white noise fills the top third of the spectrum
+
+    def test_integer_sigma_mixed_term_matches_power_formula(self):
+        from scnls.dynamics import _TINY_MODULUS, _phase_multiplier
+
+        rng = np.random.default_rng(14)
+        a = rng.random(64) * 2.0
+        b = rng.random(64) * 2.0
+        a[:4] = 0.0          # exact zeros
+        a[4:6] = 1e-301      # below the cutoff, not zero
+        b[6:8] = 0.0
+        l_self, l_mixed = 1.3, -0.7
+        for sigma in (1.0, 0.5, 1.7):
+            mixed = np.zeros_like(a)
+            keep = a > _TINY_MODULUS
+            mixed[keep] = b[keep] ** (sigma + 1.0) * a[keep] ** (sigma - 1.0)
+            expected = l_self * a ** (2.0 * sigma) + l_mixed * mixed
+            out, tmp, tmp2 = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                got = _phase_multiplier(a, b, l_self, l_mixed, sigma, out, tmp, tmp2)
+            assert got is out
+            assert np.all(got[:6] == l_self * a[:6] ** (2.0 * sigma))
+            if sigma == 1.0:
+                np.testing.assert_array_equal(got, expected)
+            else:
+                np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)

@@ -191,6 +191,18 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             base_config(record_every=0)
 
+    def test_to_dict_roundtrip_with_groundstate(self):
+        text = CONFIG_TEXT + "\n[groundstate]\nbeta = 0.5\ntol = 1e-8\nmax_iter = 300\n"
+        echo = parse_config(text).to_dict()
+        assert echo["groundstate"] == {"beta": 0.5, "tol": 1e-8, "max_iter": 300}
+        # the echo is itself a config: written back as sections it parses to
+        # the same configuration
+        lines = []
+        for section, values in echo.items():
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {value}" for key, value in values.items() if value is not None]
+        assert parse_config("\n".join(lines) + "\n").to_dict() == echo
+
     def test_comments_allowed(self):
         text = CONFIG_TEXT.replace("seed = 99", "seed = 99  # master seed")
         assert parse_config(text).seed == 99
@@ -346,8 +358,16 @@ class TestEnsemble:
             run_ensemble(cfg, 2, output_dir=tmp_path / "ens", write_paths=False)
 
     def test_workers_env_override(self, tmp_path, monkeypatch):
-        cfg = base_config(T=0.02)
+        # the environment sets only the CLI default (TestCli); the library
+        # runs with the worker count it is given
+        import scnls.harness
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_ensemble(workers=1) started a process pool")
+
+        monkeypatch.setattr(scnls.harness, "ProcessPoolExecutor", no_pool)
         monkeypatch.setenv("SCNLS_WORKERS", "2")
+        cfg = base_config(T=0.02)
         ens = run_ensemble(cfg, 2, workers=1, output_dir=tmp_path, write_paths=False)
         assert ens.n_paths == 2
 
@@ -509,6 +529,29 @@ class TestCli:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_paths"] == 2
+
+    def test_workers_env_default(self, tmp_path, monkeypatch):
+        import scnls.cli
+
+        seen = []
+
+        def fake_run_ensemble(cfg, n_paths, workers=1, output_dir=None):
+            seen.append(workers)
+            return run_ensemble(cfg, n_paths, workers=1, output_dir=output_dir,
+                                write_paths=False)
+
+        monkeypatch.setattr(scnls.cli, "run_ensemble", fake_run_ensemble)
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT.replace("T = 0.1", "T = 0.01"))
+        args = ["ensemble", str(cfg_file), "--paths", "1", "--output-dir", str(tmp_path)]
+        assert cli_main(args) == 0
+        monkeypatch.setenv("SCNLS_WORKERS", "3")
+        assert cli_main(args) == 0
+        assert cli_main(args + ["--workers", "2"]) == 0
+        assert seen == [1, 3, 2]
+        monkeypatch.setenv("SCNLS_WORKERS", "many")
+        with pytest.raises(SystemExit):
+            cli_main(args)
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         cfg_file = tmp_path / "run.ini"
