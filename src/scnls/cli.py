@@ -92,7 +92,7 @@ def _cmd_ensemble(args) -> int:
 def _cmd_groundstate(args) -> int:
     cfg = load_config(args.config)
     grid = cfg.build_grid()
-    beta = cfg.groundstate_beta if cfg.groundstate_beta is not None else cfg.beta_from_coupling()
+    beta = cfg.ground_state_beta()
     gs = solve_ground_state(cfg.coupling.sigma, beta, grid,
                             tol=cfg.groundstate_tol, max_iter=cfg.groundstate_max_iter)
     out = _resolve_output_dir(cfg, args.output_dir)

@@ -171,8 +171,11 @@ class RunConfig:
         grid = grid or self.build_grid()
         return build_noise_model(self.noise, grid)
 
-    def beta_from_coupling(self) -> float:
-        """Interaction ratio l12 / sqrt(l11 l22) when positive, else 0."""
+    def ground_state_beta(self) -> float:
+        """The [groundstate] beta when set, else the interaction ratio
+        l12 / sqrt(l11 l22) when that is positive, else 0."""
+        if self.groundstate_beta is not None:
+            return self.groundstate_beta
         c = self.coupling
         if c.l11 > 0 and c.l22 > 0 and c.l12 > 0:
             return c.l12 / np.sqrt(c.l11 * c.l22)

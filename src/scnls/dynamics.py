@@ -161,10 +161,11 @@ def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
                       tmp: np.ndarray, tmp2: np.ndarray) -> np.ndarray:
     """Real multiplier l_self*|f|^(2s) + l_mixed*|g|^(s+1)*|f|^(s-1) into ``out``.
 
-    The singular factor |f|^(s-1) is taken as 0 where |f| <= _TINY_MODULUS.
-    Written through ``out`` and the temporaries ``tmp``/``tmp2`` without
-    allocating; sigma = 1 (every shipped config) squares instead of calling
-    the general power.
+    The singular factor |f|^(s-1) is taken as 0 where |f| <= _TINY_MODULUS;
+    this is the package's only copy of that mask (the ground-state solver's
+    right-hand side calls it too).  Written through ``out`` and the
+    temporaries ``tmp``/``tmp2`` without allocating; sigma = 1 (every shipped
+    config) squares instead of calling the general power.
     """
     if sigma == 1.0:
         np.square(a_self, out=out)
@@ -283,15 +284,21 @@ class TrajectoryResult:
     steps: int = 0
 
 
-def _spectral_diagnostics(state: SystemState, work: Workspace) -> tuple[float, float]:
+def _spectral_diagnostics(state: SystemState,
+                          work: Workspace | None = None) -> tuple[float, float]:
     """(grad_norm_sq, spectral_tail_fraction) from one FFT per component.
 
-    grad_norm_sq is ||grad u||^2 + ||grad v||^2 by Parseval; the tail fraction
-    is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the top third of
-    the resolvable frequency range (resolution-loss gauge, in [0, 1]).  The
-    transforms and powers go through the buffers of ``work``.
+    grad_norm_sq is ||grad u||^2 + ||grad v||^2 by Parseval; this is the one
+    place the package computes it (the kinetic part of H, the interpolation
+    ratio and the detector's initial value all come from here).  The tail
+    fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
+    top third of the resolvable frequency range (resolution-loss gauge, in
+    [0, 1]).  The transforms and powers go through the buffers of ``work``,
+    or of a fresh :class:`Workspace` when none is given.
     """
     grid = state.grid
+    if work is None:
+        work = Workspace(grid)
     f_hat = work.scratch
     power, term, _ = work.real
     grid.fft(state.u, out=f_hat)

@@ -38,7 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import SystemState, _phase_multiplier, _spectral_diagnostics
 from .grid import Grid
+from .observables import _potential_integrals
 
 __all__ = [
     "GroundStatePair",
@@ -48,9 +50,6 @@ __all__ = [
     "gn_ratio",
     "critical_threshold",
 ]
-
-_TINY = 1e-300
-
 
 class GroundStateError(RuntimeError):
     """Raised when the elliptic iteration fails to converge."""
@@ -83,20 +82,15 @@ class GroundStatePair:
 
 
 def _nonlinear_terms(P: np.ndarray, Q: np.ndarray, sigma: float, beta: float):
-    """Right-hand sides N_P = (...)P and N_Q for nonnegative fields."""
+    """Right-hand sides N_P = (...)P and N_Q for real fields; the bracket is
+    the N-step multiplier with l_self = 1 and l_mixed = beta."""
     aP = np.abs(P)
     aQ = np.abs(Q)
-    NP = aP ** (2.0 * sigma) * P
-    NQ = aQ ** (2.0 * sigma) * Q
-    if beta != 0.0:
-        mixed_P = np.zeros_like(aP)
-        mask = aP > _TINY
-        mixed_P[mask] = aP[mask] ** (sigma - 1.0) * aQ[mask] ** (sigma + 1.0)
-        mixed_Q = np.zeros_like(aQ)
-        mask = aQ > _TINY
-        mixed_Q[mask] = aQ[mask] ** (sigma - 1.0) * aP[mask] ** (sigma + 1.0)
-        NP = NP + beta * mixed_P * P
-        NQ = NQ + beta * mixed_Q * Q
+    tmp, tmp2 = np.empty_like(aP), np.empty_like(aP)
+    NP = _phase_multiplier(aP, aQ, 1.0, beta, sigma, np.empty_like(aP), tmp, tmp2)
+    NQ = _phase_multiplier(aQ, aP, 1.0, beta, sigma, np.empty_like(aQ), tmp, tmp2)
+    NP *= P
+    NQ *= Q
     return NP, NQ
 
 
@@ -222,22 +216,16 @@ def gn_ratio(u: np.ndarray, v: np.ndarray, beta: float, sigma: float, grid: Grid
     with M = ||u||^2 + ||v||^2 and Grad = ||grad u||^2 + ||grad v||^2.  By the
     sharp inequality the ratio never exceeds the best constant.
     """
-    au = np.abs(u)
-    av = np.abs(v)
     m = grid.norm_sq(u) + grid.norm_sq(v)
     if m <= 0:
         raise ValueError("gn_ratio requires a nonzero field pair")
-    g = sum(grid.norm_sq(d) for d in grid.gradient(u))
-    g += sum(grid.norm_sq(d) for d in grid.gradient(v))
+    g, _ = _spectral_diagnostics(SystemState(u, v, 0.0, grid))
     if g <= 0:
         raise ValueError("gn_ratio requires a field pair with nonzero gradient")
-    lhs = grid.quadrature(
-        au ** (2.0 * sigma + 2.0)
-        + av ** (2.0 * sigma + 2.0)
-        + 2.0 * beta * (au * av) ** (sigma + 1.0)
-    )
+    iu, iv, iuv = _potential_integrals(np.abs(u), np.abs(v), sigma, grid)
     ns = grid.dim * sigma
-    return float(lhs / (m ** (sigma + 1.0 - ns / 2.0) * g ** (ns / 2.0)))
+    return float((iu + iv + 2.0 * beta * iuv)
+                 / (m ** (sigma + 1.0 - ns / 2.0) * g ** (ns / 2.0)))
 
 
 def critical_threshold(lambda11: float, lambda22: float, k: float) -> float:

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, RunConfig
-from .dynamics import SystemState, TrajectoryResult, evolve
+from .dynamics import TrajectoryResult, _spectral_diagnostics, evolve
 from .grid import Grid, make_grid
 from .groundstate import critical_threshold, k_opt, solve_ground_state
 from .noise import sample_increments
@@ -121,14 +121,6 @@ class BlowupDetector:
 
     def __call__(self, grad_norm_sq: float, tail_fraction: float) -> bool:
         return detect_blowup(grad_norm_sq, tail_fraction, self.theta_grad, self.theta_tail)
-
-
-def _initial_grad_norm_sq(state: SystemState) -> float:
-    grid = state.grid
-    total = 0.0
-    for f in (state.u, state.v):
-        total += sum(grid.norm_sq(d) for d in grid.gradient(f))
-    return total
 
 
 # -- formatting and persistence -----------------------------------------------
@@ -227,7 +219,7 @@ def _run_trajectory(cfg: RunConfig, seed: int,
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)
     detector = BlowupDetector.for_initial(
-        _initial_grad_norm_sq(state), cfg.theta_grad, cfg.theta_tail
+        _spectral_diagnostics(state)[0], cfg.theta_grad, cfg.theta_tail
     )
     rng = np.random.Generator(np.random.PCG64(seed))
     return evolve(
@@ -454,7 +446,7 @@ def threshold_study(
     rows: list[dict] = []
     if mass_grid:
         grid = cfg.build_grid()
-        beta = cfg.groundstate_beta if cfg.groundstate_beta is not None else cfg.beta_from_coupling()
+        beta = cfg.ground_state_beta()
         gs = solve_ground_state(c.sigma, beta, grid, tol=cfg.groundstate_tol,
                                 max_iter=cfg.groundstate_max_iter)
         k = k_opt(gs, "single" if beta == 0.0 else "pair")
@@ -614,7 +606,7 @@ def _run_verify_trajectory(cfg: RunConfig, increments: np.ndarray) -> Trajectory
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)
     detector = BlowupDetector.for_initial(
-        _initial_grad_norm_sq(state), cfg.theta_grad, cfg.theta_tail
+        _spectral_diagnostics(state)[0], cfg.theta_grad, cfg.theta_tail
     )
     return evolve(
         state, cfg.T, cfg.dt, model, cfg.coupling,
@@ -656,7 +648,7 @@ def criterion_sweep(cfg: RunConfig, t_bar_max: float, points: int = 200) -> dict
         "verdict_any": bool(np.any(values < 0)),
         "hypotheses": {
             "mass_critical_or_above": bool(cfg.coupling.sigma * cfg.dim >= 2),
-            "lam_entrywise_negative": bool(np.all(cfg.coupling.lam < 0)),
+            "lam_entrywise_nonnegative": bool(np.all(cfg.coupling.lam >= 0)),
         },
         "components": {
             "V0": crit.V0, "G0": crit.G0, "H0": crit.H0, "M0": crit.M0,

@@ -120,8 +120,6 @@ class NoiseModel:
             shape ``(K, dim) + grid.shape``.
         grad_sq_sum_u, grad_sq_sum_v: fields ``sum_k |grad g_k|^2``.
         xdot_grad_u, xdot_grad_v: fields ``x . grad g_k``, shape ``(K,) + shape``.
-        hs_h1_u, hs_h1_v: sum over modes of the discrete squared H1 norm,
-            recorded as a Hilbert-Schmidt-type diagnostic.
     """
 
     def __init__(self, spec: NoiseSpec, grid: Grid):
@@ -166,15 +164,6 @@ class NoiseModel:
 
         self.xdot_grad_u = _xdot(self.grad_modes_u)
         self.xdot_grad_v = _xdot(self.grad_modes_v)
-
-        def _hs(modes, grads):
-            total = 0.0
-            for g, dg in zip(modes, grads):
-                total += grid.norm_sq(g) + sum(grid.norm_sq(d) for d in dg)
-            return total
-
-        self.hs_h1_u = _hs(self.modes_u, self.grad_modes_u)
-        self.hs_h1_v = _hs(self.modes_v, self.grad_modes_v)
 
     @property
     def min_sup_F(self) -> float:

@@ -8,6 +8,18 @@ Four functionals of the field pair are tracked:
     V = integral |x|^2 (|u|^2 + |v|^2)
     G = Im integral u x.grad(conj u) + v x.grad(conj v)
 
+Each ingredient is computed in one place.  ||grad u||^2 + ||grad v||^2
+comes only from :func:`scnls.dynamics._spectral_diagnostics` (one FFT per
+component, Parseval).  The potential integrals integral |u|^(2s+2),
+integral |v|^(2s+2) and integral (|u||v|)^(s+1) come only from
+:func:`_potential_integrals`; H, the virial quartic below and
+:func:`scnls.groundstate.gn_ratio` weigh them with their own coefficients.
+The masked mixed-term factor |f|^(s-1) lives only in
+``scnls.dynamics._phase_multiplier``, shared by the N step and the
+ground-state solver.  :meth:`TrajectoryRecorder.record` takes |u| and |v|
+once per row and reuses the diagnostics ``evolve`` has just computed, so of
+a row only G transforms.
+
 Along a path, M is exactly conserved by the scheme.  H evolves by an Ito
 martingale plus a drift; two candidate drift kernels are computed side by
 side, one built from the noise intensity fields F_i (the "paper" kernel) and
@@ -41,7 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Coupling, SystemState
+from .dynamics import Coupling, SystemState, _spectral_diagnostics
+from .grid import Grid
 from .noise import NoiseModel
 
 __all__ = [
@@ -73,21 +86,37 @@ def mass(state: SystemState) -> tuple[float, float, float]:
 
 
 def hamiltonian(state: SystemState, coupling: Coupling) -> float:
-    """Energy functional; kinetic part via the spectral symbol |k|^2."""
-    grid = state.grid
-    s = coupling.sigma
-    scale = grid.spacing**grid.dim / grid.node_count
-    kin = 0.0
-    for f in (state.u, state.v):
-        kin += float(np.sum(grid.k_sq * np.abs(grid.fft(f)) ** 2) * scale)
-    au = np.abs(state.u)
-    av = np.abs(state.v)
-    quartic = (
-        coupling.l11 * au ** (2.0 * s + 2.0)
-        + coupling.l22 * av ** (2.0 * s + 2.0)
-        + 2.0 * coupling.l12 * (au * av) ** (s + 1.0)
-    )
-    return 0.5 * kin - grid.quadrature(quartic) / (2.0 + 2.0 * s)
+    """Energy functional; kinetic part from the spectral diagnostics."""
+    grad_norm_sq, _ = _spectral_diagnostics(state)
+    potential = _potential_integrals(np.abs(state.u), np.abs(state.v),
+                                     coupling.sigma, state.grid)
+    return _energy(grad_norm_sq, potential, coupling)
+
+
+def _potential_integrals(au: np.ndarray, av: np.ndarray, sigma: float,
+                         grid: Grid) -> tuple[float, float, float]:
+    """(integral |u|^(2s+2), integral |v|^(2s+2), integral (|u||v|)^(s+1)).
+
+    The package's one potential integrand, from the moduli ``au``, ``av``:
+    H weighs the three integrals with (l11, l22, 2 l12), the virial quartic
+    with (l11, l22, 2 l21) and the interpolation ratio with (1, 1, 2 beta).
+    sigma = 1 squares instead of calling the general power.
+    """
+    if sigma == 1.0:
+        pu, pv = np.square(au), np.square(av)
+    else:
+        pu, pv = np.power(au, sigma + 1.0), np.power(av, sigma + 1.0)
+    mixed = float(grid.quadrature(pu * pv))
+    return (float(grid.quadrature(np.square(pu, out=pu))),
+            float(grid.quadrature(np.square(pv, out=pv))), mixed)
+
+
+def _energy(grad_norm_sq: float, potential: tuple[float, float, float],
+            coupling: Coupling) -> float:
+    """H from ||grad u||^2 + ||grad v||^2 and the three potential integrals."""
+    iu, iv, iuv = potential
+    weighted = coupling.l11 * iu + coupling.l22 * iv + 2.0 * coupling.l12 * iuv
+    return 0.5 * grad_norm_sq - weighted / (2.0 + 2.0 * coupling.sigma)
 
 
 def variance(state: SystemState, warn_boundary: bool = True) -> float:
@@ -122,19 +151,6 @@ def momentum_G(state: SystemState) -> float:
         xdot = sum(xa * np.conj(da) for xa, da in zip(grid.x, grads))
         total += grid.quadrature(f * xdot)
     return float(np.imag(total))
-
-
-def _coupling_quartic(state: SystemState, coupling: Coupling) -> float:
-    """integral l11|u|^(2s+2) + l22|v|^(2s+2) + 2 l21 |u|^(s+1)|v|^(s+1)."""
-    s = coupling.sigma
-    au = np.abs(state.u)
-    av = np.abs(state.v)
-    integrand = (
-        coupling.l11 * au ** (2.0 * s + 2.0)
-        + coupling.l22 * av ** (2.0 * s + 2.0)
-        + 2.0 * coupling.l21 * (au * av) ** (s + 1.0)
-    )
-    return float(state.grid.quadrature(integrand))
 
 
 # -- trajectory recording ----------------------------------------------------
@@ -223,42 +239,45 @@ class TrajectoryRecorder:
         self._stoch_energy += float(-energy_terms @ increments)
         self._stoch_G += float(moment_terms @ increments)
 
-    def _drift_kernels(self, state: SystemState) -> tuple[float, float]:
-        """The paper and gradient energy drift kernels at ``state``.
+    def record(self, state: SystemState, grad_norm_sq: float, tail: float) -> None:
+        """Append one row at ``state``.
 
-        A function of its own so that its four density fields are freed
-        before the other functionals of a row allocate theirs.
+        ``grad_norm_sq`` and ``tail`` are the spectral diagnostics of this
+        state (``evolve`` has just computed them); H takes its kinetic part
+        from them.  |u| and |v| are taken once, and the masses, V, both drift
+        kernels and the potential integrals all come from them, so only G
+        transforms.  G goes first, so that its complex temporaries are freed
+        before the moduli are taken.
         """
         grid = state.grid
+        model = self.model
+        c = self.coupling
+        G = momentum_G(state)
         au = np.abs(state.u)
         av = np.abs(state.v)
-        dens_u = au**2
-        dens_v = av**2
+        iu, iv, iuv = potential = _potential_integrals(au, av, c.sigma, grid)
+        dens_u = np.square(au)
+        dens_v = np.square(av)
         paper = 0.5 * grid.quadrature(
-            dens_u * self.model.F_u
-            + dens_v * self.model.F_v
-            + 2.0 * au * av * np.sqrt(self.model.F_u * self.model.F_v)
+            dens_u * model.F_u
+            + dens_v * model.F_v
+            + 2.0 * au * av * np.sqrt(model.F_u * model.F_v)
         )
         gradient = 0.5 * grid.quadrature(
-            dens_u * self.model.grad_sq_sum_u + dens_v * self.model.grad_sq_sum_v
+            dens_u * model.grad_sq_sum_u + dens_v * model.grad_sq_sum_v
         )
-        return paper, gradient
-
-    def record(self, state: SystemState, grad_norm_sq: float, tail: float) -> None:
-        mu, mv, _ = mass(state)
-        paper, gradient = self._drift_kernels(state)
         rows = self._rows
         rows["t"].append(state.t)
-        rows["mass_u"].append(mu)
-        rows["mass_v"].append(mv)
-        rows["H"].append(hamiltonian(state, self.coupling))
-        rows["V"].append(variance(state, warn_boundary=False))
-        rows["G"].append(momentum_G(state))
+        rows["mass_u"].append(float(grid.quadrature(dens_u)))
+        rows["mass_v"].append(float(grid.quadrature(dens_v)))
+        rows["H"].append(_energy(grad_norm_sq, potential, c))
+        rows["V"].append(float(grid.quadrature(grid.r_sq * (dens_u + dens_v))))
+        rows["G"].append(G)
         rows["grad_norm_sq"].append(grad_norm_sq)
         rows["spectral_tail_fraction"].append(tail)
         rows["paper_kernel"].append(float(paper))
         rows["gradient_kernel"].append(float(gradient))
-        rows["coupling_quartic"].append(_coupling_quartic(state, self.coupling))
+        rows["coupling_quartic"].append(c.l11 * iu + c.l22 * iv + 2.0 * c.l21 * iuv)
         rows["stoch_energy"].append(self._stoch_energy)
         rows["stoch_G"].append(self._stoch_G)
 
@@ -291,12 +310,11 @@ class EnergyBudget:
     drift_gradient: np.ndarray
 
 
-def energy_budget(record: TrajectoryRecord, kernel_variant: str | None = None):
+def energy_budget(record: TrajectoryRecord) -> EnergyBudget:
     """residual(t) = H(t) - H(0) - [martingale sum] - [drift integral].
 
-    Returns the full :class:`EnergyBudget` (both kernels), or a single
-    residual series when ``kernel_variant`` is "paper" or "gradient".
-    Rejects records produced without identity tracking.
+    Returns the residual series of both drift kernels; rejects records
+    produced without identity tracking.
     """
     if not record.tracked:
         raise ValueError("trajectory was recorded without increments; "
@@ -305,7 +323,7 @@ def energy_budget(record: TrajectoryRecord, kernel_variant: str | None = None):
     dh = record.H - record.H[0]
     drift_paper = _cumulative_trapezoid(record.paper_kernel, t)
     drift_gradient = _cumulative_trapezoid(record.gradient_kernel, t)
-    budget = EnergyBudget(
+    return EnergyBudget(
         t=t,
         paper=dh - record.stoch_energy - drift_paper,
         gradient=dh - record.stoch_energy - drift_gradient,
@@ -313,13 +331,6 @@ def energy_budget(record: TrajectoryRecord, kernel_variant: str | None = None):
         drift_paper=drift_paper,
         drift_gradient=drift_gradient,
     )
-    if kernel_variant is None:
-        return budget
-    if kernel_variant == "paper":
-        return budget.paper
-    if kernel_variant == "gradient":
-        return budget.gradient
-    raise ValueError(f"kernel_variant must be 'paper' or 'gradient', got {kernel_variant!r}")
 
 
 def virial_residuals(record: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -396,9 +407,10 @@ def blowup_criterion(
     ``states`` is a single initial :class:`SystemState` or a sequence of them;
     for a sequence the functionals are sample means and the standard error of
     the lhs is reported.  A negative lhs certifies positive blow-up
-    probability by ``t_bar`` only under the hypotheses sigma*N >= 2 and a
-    (entrywise) negative coefficient matrix; outside them a warning is
-    emitted and the arithmetic is still returned.
+    probability by ``t_bar`` only under the hypotheses sigma*N >= 2 and an
+    entrywise nonnegative (focusing) coefficient matrix, which keeps the
+    potential integrand of the virial identity nonnegative; outside them a
+    warning is emitted and the arithmetic is still returned.
     """
     if t_bar <= 0:
         raise ValueError(f"t_bar must be positive, got {t_bar}")
@@ -417,11 +429,11 @@ def blowup_criterion(
                 "in this regime",
                 stacklevel=2,
             )
-        if np.any(coupling.lam >= 0):
+        if np.any(coupling.lam < 0):
             warnings.warn(
-                "criterion evaluated with a coefficient matrix that is not "
-                "entrywise negative; a negative value carries no blow-up "
-                "guarantee under these coefficients",
+                "criterion evaluated with a coefficient matrix that has a "
+                "negative (defocusing) entry; a negative value carries no "
+                "blow-up guarantee under these coefficients",
                 stacklevel=2,
             )
 

@@ -1,9 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import scnls
 from scnls import make_grid
 
 
@@ -170,3 +174,14 @@ class TestQuadrature:
         coeffs = grid_1d.fft(f)
         spectral = np.sum(np.abs(coeffs) ** 2) * grid_1d.spacing / grid_1d.n
         assert abs(direct - spectral) <= 1e-12 * direct
+
+
+class TestFftSeam:
+    def test_numpy_transforms_only_in_grid(self):
+        # every transform in the package goes through Grid.fft/Grid.ifft
+        package = Path(scnls.__file__).parent
+        callers = sorted(
+            path.name for path in package.glob("*.py")
+            if re.search(r"np\.fft\.i?fftn|numpy\.fft\.i?fftn", path.read_text(encoding="utf-8"))
+        )
+        assert callers == ["grid.py"]

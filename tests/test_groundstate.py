@@ -10,6 +10,8 @@ from scnls import (
     solve_ground_state,
 )
 
+from scnls.groundstate import _nonlinear_terms
+
 from conftest import random_smooth_field
 
 
@@ -156,10 +158,60 @@ class TestGnRatio:
         r2 = gn_ratio(5.0 * u, 5.0 * v, 0.7, 1.0, grid_1d)
         assert r1 == pytest.approx(r2, rel=1e-12)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_matches_plain_gradient_reference(self, dim):
+        grid = make_grid(dim, 64, 12.0)
+        rng = np.random.default_rng(10 + dim)
+        u = random_smooth_field(grid, rng, n_modes=6)
+        v = random_smooth_field(grid, rng, n_modes=6, scale=0.6)
+        sigma, beta = 0.8, 0.7
+        q = grid.quadrature
+
+        def grad_sq(f):
+            coeffs = np.fft.fftn(f)
+            return sum(q(np.abs(np.fft.ifftn(1j * ka * coeffs)) ** 2) for ka in grid.k)
+
+        au, av = np.abs(u), np.abs(v)
+        lhs = q(au ** (2 * sigma + 2) + av ** (2 * sigma + 2)
+                + 2 * beta * (au * av) ** (sigma + 1))
+        m = q(au**2) + q(av**2)
+        g = grad_sq(u) + grad_sq(v)
+        ns = dim * sigma
+        expected = lhs / (m ** (sigma + 1 - ns / 2) * g ** (ns / 2))
+        assert gn_ratio(u, v, beta, sigma, grid) == pytest.approx(expected, rel=1e-12)
+
     def test_rejects_zero_input(self, grid_1d):
         z = np.zeros(grid_1d.shape, dtype=complex)
         with pytest.raises(ValueError):
             gn_ratio(z, z, 0.0, 1.0, grid_1d)
+
+
+class TestNonlinearTerms:
+    def test_matches_masked_power_formula(self):
+        # the mixed term drops |P|^(s-1) where |P| <= 1e-300, as the N step does
+        rng = np.random.default_rng(8)
+        P = rng.random(64) * 2.0
+        Q = rng.random(64) * 2.0
+        P[:4] = 0.0          # exact zeros
+        P[4:6] = 1e-301      # below the cutoff, not zero
+        Q[6:8] = 0.0
+        Q[8:10] = 1e-301
+        for sigma in (1.0, 0.5, 1.7):
+            for beta in (0.0, 0.5, 1.0):
+                expected = []
+                for a, b in ((P, Q), (Q, P)):
+                    mixed = np.zeros_like(a)
+                    keep = a > 1e-300
+                    mixed[keep] = a[keep] ** (sigma - 1.0) * b[keep] ** (sigma + 1.0)
+                    expected.append(a ** (2.0 * sigma) * a + beta * mixed * a)
+                with np.errstate(divide="raise", over="raise", invalid="raise"):
+                    got = _nonlinear_terms(P, Q, sigma, beta)
+                for g, e in zip(got, expected):
+                    if beta == 0.0:
+                        np.testing.assert_array_equal(g, e)
+                    else:
+                        np.testing.assert_allclose(g, e, rtol=1e-14, atol=0.0)
+                assert np.all(got[0][:6] == 0.0)
 
 
 class TestTownesThreshold:

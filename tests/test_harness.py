@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -457,15 +458,30 @@ class TestCriterionSweep:
             noise=NoiseSpec(),
             T=1.0, dt=1e-3, seed=0,
         )
-        with pytest.warns(UserWarning):
+        # focusing and mass-critical: both hypotheses hold, so no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             report = criterion_sweep(cfg, 1.0, points=50)
         assert report["verdict_any"]
         assert report["lhs_min"] < 0
         assert report["components"]["H0"] < 0
         assert report["hypotheses"] == {
             "mass_critical_or_above": True,
-            "lam_entrywise_negative": False,
+            "lam_entrywise_nonnegative": True,
         }
+
+    def test_defocusing_entry_warns_and_is_reported(self):
+        cfg = RunConfig(
+            dim=2, n=64, L=20.0,
+            coupling=Coupling(1.0, np.array([[1.0, 0.0], [0.0, -1.0]])),
+            initial_u=InitialSpec("gaussian", amplitude=4.0, width=np.sqrt(0.5)),
+            initial_v=InitialSpec("zero"),
+            noise=NoiseSpec(),
+            T=1.0, dt=1e-3, seed=0,
+        )
+        with pytest.warns(UserWarning, match="defocusing"):
+            report = criterion_sweep(cfg, 1.0, points=50)
+        assert report["hypotheses"]["lam_entrywise_nonnegative"] is False
 
     def test_large_noise_reports_positive(self):
         cfg = RunConfig(

@@ -78,15 +78,6 @@ class TestBuildNoiseModel:
         np.testing.assert_allclose(shared.modes_u, shared.modes_v)
         assert np.max(np.abs(split.modes_u - split.modes_v)) > 0.1
 
-    def test_hs_h1_diagnostic(self, grid_1d):
-        # one cosine mode: ||g||^2 + ||g'||^2 = (L/2)(1 + (2 pi / L)^2)
-        model = build_noise_model(
-            NoiseSpec(K=1, family="fourier", a0=1.0, decay_p=0.0), grid_1d
-        )
-        L = grid_1d.length
-        expected = L / 2 * (1 + (2 * np.pi / L) ** 2)
-        assert model.hs_h1_u == pytest.approx(expected, rel=1e-12)
-
     def test_2d_modes_are_real_and_smooth(self, grid_2d):
         model = build_noise_model(NoiseSpec(K=6, family="fourier", a0=1.0), grid_2d)
         assert model.modes_u.shape == (6,) + grid_2d.shape

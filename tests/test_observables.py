@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,6 +20,10 @@ from scnls import (
     variance,
     virial_residuals,
 )
+
+from scnls.dynamics import _spectral_diagnostics
+from scnls.grid import Grid
+from scnls.observables import TrajectoryRecorder
 
 from conftest import make_state, random_smooth_field, scalar_coupling
 
@@ -170,14 +176,11 @@ class TestEnergyBudget:
         # signed value: H(t) = H(0) exactly, so the residual is minus the drift
         assert b.paper[-1] == pytest.approx(-0.5 * c_amp**2 * m0, abs=1e-10)
 
-    def test_variant_selector(self, grid_1d, no_noise_1d):
+    def test_both_kernel_series_on_record_times(self, grid_1d, no_noise_1d):
         st = make_state(grid_1d, np.exp(-grid_1d.x[0] ** 2))
         res = evolve(st, 0.01, 1e-3, no_noise_1d, scalar_coupling(), seed=0)
-        paper = energy_budget(res.record, "paper")
-        gradient = energy_budget(res.record, "gradient")
-        assert paper.shape == gradient.shape == res.record.t.shape
-        with pytest.raises(ValueError):
-            energy_budget(res.record, "other")
+        budget = energy_budget(res.record)
+        assert budget.paper.shape == budget.gradient.shape == res.record.t.shape
 
     def test_rejects_untracked_record(self, grid_1d):
         model = build_noise_model(NoiseSpec(K=2, a0=0.1), grid_1d)
@@ -387,12 +390,23 @@ class TestBlowupCriterion:
         st = make_state(grid_2d, u0)
         c = Coupling(1.0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         model = build_noise_model(NoiseSpec(), grid_2d)
-        with pytest.warns(UserWarning):
+        # focusing and mass-critical: both hypotheses hold, so no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             result = blowup_criterion(st, c, 1.0, model)
         # V0 = 4 pi, G0 = 0, H0 = -8 pi, M0 = 8 pi, F = 0
         expected = 4 * np.pi + 8 * (-8 * np.pi)
         assert result.lhs == pytest.approx(expected, rel=1e-6)
         assert result.verdict
+
+    def test_defocusing_entry_warns(self, grid_2d):
+        # the virial bound needs a nonnegative potential integrand: one
+        # negative (defocusing) coefficient voids the certificate
+        st = make_state(grid_2d, 4.0 * np.exp(-grid_2d.r_sq))
+        model = build_noise_model(NoiseSpec(), grid_2d)
+        for lam in ([[1.0, 0.0], [0.0, -1.0]], [[1.0, -0.5], [-0.5, 1.0]]):
+            with pytest.warns(UserWarning, match="negative \\(defocusing\\) entry"):
+                blowup_criterion(st, Coupling(1.0, np.array(lam)), 1.0, model)
 
     def test_large_noise_removes_verdict(self, grid_2d):
         u0 = 4.0 * np.exp(-grid_2d.r_sq)
@@ -443,3 +457,67 @@ class TestBlowupCriterion:
             value = m_bar + 4 * t_bar * m_bar - 8 * t_bar**2 * (h_bar * 1.0001) \
                 + (4.0 / 3.0) * t_bar**3 * f * m_bar
             assert value < 0
+
+
+class TestRecordRow:
+    """One recorded row against hamiltonian() and the plain-numpy formulas."""
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5, 1.7])
+    def test_row_matches_functionals(self, grid_2d, sigma):
+        # asymmetric coupling: H weighs the mixed integral with l12, the
+        # virial quartic with l21
+        l11, l12, l21, l22 = 1.3, 0.4, 0.9, 0.7
+        with pytest.warns(UserWarning, match="asymmetric"):
+            c = Coupling(sigma, np.array([[l11, l12], [l21, l22]]), allow_asymmetric=True)
+        rng = np.random.default_rng(31)
+        u = random_smooth_field(grid_2d, rng, n_modes=6, scale=1.5)
+        v = random_smooth_field(grid_2d, rng, n_modes=6, scale=1.2)
+        v[:3] = 0.0  # exact zeros in one modulus
+        st = make_state(grid_2d, u, v)
+        model = build_noise_model(NoiseSpec(K=3, a0=0.3), grid_2d)
+        recorder = TrajectoryRecorder(model, c)
+        grad, tail = _spectral_diagnostics(st)
+        recorder.record(st, grad, tail)
+        rec = recorder.finalize()
+
+        au, av = np.abs(u), np.abs(v)
+        q = grid_2d.quadrature
+        h = grid_2d.spacing**2
+        quartic = q(l11 * au ** (2 * sigma + 2) + l22 * av ** (2 * sigma + 2)
+                    + 2 * l21 * (au * av) ** (sigma + 1))
+        potential_h = q(l11 * au ** (2 * sigma + 2) + l22 * av ** (2 * sigma + 2)
+                        + 2 * l12 * (au * av) ** (sigma + 1))
+        kin = sum(np.sum(grid_2d.k_sq * np.abs(np.fft.fftn(f)) ** 2) for f in (u, v))
+        plain_h = 0.5 * kin * h / grid_2d.node_count - potential_h / (2 + 2 * sigma)
+        F_u, F_v = model.F_u, model.F_v
+        paper = 0.5 * q(au**2 * F_u + av**2 * F_v + 2 * au * av * np.sqrt(F_u * F_v))
+        gradient = 0.5 * q(au**2 * model.grad_sq_sum_u + av**2 * model.grad_sq_sum_v)
+
+        assert rec.H[0] == pytest.approx(hamiltonian(st, c), rel=1e-13)
+        assert rec.H[0] == pytest.approx(plain_h, rel=1e-12)
+        assert rec.coupling_quartic[0] == pytest.approx(quartic, rel=1e-13)
+        assert rec.mass_u[0] == pytest.approx(q(au**2), rel=1e-13)
+        assert rec.mass_v[0] == pytest.approx(q(av**2), rel=1e-13)
+        assert rec.V[0] == pytest.approx(variance(st, warn_boundary=False), rel=1e-13)
+        assert rec.G[0] == momentum_G(st)
+        assert rec.paper_kernel[0] == pytest.approx(paper, rel=1e-13)
+        assert rec.gradient_kernel[0] == pytest.approx(gradient, rel=1e-13)
+        assert (rec.grad_norm_sq[0], rec.spectral_tail_fraction[0]) == (grad, tail)
+
+    def test_2d_record_transforms_only_for_G(self, grid_2d, monkeypatch):
+        # G takes one forward and dim inverse transforms per component; the
+        # gradient norm and H come from the diagnostics passed in
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(Grid, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, counted)
+        st = make_state(grid_2d, np.exp(-grid_2d.r_sq), 0.5 * np.exp(-grid_2d.r_sq))
+        recorder = TrajectoryRecorder(build_noise_model(NoiseSpec(), grid_2d),
+                                      scalar_coupling())
+        recorder.record(st, 1.0, 0.0)
+        assert len(calls) == 2 * (1 + grid_2d.dim)
