@@ -26,7 +26,6 @@ from .groundstate import (
     GroundStatePair,
     critical_threshold,
     gn_ratio,
-    k_opt,
     solve_ground_state,
 )
 from .config import ConfigError, InitialSpec, RunConfig, load_config, parse_config
@@ -52,7 +51,7 @@ __all__ = [
     "CriterionResult", "EnergyBudget", "TrajectoryRecord", "TrajectoryRecorder",
     "blowup_criterion", "corollary_energy_bound", "criterion_lhs", "energy_budget",
     "hamiltonian", "mass", "momentum_G", "variance", "virial_residuals",
-    "GroundStateError", "GroundStatePair", "critical_threshold", "gn_ratio", "k_opt",
+    "GroundStateError", "GroundStatePair", "critical_threshold", "gn_ratio",
     "solve_ground_state",
     "ConfigError", "InitialSpec", "RunConfig", "load_config", "parse_config",
     "BlowupDetector", "EnsembleResult", "HarnessError", "criterion_sweep", "detect_blowup",

@@ -310,19 +310,16 @@ def parse_config(text: str) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    noise_kwargs = {}
-    if parser.has_section("noise"):
-        noise_kwargs = {
-            "K": _get(parser, "noise", "k", int, default=0),
-            "family": _get(parser, "noise", "family", str, default="fourier"),
-            "a0": _get(parser, "noise", "a0", float, default=0.0),
-            "decay_p": _get(parser, "noise", "decay_p", float, default=2.0),
-            "shared_modes": _get(parser, "noise", "shared_modes", bool, default=True),
-            "scale_u": _get(parser, "noise", "scale_u", float, default=1.0),
-            "scale_v": _get(parser, "noise", "scale_v", float, default=1.0),
-        }
     try:
-        noise = NoiseSpec(**noise_kwargs)
+        noise = NoiseSpec(
+            K=_get(parser, "noise", "k", int, default=0),
+            family=_get(parser, "noise", "family", str, default="fourier"),
+            a0=_get(parser, "noise", "a0", float, default=0.0),
+            decay_p=_get(parser, "noise", "decay_p", float, default=2.0),
+            shared_modes=_get(parser, "noise", "shared_modes", bool, default=True),
+            scale_u=_get(parser, "noise", "scale_u", float, default=1.0),
+            scale_v=_get(parser, "noise", "scale_v", float, default=1.0),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -342,16 +339,11 @@ def parse_config(text: str) -> RunConfig:
         output_dir=_get(parser, "run", "output_dir", str, default=""),
         track_identities=_get(parser, "run", "track_identities", bool, default=True),
         snapshot_final=_get(parser, "run", "snapshot_final", bool, default=False),
-        theta_grad=_get(parser, "detector", "theta_grad", float)
-        if parser.has_section("detector") else None,
-        theta_tail=_get(parser, "detector", "theta_tail", float, default=0.1)
-        if parser.has_section("detector") else 0.1,
-        groundstate_beta=_get(parser, "groundstate", "beta", float)
-        if parser.has_section("groundstate") else None,
-        groundstate_tol=_get(parser, "groundstate", "tol", float, default=1e-10)
-        if parser.has_section("groundstate") else 1e-10,
-        groundstate_max_iter=_get(parser, "groundstate", "max_iter", int, default=5000)
-        if parser.has_section("groundstate") else 5000,
+        theta_grad=_get(parser, "detector", "theta_grad", float),
+        theta_tail=_get(parser, "detector", "theta_tail", float, default=0.1),
+        groundstate_beta=_get(parser, "groundstate", "beta", float),
+        groundstate_tol=_get(parser, "groundstate", "tol", float, default=1e-10),
+        groundstate_max_iter=_get(parser, "groundstate", "max_iter", int, default=5000),
     )
 
 

@@ -328,7 +328,6 @@ def evolve(
     seed: int | None = None,
     increments: np.ndarray | None = None,
     record_every: int = 1,
-    recorder=None,
     detector=None,
     track_identities: bool = True,
     dealias: bool = False,
@@ -366,10 +365,9 @@ def evolve(
     elif rng is None:
         rng = np.random.default_rng(seed)
 
-    if recorder is None:
-        from .observables import TrajectoryRecorder
+    from .observables import TrajectoryRecorder  # observables imports this module
 
-        recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities)
+    recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities)
 
     # the path advances a private copy in place, through one workspace
     state = state0.copy()

@@ -30,7 +30,7 @@ from ._version import __version__
 from .config import ConfigError, RunConfig
 from .dynamics import TrajectoryResult, _spectral_diagnostics, evolve
 from .grid import Grid, make_grid
-from .groundstate import critical_threshold, k_opt, solve_ground_state
+from .groundstate import critical_threshold, solve_ground_state
 from .noise import sample_increments
 from .observables import (
     CSV_COLUMNS,
@@ -449,29 +449,22 @@ def threshold_study(
         beta = cfg.ground_state_beta()
         gs = solve_ground_state(c.sigma, beta, grid, tol=cfg.groundstate_tol,
                                 max_iter=cfg.groundstate_max_iter)
-        k = k_opt(gs, "single" if beta == 0.0 else "pair")
+        k = gs.k_opt_single if beta == 0.0 else gs.k_opt_pair
         threshold = critical_threshold(c.l11, c.l22, k)
 
-        base_state = cfg.build_state(grid)
-        mu, mv, _ = mass(base_state)
+        mu, mv, _ = mass(cfg.build_state(grid))
         s0 = np.sqrt(c.l11) * mu + np.sqrt(c.l22) * mv
         if s0 <= 0:
             raise ConfigError("threshold_study requires nonzero initial data")
-        model = cfg.build_noise_model(grid)
 
         for target in mass_grid:
-            alpha = float(np.sqrt(target / s0))
-            scaled = cfg.build_state(grid)
-            scaled.u *= alpha
-            scaled.v *= alpha
-            sub = _rescaled_config(cfg, alpha)
+            sub = _rescaled_config(cfg, float(np.sqrt(target / s0)))
             ens = run_ensemble(sub, n_paths, workers=workers,
                                output_dir=out / f"mass_{target:.6g}", write_paths=False)
-            crit = blowup_criterion(scaled, c, cfg.T, model, check_hypotheses=False)
             rows.append({
                 "mass_combination": float(target),
                 "blowup_fraction": ens.blowup_fraction,
-                "criterion_lhs": crit.lhs,
+                "criterion_lhs": ens.criterion_lhs,
                 "regime": "global-regime" if target < threshold else "",
                 "threshold": float(threshold),
             })

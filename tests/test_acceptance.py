@@ -17,7 +17,6 @@ from scnls import (
     energy_budget,
     evolve,
     gn_ratio,
-    k_opt,
     make_grid,
     run_ensemble,
     run_single,
@@ -186,7 +185,7 @@ def test_criterion_7_ground_state_and_sharp_constant(townes):
         reduction_ok &= err <= 1e-6
 
     gs1 = solve_ground_state(1.0, 1.0, g, tol=1e-10)
-    k1 = k_opt(gs1, "pair")
+    k1 = gs1.k_opt_pair
     saturation = gn_ratio(gs1.P.astype(complex), gs1.Q.astype(complex), 1.0, 1.0, g) / k1
     rng = np.random.default_rng(2024)
     worst = 0.0
@@ -228,7 +227,7 @@ def test_criterion_8_global_existence_regimes(tmp_path, townes):
         32, output_dir=tmp_path / "defoc", write_paths=False,
     )
     # (iii) mass-critical 2D at half the critical threshold
-    threshold = 2.0 / k_opt(townes, "single")
+    threshold = 2.0 / townes.k_opt_single
     target = 0.5 * threshold  # split evenly between the components
     amp = float(np.sqrt(target / 2.0 / np.pi))  # ||gauss(A, w=1)||^2 = A^2 pi w^2
     crit = run_ensemble(

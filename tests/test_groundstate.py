@@ -5,11 +5,11 @@ from scnls import (
     GroundStateError,
     critical_threshold,
     gn_ratio,
-    k_opt,
     make_grid,
     solve_ground_state,
 )
 
+from scnls.grid import Grid
 from scnls.groundstate import _nonlinear_terms
 
 from conftest import random_smooth_field
@@ -86,6 +86,62 @@ class TestSolveGroundState:
         with pytest.raises(ValueError):
             solve_ground_state(sigma, beta, grid_1d, tol=tol)
 
+    def test_evaluates_each_iterate_once(self, grid_1d, monkeypatch):
+        # the seed's (1-Lap)P, (1-Lap)Q take 4 transforms; each sweep takes 4
+        # for (1-Lap)^-1 N and 4 for the new iterate's (1-Lap)P, (1-Lap)Q
+        calls = []
+        for name in ("fft", "ifft"):
+            original = getattr(Grid, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, counted)
+        gs = solve_ground_state(1.0, 0.5, grid_1d, tol=1e-10)
+        assert len(calls) == 4 + 8 * gs.iterations
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 1.0])
+    def test_matches_reference_iteration(self, grid_1d, grid_2d, dim, beta):
+        # oracle: the sweep written out plainly, recomputing N and (1-Lap)
+        # at both ends of every iteration; the solver must agree bitwise
+        g = grid_1d if dim == 1 else grid_2d
+        sigma, tol = 1.0, 1e-10
+        h = g.spacing**dim
+        gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
+
+        def inv(f):
+            return np.fft.ifftn(np.fft.fftn(f) * (1.0 / (1.0 + g.k_sq))).real
+
+        def op(f):
+            return np.fft.ifftn(np.fft.fftn(f) * (1.0 + g.k_sq)).real
+
+        P = np.exp(-g.r_sq / 2.0)
+        Q = P.copy()
+        trace = []
+        for iteration in range(1, 5001):
+            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
+            lhs = float(((P * op(P)).sum() + (Q * op(Q)).sum()) * h)
+            rhs = float(((P * NP).sum() + (Q * NQ).sum()) * h)
+            s_factor = (lhs / rhs) ** gamma
+            P = s_factor * inv(NP)
+            Q = s_factor * inv(NQ)
+            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
+            residual = float(max(np.abs(op(P) - NP).max(), np.abs(op(Q) - NQ).max()))
+            trace.append(residual)
+            if residual < tol:
+                break
+
+        gs = solve_ground_state(sigma, beta, g, tol=tol)
+        np.testing.assert_array_equal(gs.P, P)
+        np.testing.assert_array_equal(gs.Q, Q)
+        assert gs.iterations == iteration
+        assert gs.residual_inf == residual
+        with pytest.raises(GroundStateError) as err:
+            solve_ground_state(sigma, beta, g, tol=tol, max_iter=iteration - 1)
+        assert err.value.residual_trace == trace[:-1]
+
     def test_nonconvergence_reports_trace(self, grid_1d):
         with pytest.raises(GroundStateError) as err:
             solve_ground_state(1.0, 0.0, grid_1d, tol=1e-10, max_iter=3)
@@ -96,19 +152,15 @@ class TestKopt:
     def test_printed_formula_value(self, gs_scalar):
         # sigma=1, N=1, ||P||^2 + ||Q||^2 = 8: K = 4 / (sqrt(3) * 8)
         assert gs_scalar.norm_sq_P + gs_scalar.norm_sq_Q == pytest.approx(8.0, rel=1e-6)
-        assert k_opt(gs_scalar, "pair") == pytest.approx(1.0 / (2 * np.sqrt(3)), rel=1e-5)
+        assert gs_scalar.k_opt_pair == pytest.approx(1.0 / (2 * np.sqrt(3)), rel=1e-5)
 
     def test_single_component_reading(self, gs_scalar):
-        assert k_opt(gs_scalar, "single") == pytest.approx(
-            k_opt(gs_scalar, "pair") * 2.0, rel=1e-12
-        )
-        with pytest.raises(ValueError):
-            k_opt(gs_scalar, "both")
+        assert gs_scalar.k_opt_single == pytest.approx(gs_scalar.k_opt_pair * 2.0, rel=1e-12)
 
     def test_mass_critical_exponent_degeneracy(self, townes):
         # at sigma = 2/N the (2s+2-Ns) factor has exponent 0: K = 2(s+1)/(Ns * norm^s)
         expected = 2.0 * 2.0 / (2.0 * townes.norm_sq_P)
-        assert k_opt(townes, "single") == pytest.approx(expected, rel=1e-12)
+        assert townes.k_opt_single == pytest.approx(expected, rel=1e-12)
 
     def test_amplitude_homogeneity(self, gs_scalar):
         # doubling the pair multiplies the squared norms by 4 and K by 4^-sigma
@@ -120,18 +172,18 @@ class TestKopt:
     def test_grid_refinement_invariance(self, gs_scalar):
         g2 = make_grid(1, 512, 40.0)
         gs2 = solve_ground_state(1.0, 0.0, g2, tol=1e-10)
-        assert k_opt(gs2, "pair") == pytest.approx(k_opt(gs_scalar, "pair"), rel=5e-3)
+        assert gs2.k_opt_pair == pytest.approx(gs_scalar.k_opt_pair, rel=5e-3)
 
 
 class TestGnRatio:
     def test_ground_state_saturates(self, gs_beta1, grid_1d_fine):
         ratio = gn_ratio(gs_beta1.P.astype(complex), gs_beta1.Q.astype(complex),
                          1.0, 1.0, grid_1d_fine)
-        assert ratio >= 0.98 * k_opt(gs_beta1, "pair")
-        assert ratio <= 1.02 * k_opt(gs_beta1, "pair")
+        assert ratio >= 0.98 * gs_beta1.k_opt_pair
+        assert ratio <= 1.02 * gs_beta1.k_opt_pair
 
     def test_random_fields_never_exceed(self, gs_beta1, grid_1d):
-        bound = 1.02 * k_opt(gs_beta1, "pair")
+        bound = 1.02 * gs_beta1.k_opt_pair
         rng = np.random.default_rng(123)
         for _ in range(1000):
             u = random_smooth_field(grid_1d, rng, n_modes=10,
@@ -146,7 +198,7 @@ class TestGnRatio:
         u = 0.05 * np.exp(-grid_1d_fine.x[0] ** 2 / 50.0) + 0j
         v = np.zeros_like(u)
         ratio = gn_ratio(u, v, 0.0, 1.0, grid_1d_fine)
-        k_single = k_opt(gs_scalar, "single")
+        k_single = gs_scalar.k_opt_single
         assert ratio < (1.0 - 1e-3) * k_single
         assert ratio == pytest.approx(1.0 / np.sqrt(np.pi), rel=1e-6)
 

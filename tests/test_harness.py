@@ -204,6 +204,19 @@ class TestConfigParsing:
             lines += [f"{key} = {value}" for key, value in values.items() if value is not None]
         assert parse_config("\n".join(lines) + "\n").to_dict() == echo
 
+    def test_omitted_optional_sections_take_defaults(self):
+        # a config without [noise], [detector] and [groundstate] parses as one
+        # that spells out every default of those sections
+        bare = CONFIG_TEXT.replace("[noise]\nK = 2\na0 = 0.05\n", "")
+        spelled = bare + (
+            "\n[noise]\nK = 0\nfamily = fourier\na0 = 0.0\ndecay_p = 2.0\n"
+            "shared_modes = true\nscale_u = 1.0\nscale_v = 1.0\n"
+            "\n[detector]\ntheta_tail = 0.1\n"
+            "\n[groundstate]\ntol = 1e-10\nmax_iter = 5000\n"
+        )
+        assert "[noise]" not in bare
+        assert parse_config(bare).to_dict() == parse_config(spelled).to_dict()
+
     def test_comments_allowed(self):
         text = CONFIG_TEXT.replace("seed = 99", "seed = 99  # master seed")
         assert parse_config(text).seed == 99
@@ -394,12 +407,12 @@ class TestThresholdStudy:
             initial_u=InitialSpec("gaussian", amplitude=1.0, width=1.0),
             T=1.0, dt=2e-4, record_every=100, track_identities=False,
         )
-        from scnls import critical_threshold, k_opt, solve_ground_state
+        from scnls import critical_threshold, solve_ground_state
 
         gs = solve_ground_state(2.0, 0.0, cfg.build_grid(), tol=1e-10)
         # quintic 1D critical mass: sqrt(3) pi / 2
         assert gs.norm_sq_P == pytest.approx(np.sqrt(3) * np.pi / 2, rel=1e-4)
-        thr = critical_threshold(1.0, 1.0, k_opt(gs, "single"))
+        thr = critical_threshold(1.0, 1.0, gs.k_opt_single)
         rows = threshold_study(cfg, [0.5 * thr, 3.0 * thr], 2, output_dir=tmp_path)
         assert rows[0]["regime"] == "global-regime"
         assert rows[0]["blowup_fraction"] == 0.0
@@ -408,6 +421,12 @@ class TestThresholdStudy:
         assert rows[1]["criterion_lhs"] < 0
         lines = (tmp_path / "threshold_study.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[1].endswith("global-regime")
+        # each row's criterion value is the one its ensemble recorded
+        for line in lines[1:]:
+            target, _, lhs, _ = line.split(",")
+            ens = json.loads((tmp_path / f"mass_{float(target):.6g}" / "ensemble.json")
+                             .read_text())
+            assert float(lhs) == ens["criterion_lhs"]
 
 
 class TestVerify:
