@@ -15,6 +15,12 @@ real, so |u| and |v| are pointwise invariant), L is the exact unitary free
 flow on the grid, and W is the exact pathwise noise phase.  Every sub-step
 preserves the discrete mass of each component to round-off, and the
 deterministic part is Strang splitting (second order).
+
+:func:`evolve` advances a batch of P paths held on a leading axis of the
+fields, shape ``(P, *grid.shape)``; a single run is the batch P = 1.  Each
+sub-step is one numpy call for the whole batch, and every operation on it is
+elementwise, a transform of the trailing grid axes or a sum over one path's
+own nodes, so each path's bits do not depend on the batch it was run in.
 """
 
 from __future__ import annotations
@@ -115,7 +121,12 @@ class Coupling:
 
 @dataclass
 class SystemState:
-    """The complex field pair and current time."""
+    """The complex field pair and current time.
+
+    The fields have the grid's shape, or shape ``(P, *grid.shape)`` for a
+    batch of P paths at the same time ``t``; ``blown_up`` then flags a
+    non-finite value in any of them.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -124,12 +135,19 @@ class SystemState:
     blown_up: bool = False
 
     def __post_init__(self):
-        if self.u.shape != self.grid.shape or self.v.shape != self.grid.shape:
+        shape, dim = self.u.shape, self.grid.dim
+        if (self.v.shape != shape or len(shape) not in (dim, dim + 1)
+                or shape[len(shape) - dim:] != self.grid.shape):
             raise ValueError("field shapes do not match the grid")
 
     def copy(self) -> "SystemState":
-        """Independent complex128 copy (the in-place step writes complex values)."""
-        return SystemState(self.u.astype(complex), self.v.astype(complex), self.t,
+        """Independent complex128 copy in C order.
+
+        The in-place step writes complex values, and a batch's per-path sums
+        need each path's nodes contiguous.
+        """
+        return SystemState(np.array(self.u, dtype=complex, order="C"),
+                           np.array(self.v, dtype=complex, order="C"), self.t,
                            self.grid, self.blown_up)
 
     def is_finite(self) -> bool:
@@ -137,23 +155,33 @@ class SystemState:
 
 
 class Workspace:
-    """Buffers a path reuses every step, so that N, L and the diagnostics allocate no field.
+    """Buffers a state reuses every step, so that N, L and the diagnostics allocate no field.
 
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
     the 2/3-rule mask of kept modes, one complex scratch field and three real
-    scratch fields.  The N step keeps the two moduli and the phase angle in
-    the real fields and uses the real and imaginary parts of the complex one
-    as temporaries before it writes the unimodular factor there; the
+    scratch fields of the state's field ``shape`` (default: one path on
+    ``grid``).  The N step keeps the two moduli and the phase angle in the
+    real fields and uses the real and imaginary parts of the complex one as
+    temporaries before it writes the unimodular factor there; the
     diagnostics transform into the complex field and sum powers in the real
-    ones.  One workspace serves one path at a time.
+    ones.  One workspace serves one state (a path or a batch) at a time.
     """
 
-    def __init__(self, grid: Grid, dt: float | None = None):
+    def __init__(self, grid: Grid, dt: float | None = None,
+                 shape: tuple[int, ...] | None = None):
+        shape = grid.shape if shape is None else shape
+        # the multipliers carry the fields' number of axes, so that one path
+        # (P = 1) multiplies without broadcasting
+        axes = (1,) * (len(shape) - grid.dim) + grid.shape
         self.dt = dt
-        self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt)
-        self.keep = grid.dealias_mask()
-        self.scratch = np.empty(grid.shape, dtype=complex)
-        self.real = tuple(np.empty(grid.shape) for _ in range(3))
+        self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt).reshape(axes)
+        self.keep = grid.dealias_mask().reshape(axes)
+        self.scratch = np.empty(shape, dtype=complex)
+        self.real = tuple(np.empty(shape) for _ in range(3))
+        # the same buffers as one axis, for the pointwise N step: numpy runs
+        # a loop over one strided axis faster than over several
+        self.flat_scratch = self.scratch.reshape(-1)
+        self.flat_real = tuple(r.reshape(-1) for r in self.real)
 
 
 def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
@@ -193,14 +221,14 @@ def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
 
 def _rotate(f: np.ndarray, a_self: np.ndarray, a_other: np.ndarray, l_self: float,
             l_mixed: float, sigma: float, dt: float, work: Workspace) -> None:
-    """f <- f * exp(1j*dt*multiplier), in place."""
-    theta = work.real[2]
-    e = work.scratch
+    """f <- f * exp(1j*dt*multiplier), in place; the moduli are flat views."""
+    theta = work.flat_real[2]
+    e = work.flat_scratch
     _phase_multiplier(a_self, a_other, l_self, l_mixed, sigma, theta, e.real, e.imag)
     theta *= dt
     np.cos(theta, out=e.real)
     np.sin(theta, out=e.imag)
-    f *= e
+    f *= work.scratch
 
 
 def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
@@ -216,10 +244,10 @@ def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
     updated and returned.
     """
     if work is None:
-        state, work = state.copy(), Workspace(state.grid)
-    au, av, _ = work.real
-    np.abs(state.u, out=au)
-    np.abs(state.v, out=av)
+        state, work = state.copy(), Workspace(state.grid, shape=state.u.shape)
+    np.abs(state.u, out=work.real[0])
+    np.abs(state.v, out=work.real[1])
+    au, av, _ = work.flat_real
     s = coupling.sigma
     _rotate(state.u, au, av, coupling.l11, coupling.l12, s, dt, work)
     _rotate(state.v, av, au, coupling.l22, coupling.l21, s, dt, work)
@@ -237,13 +265,15 @@ def strang_step(
 ) -> SystemState:
     """One full step N(dt/2) . L(dt) . W(dB) . N(dt/2); advances t by dt.
 
-    Without ``work`` the input is left untouched and a new state is returned.
-    With a :class:`Workspace` built for this ``dt`` (as ``evolve`` passes)
-    ``state`` itself is advanced and returned.  Non-finite output is flagged
-    on the returned state instead of being raised.
+    ``state`` may be a batch, with ``increments`` of shape (P, K).  Without
+    ``work`` the input is left untouched and a new state is returned.  With
+    a :class:`Workspace` built for this ``dt`` and the state's shape (as
+    ``evolve`` passes) ``state`` itself is advanced and returned.
+    Non-finite output is flagged on the returned state instead of being
+    raised.
     """
     if work is None:
-        state, work = state.copy(), Workspace(state.grid, dt)
+        state, work = state.copy(), Workspace(state.grid, dt, state.u.shape)
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
     grid = state.grid
@@ -257,8 +287,8 @@ def strang_step(
         grid.ifft(f, out=f)
 
     if model.K > 0:
-        state.u = stratonovich_phase(state.u, 1, model, increments)
-        state.v = stratonovich_phase(state.v, 2, model, increments)
+        stratonovich_phase(state.u, 1, model, increments, out=state.u)
+        stratonovich_phase(state.v, 2, model, increments, out=state.v)
 
     nonlinear_phase(state, 0.5 * dt, coupling, work)
     state.t = state.t + dt
@@ -284,8 +314,16 @@ class TrajectoryResult:
     steps: int = 0
 
 
-def _spectral_diagnostics(state: SystemState,
-                          work: Workspace | None = None) -> tuple[float, float]:
+def _node_sums(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sum over each path's grid nodes: shape (P,) for a batch, (1,) for one path.
+
+    Each path's nodes are summed as one contiguous row, so a path's sum is
+    bitwise the same whatever the batch size.
+    """
+    return np.add.reduce(values.reshape(-1, grid.node_count), axis=1)
+
+
+def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     """(grad_norm_sq, spectral_tail_fraction) from one FFT per component.
 
     grad_norm_sq is ||grad u||^2 + ||grad v||^2 by Parseval; this is the one
@@ -294,11 +332,12 @@ def _spectral_diagnostics(state: SystemState,
     fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
     top third of the resolvable frequency range (resolution-loss gauge, in
     [0, 1]).  The transforms and powers go through the buffers of ``work``,
-    or of a fresh :class:`Workspace` when none is given.
+    or of a fresh :class:`Workspace` when none is given.  One path gives two
+    floats, a batch two arrays with one entry per path.
     """
     grid = state.grid
     if work is None:
-        work = Workspace(grid)
+        work = Workspace(grid, shape=state.u.shape)
     f_hat = work.scratch
     power, term, _ = work.real
     grid.fft(state.u, out=f_hat)
@@ -309,12 +348,23 @@ def _spectral_diagnostics(state: SystemState,
     np.square(term, out=term)
     power += term
     scale = grid.spacing**grid.dim / grid.node_count
-    grad_norm_sq = float(np.multiply(grid.k_sq, power, out=term).sum() * scale)
-    total = float(power.sum())
-    tail = 0.0
-    if total > 0:
-        tail = float(np.multiply(power, grid.tail_mask, out=term).sum() / total)
+    grad_norm_sq = _node_sums(np.multiply(grid.k_sq, power, out=term), grid) * scale
+    total = _node_sums(power, grid)
+    tail = _node_sums(np.multiply(power, grid.tail_mask, out=term), grid)
+    # a path without spectral power (zero or non-finite) reads a zero tail;
+    # per path in Python, which beats a masked ufunc on a few values
+    tail = np.array([part / whole if whole > 0 else 0.0
+                     for part, whole in zip(tail.tolist(), total.tolist())])
+    if state.u.ndim == grid.dim:
+        return float(grad_norm_sq[0]), float(tail[0])
     return grad_norm_sq, tail
+
+
+def _finite_paths(state: SystemState) -> np.ndarray:
+    """One flag per path of a batch: all of its u and v values are finite."""
+    rows = len(state.u)
+    return (np.isfinite(state.u.reshape(rows, -1)).all(axis=1)
+            & np.isfinite(state.v.reshape(rows, -1)).all(axis=1))
 
 
 def evolve(
@@ -324,22 +374,32 @@ def evolve(
     model: NoiseModel,
     coupling: Coupling,
     *,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng=None,
+    seed=None,
     increments: np.ndarray | None = None,
     record_every: int = 1,
     detector=None,
     track_identities: bool = True,
     dealias: bool = False,
-) -> TrajectoryResult:
-    """Integrate one path from t=0 to T, recording every ``record_every`` steps.
+):
+    """Integrate one path, or a batch of paths, from t=0 to T.
 
-    The Wiener increments driving the path come from ``increments`` (shape
-    (n_steps, K)) when given, else are sampled from ``rng`` (or a fresh
-    generator seeded with ``seed``).  The blow-up ``detector``, called every
-    step with (grad_norm_sq, tail_fraction), turns a trigger into a normal
-    "blowup" outcome.  If T/dt is not an integer the last partial step is
-    dropped and reported via ``dropped_remainder``.
+    Each path is recorded every ``record_every`` steps.  The Wiener
+    increments driving a path come from ``increments`` (shape (n_steps, K))
+    when given, else are sampled from ``rng`` (or a fresh generator seeded
+    with ``seed``).  The blow-up ``detector``, called every step with
+    (grad_norm_sq, tail_fraction), turns a trigger into a normal "blowup"
+    outcome; a non-finite state without a trigger is "invalid".  If T/dt is
+    not an integer the last partial step is dropped and reported via
+    ``dropped_remainder``.
+
+    A batch is a ``state0`` whose fields carry a leading axis of P paths.
+    Then ``rng`` and ``seed`` are sequences with one generator or seed per
+    path, ``increments`` has shape (P, n_steps, K), and ``detector`` is one
+    callable for every path or a sequence of P.  The batch advances as one
+    array; a path that reaches blowup or invalid leaves it with its record.
+    One path returns a :class:`TrajectoryResult`, a batch a list of P in path
+    order, each bitwise equal to the result of that path evolved alone.
 
     Identical (seed, config) pairs reproduce bit-identical records.
     """
@@ -356,51 +416,109 @@ def evolve(
             stacklevel=2,
         )
 
+    grid = state0.grid
+    batched = state0.u.ndim > grid.dim
+    n_paths = len(state0.u) if batched else 1
+
+    def per_path(value, name):
+        if not batched:
+            return [value]
+        value = list(value)
+        if len(value) != n_paths:
+            raise ValueError(f"{name} needs one entry per path ({n_paths}), got {len(value)}")
+        return value
+
     if increments is not None:
         increments = np.asarray(increments, dtype=float)
-        if increments.shape != (n_steps, model.K):
-            raise ValueError(
-                f"increments must have shape {(n_steps, model.K)}, got {increments.shape}"
-            )
-    elif rng is None:
-        rng = np.random.default_rng(seed)
+        expected = (n_paths,) * batched + (n_steps, model.K)
+        if increments.shape != expected:
+            raise ValueError(f"increments must have shape {expected}, got {increments.shape}")
+        increments = increments.reshape(n_paths, n_steps, model.K)
+        rngs = None
+    elif rng is not None:
+        rngs = per_path(rng, "rng")
+    else:
+        rngs = [np.random.default_rng(s)
+                for s in (per_path(seed, "seed") if seed is not None else [None] * n_paths)]
+    detectors = ([detector] * n_paths if detector is None or callable(detector)
+                 else per_path(detector, "detector"))
+    detecting = any(d is not None for d in detectors)
 
     from .observables import TrajectoryRecorder  # observables imports this module
 
-    recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities)
-
-    # the path advances a private copy in place, through one workspace
+    # the batch advances a private copy in place, through one workspace; row
+    # r of its fields, increments, generators and detectors is path live[r],
+    # and the rows close up when a path leaves
     state = state0.copy()
-    work = Workspace(state.grid, dt)
+    if not batched:
+        state.u, state.v = state.u[None], state.v[None]
+    live = list(range(n_paths))
+    work = Workspace(grid, dt, state.u.shape)
+    recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities,
+                                  paths=n_paths)
+    results: list[TrajectoryResult | None] = [None] * n_paths
 
-    diag = _spectral_diagnostics(state, work)
-    recorder.record(state, *diag)
-    if n_steps == 0:
-        return TrajectoryResult("completed", state, recorder.finalize(),
-                                effective_T=0.0, dropped_remainder=dropped, steps=0)
+    def path_state(r):
+        return SystemState(state.u[r], state.v[r], state.t, grid)
+
+    def leave(rows, outcome, steps):
+        """Finish the paths at batch ``rows`` and drop them from the batch."""
+        nonlocal live, work, increments, rngs, detectors
+        for r in rows:
+            final = SystemState(state.u[r].copy(), state.v[r].copy(), state.t, grid,
+                                blown_up=outcome == "invalid")
+            results[live[r]] = TrajectoryResult(
+                outcome, final, recorder.finalize(r),
+                t_star=None if outcome == "completed" else state.t,
+                effective_T=effective_T, dropped_remainder=dropped, steps=steps)
+        keep = np.ones(len(live), dtype=bool)
+        keep[rows] = False
+        state.u, state.v = state.u[keep], state.v[keep]
+        if increments is not None:
+            increments = increments[keep]
+        else:
+            rngs = [r for r, kept in zip(rngs, keep) if kept]
+        live = [p for p, kept in zip(live, keep) if kept]
+        detectors = [d for d, kept in zip(detectors, keep) if kept]
+        recorder.keep(keep)
+        if live:
+            work = Workspace(grid, dt, state.u.shape)
+
+    grad, tail = _spectral_diagnostics(state, work)
+    for r in range(n_paths):
+        recorder.record(path_state(r), float(grad[r]), float(tail[r]), row=r)
 
     for j in range(n_steps):
-        inc = increments[j] if increments is not None else sample_increments(model.K, dt, rng)
+        if increments is not None:
+            inc = increments[:, j]
+        else:
+            inc = np.stack([sample_increments(model.K, dt, r) for r in rngs])
         recorder.on_step(state, inc)
         strang_step(state, dt, model, inc, coupling, work=work, dealias=dealias)
 
         if state.blown_up:
-            return TrajectoryResult("invalid", state, recorder.finalize(), t_star=state.t,
-                                    effective_T=effective_T, dropped_remainder=dropped,
-                                    steps=j + 1)
+            leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
+            state.blown_up = False
+            if not live:
+                break
 
         due = (j + 1) % record_every == 0 or j == n_steps - 1
-        if detector is None and not due:
+        if not (detecting or due):
             continue
-        diag = _spectral_diagnostics(state, work)
-        fired = bool(detector(*diag)) if detector is not None else False
-        if fired or due:
-            recorder.record(state, *diag)
+        grad, tail = _spectral_diagnostics(state, work)
+        fired = []
+        for r, detect in enumerate(detectors):
+            g, tl = float(grad[r]), float(tail[r])
+            hit = detect is not None and bool(detect(g, tl))
+            if hit or due:
+                recorder.record(path_state(r), g, tl, row=r)
+            if hit:
+                fired.append(r)
         if fired:
-            return TrajectoryResult("blowup", state, recorder.finalize(), t_star=state.t,
-                                    effective_T=effective_T, dropped_remainder=dropped,
-                                    steps=j + 1)
+            leave(fired, "blowup", j + 1)
+            if not live:
+                break
 
-    return TrajectoryResult("completed", state, recorder.finalize(),
-                            effective_T=effective_T, dropped_remainder=dropped,
-                            steps=n_steps)
+    if live:
+        leave(range(len(live)), "completed", n_steps)
+    return results if batched else results[0]

@@ -5,9 +5,11 @@ Reproducibility contract
 * Single runs use the config seed directly with numpy's PCG64 generator.
 * Ensemble path p derives its seed as ``splitmix64(master + (p+1)*GOLDEN)``
   (the SplitMix64 finalizer; GOLDEN = 0x9E3779B97F4A7C15), so any path can be
-  regenerated in isolation and results are independent of worker count and
-  completion order.  The generator family and the seeding rule are pinned in
-  every manifest.
+  regenerated in isolation.  An ensemble integrates its paths in contiguous
+  batches, one array per batch (see :func:`scnls.dynamics.evolve`), and each
+  path's output is bitwise that of the path run alone, so results are
+  independent of worker count, batch size and completion order.  The
+  generator family and the seeding rule are pinned in every manifest.
 * Trajectory CSVs are written with shortest round-trip float formatting, so
   identical (config, seed) pairs produce byte-identical files.
 
@@ -18,6 +20,7 @@ Exit-code contract (used by the CLI): 0 completed, 1 config error,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +31,7 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, RunConfig
-from .dynamics import TrajectoryResult, _spectral_diagnostics, evolve
+from .dynamics import SystemState, TrajectoryResult, _spectral_diagnostics, evolve
 from .grid import Grid, make_grid
 from .groundstate import critical_threshold, solve_ground_state
 from .noise import sample_increments
@@ -213,19 +216,31 @@ class SingleRunResult:
     result: TrajectoryResult
 
 
-def _run_trajectory(cfg: RunConfig, seed: int,
-                    increments: np.ndarray | None = None) -> TrajectoryResult:
+def _run_trajectory(cfg: RunConfig, seed):
+    """Integrate the configured path from ``seed``, or one batch of paths.
+
+    An int ``seed`` gives one :class:`TrajectoryResult`; a sequence of seeds
+    gives a batch of paths from the same initial state, one PCG64 generator
+    per seed, advanced together by one ``evolve``, and a list of results.
+    The grid, noise model and detector are built once either way.
+    """
     grid = cfg.build_grid()
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)
     detector = BlowupDetector.for_initial(
         _spectral_diagnostics(state)[0], cfg.theta_grad, cfg.theta_tail
     )
-    rng = np.random.Generator(np.random.PCG64(seed))
+    if isinstance(seed, int):
+        rng = np.random.Generator(np.random.PCG64(seed))
+    else:
+        rng = [np.random.Generator(np.random.PCG64(s)) for s in seed]
+        # read-only views; evolve integrates its own copy
+        batch = (len(rng),) + grid.shape
+        state = SystemState(np.broadcast_to(state.u, batch), np.broadcast_to(state.v, batch),
+                            state.t, grid)
     return evolve(
         state, cfg.T, cfg.dt, model, cfg.coupling,
-        rng=rng, increments=increments,
-        record_every=cfg.record_every, detector=detector,
+        rng=rng, record_every=cfg.record_every, detector=detector,
         track_identities=cfg.track_identities, dealias=cfg.dealias,
     )
 
@@ -314,9 +329,30 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return float(center - half), float(center + half)
 
 
-def _ensemble_path(cfg: RunConfig, index: int, out: Path | None) -> dict:
-    seed = path_seed(cfg.seed, index)
-    result = _run_trajectory(cfg, seed)
+# most bytes the u and v fields of one batch may hold; an ensemble whose
+# per-worker batches would hold more is split into more batches than workers
+_BATCH_FIELD_BYTES = 16 * 2**20
+
+
+def _batches(n_paths: int, workers: int, node_count: int) -> list[range]:
+    """Contiguous path ranges: one per worker, more when a batch would be too big."""
+    path_bytes = 2 * np.dtype(complex).itemsize * node_count
+    per_batch = max(1, _BATCH_FIELD_BYTES // path_bytes)
+    count = min(n_paths, max(workers, -(-n_paths // per_batch)))
+    bounds = [n_paths * i // count for i in range(count + 1)]
+    return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _ensemble_batch(cfg: RunConfig, indices: range, out: Path | None) -> list[dict]:
+    """Integrate one batch of ensemble paths, then write each path's output."""
+    seeds = [path_seed(cfg.seed, i) for i in indices]
+    results = _run_trajectory(cfg, seeds)
+    return [_ensemble_path_star(i, s, r, out) for i, s, r in zip(indices, seeds, results)]
+
+
+def _ensemble_path_star(index: int, seed: int, result: TrajectoryResult,
+                        out: Path | None) -> dict:
+    """One integrated path's CSV (when ``out`` is given) and summary."""
     if out is not None:
         write_trajectory_csv(out / f"path_{index:04d}.csv", result.record)
     rec = result.record
@@ -337,10 +373,6 @@ def _ensemble_path(cfg: RunConfig, index: int, out: Path | None) -> dict:
     return summary
 
 
-def _ensemble_path_star(args) -> dict:
-    return _ensemble_path(*args)
-
-
 def run_ensemble(
     cfg: RunConfig,
     n_paths: int,
@@ -350,9 +382,11 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Parallel map over independent paths with deterministic per-path seeds.
 
-    Results are identical for any worker count.  Paths that fail numerically
-    (non-finite state without a detector trigger) are counted as invalid; more
-    than 1% invalid paths fails the run.
+    Each task integrates a contiguous batch of paths as one array: one batch
+    per worker, capped at ``_BATCH_FIELD_BYTES`` of field memory per batch.
+    Results are identical for any worker count and batch size.  Paths that
+    fail numerically (non-finite state without a detector trigger) are
+    counted as invalid; more than 1% invalid paths fails the run.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
@@ -362,13 +396,15 @@ def run_ensemble(
         paths_dir = out / "paths"
         paths_dir.mkdir(exist_ok=True)
 
-    jobs = [(cfg, i, paths_dir) for i in range(n_paths)]
+    batches = _batches(n_paths, workers, cfg.n**cfg.dim)
     if workers <= 1:
-        summaries = [_ensemble_path_star(job) for job in jobs]
+        done = [_ensemble_batch(cfg, batch, paths_dir) for batch in batches]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_ensemble_path_star, jobs))
-    summaries.sort(key=lambda s: s["path"])
+        # the pool starts every worker at once, so it gets no more than there are tasks
+        with ProcessPoolExecutor(max_workers=min(workers, len(batches))) as pool:
+            done = list(pool.map(_ensemble_batch, itertools.repeat(cfg), batches,
+                                 itertools.repeat(paths_dir)))
+    summaries = [summary for batch in done for summary in batch]
 
     blowups = [s for s in summaries if s["outcome"] == "blowup"]
     invalid = [s for s in summaries if s["outcome"] == "invalid"]

@@ -190,17 +190,34 @@ def sample_increments(K: int, dt: float, rng: np.random.Generator) -> np.ndarray
 
 
 def stratonovich_phase(
-    values: np.ndarray, component: int, model: NoiseModel, increments: np.ndarray
+    values: np.ndarray, component: int, model: NoiseModel, increments: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """One exact noise step: multiply by exp(-1j * sum_k g_k(x) dB_k).
 
-    Preserves |values| at every node; the Ito correction -F/2 is contained in
-    the exponential exactly.
+    ``values`` may carry a leading batch axis of P paths, with ``increments``
+    of shape (P, K) (one row of increments per path); the result goes to
+    ``out``, which may be ``values`` itself.  The phase is accumulated mode by
+    mode with elementwise operations, so each path's result is bitwise the
+    same whatever the batch size.  Preserves |values| at every node; the Ito
+    correction -F/2 is contained in the exponential exactly.
     """
-    modes = model.modes(component)
-    if len(increments) != model.K:
-        raise ValueError(f"expected {model.K} increments, got {len(increments)}")
+    increments = np.asarray(increments, dtype=float)
+    if increments.shape[-1:] != (model.K,):
+        raise ValueError(f"expected {model.K} increments per path, got shape {increments.shape}")
     if model.K == 0:
-        return values.copy()
-    theta = np.tensordot(increments, modes, axes=(0, 0))
-    return values * np.exp(-1j * theta)
+        if out is None:
+            return values.copy()
+        out[...] = values
+        return out
+    modes = model.modes(component)
+    # -dB_k of each path, broadcast over that path's grid axes
+    minus_db = -np.moveaxis(increments, -1, 0).reshape(
+        (model.K,) + increments.shape[:-1] + (1,) * model.grid.dim)
+    minus_theta = minus_db[0] * modes[0]
+    for k in range(1, model.K):
+        minus_theta += minus_db[k] * modes[k]
+    phase = np.empty(minus_theta.shape, dtype=complex)
+    np.cos(minus_theta, out=phase.real)
+    np.sin(minus_theta, out=phase.imag)
+    return np.multiply(values, phase, out=out)

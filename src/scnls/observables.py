@@ -49,11 +49,12 @@ use the trapezoid rule on the recorded cadence.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Coupling, SystemState, _spectral_diagnostics
+from .dynamics import Coupling, SystemState, _node_sums, _spectral_diagnostics
 from .grid import Grid
 from .noise import NoiseModel
 
@@ -194,53 +195,91 @@ class TrajectoryRecord:
         return len(self.t)
 
 
-class TrajectoryRecorder:
-    """Accumulates observable rows and the per-step Ito martingale sums.
+_ROW_NAMES = (
+    "t", "mass_u", "mass_v", "H", "V", "G", "grad_norm_sq",
+    "spectral_tail_fraction", "paper_kernel", "gradient_kernel",
+    "coupling_quartic", "stoch_energy", "stoch_G",
+)
 
-    ``on_step(state, increments)`` must be called with the pre-step state and
-    the exact Wiener increments about to drive the step (left-point
-    evaluation); ``record(state, grad_norm_sq, tail)`` appends one row.
+
+def _ito_terms(f: np.ndarray, grad_modes: np.ndarray, xdot: np.ndarray,
+               grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """One component's per-path, per-mode Ito integrands, each of shape (P, K).
+
+    Im integral conj(f) grad(f) . grad(g_k) dx (energy identity) and
+    integral |f|^2 x.grad(g_k) dx (momentum identity), for a batch ``f``.
+    """
+    h = grid.spacing**grid.dim
+    energy = np.zeros((len(f), len(grad_modes)))
+    moment = np.zeros_like(energy)
+    density = np.abs(f)
+    np.square(density, out=density)
+    for k, field in enumerate(xdot):
+        moment[:, k] = _node_sums(density * field, grid) * h
+    del density  # freed before the gradient's transforms allocate
+    gradient = grid.gradient(f)
+    conj_f = np.conj(f)
+    for axis, derivative in enumerate(gradient):
+        derivative *= conj_f
+        for k, mode_gradient in enumerate(grad_modes):
+            energy[:, k] += _node_sums(derivative.imag * mode_gradient[axis], grid)
+    return energy * h, moment
+
+
+def _mode_dot(terms: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """Per-path sum_k terms[:, k] * increments[:, k], accumulated mode by mode.
+
+    A BLAS dot product's bits depend on the batch shape; this sum's do not.
+    """
+    total = terms[:, 0] * increments[:, 0]
+    for k in range(1, terms.shape[1]):
+        total += terms[:, k] * increments[:, k]
+    return total
+
+
+class TrajectoryRecorder:
+    """Accumulates observable rows and the per-step Ito martingale sums of a batch.
+
+    The recorder keeps ``paths`` paths (one by default); path r is row r of
+    the batch fields.  ``on_step(state, increments)`` must be called with the
+    pre-step batch state and the exact Wiener increments about to drive the
+    step, shape (paths, K) (left-point evaluation).  ``record(state,
+    grad_norm_sq, tail, row)`` appends one row to path ``row`` from that
+    path's own state; ``finalize(row)`` returns the path's record.  When
+    paths leave the batch, ``keep(mask)`` drops their rows so that the rest
+    close up as the batch's rows do.
     """
 
-    def __init__(self, model: NoiseModel, coupling: Coupling, track_identities: bool = True):
+    def __init__(self, model: NoiseModel, coupling: Coupling,
+                 track_identities: bool = True, paths: int = 1):
         self.model = model
         self.coupling = coupling
         self.track = bool(track_identities)
-        self._stoch_energy = 0.0
-        self._stoch_G = 0.0
-        self._rows: dict[str, list[float]] = {
-            name: []
-            for name in (
-                "t", "mass_u", "mass_v", "H", "V", "G", "grad_norm_sq",
-                "spectral_tail_fraction", "paper_kernel", "gradient_kernel",
-                "coupling_quartic", "stoch_energy", "stoch_G",
-            )
-        }
+        self._stoch_energy = np.zeros(paths)
+        self._stoch_G = np.zeros(paths)
+        # columns of raw doubles: a row costs 8 bytes per value, not a float object
+        self._rows = [{name: array("d") for name in _ROW_NAMES} for _ in range(paths)]
 
     def on_step(self, state: SystemState, increments: np.ndarray) -> None:
-        if not self.track or self.model.K == 0:
-            return
-        grid = state.grid
-        h = grid.spacing**grid.dim
-        energy_terms = np.zeros(self.model.K)
-        moment_terms = np.zeros(self.model.K)
-        K = self.model.K
-        for f, grad_modes, xdot in (
-            (state.u, self.model.grad_modes_u, self.model.xdot_grad_u),
-            (state.v, self.model.grad_modes_v, self.model.xdot_grad_v),
-        ):
-            # Im integral conj(f) grad(f) . grad(g_k) dx, one value per mode
-            flux = (np.conj(f) * np.stack(grid.gradient(f))).reshape(grid.dim, -1)
-            energy_terms += np.imag(
-                np.einsum("dm,kdm->k", flux, grad_modes.reshape(K, grid.dim, -1))
-            ) * h
-            moment_terms += xdot.reshape(K, -1) @ (np.abs(f) ** 2).ravel() * h
-        # energy identity: H(t) = H(0) - sum_k Im(...) dB_k + drift
-        self._stoch_energy += float(-energy_terms @ increments)
-        self._stoch_G += float(moment_terms @ increments)
+        """Add one step's Ito terms of the energy and momentum identities.
 
-    def record(self, state: SystemState, grad_norm_sq: float, tail: float) -> None:
-        """Append one row at ``state``.
+        Every path's terms are sums over its own nodes, taken mode by mode,
+        so they are bitwise the same whatever the batch size.
+        """
+        model = self.model
+        if not self.track or model.K == 0:
+            return
+        energy, moment = _ito_terms(state.u, model.grad_modes_u, model.xdot_grad_u,
+                                    state.grid)
+        energy_v, moment_v = _ito_terms(state.v, model.grad_modes_v, model.xdot_grad_v,
+                                        state.grid)
+        # energy identity: H(t) = H(0) - sum_k Im(...) dB_k + drift
+        self._stoch_energy -= _mode_dot(energy + energy_v, increments)
+        self._stoch_G += _mode_dot(moment + moment_v, increments)
+
+    def record(self, state: SystemState, grad_norm_sq: float, tail: float,
+               row: int = 0) -> None:
+        """Append one row to path ``row`` at ``state``, that path's own state.
 
         ``grad_norm_sq`` and ``tail`` are the spectral diagnostics of this
         state (``evolve`` has just computed them); H takes its kinetic part
@@ -266,7 +305,7 @@ class TrajectoryRecorder:
         gradient = 0.5 * grid.quadrature(
             dens_u * model.grad_sq_sum_u + dens_v * model.grad_sq_sum_v
         )
-        rows = self._rows
+        rows = self._rows[row]
         rows["t"].append(state.t)
         rows["mass_u"].append(float(grid.quadrature(dens_u)))
         rows["mass_v"].append(float(grid.quadrature(dens_v)))
@@ -278,17 +317,23 @@ class TrajectoryRecorder:
         rows["paper_kernel"].append(float(paper))
         rows["gradient_kernel"].append(float(gradient))
         rows["coupling_quartic"].append(c.l11 * iu + c.l22 * iv + 2.0 * c.l21 * iuv)
-        rows["stoch_energy"].append(self._stoch_energy)
-        rows["stoch_G"].append(self._stoch_G)
+        rows["stoch_energy"].append(float(self._stoch_energy[row]))
+        rows["stoch_G"].append(float(self._stoch_G[row]))
 
-    def finalize(self) -> TrajectoryRecord:
-        arrays = {name: np.asarray(col) for name, col in self._rows.items()}
+    def finalize(self, row: int = 0) -> TrajectoryRecord:
+        arrays = {name: np.array(col) for name, col in self._rows[row].items()}
         return TrajectoryRecord(
             **arrays,
             sigma=self.coupling.sigma,
             dim=self.model.grid.dim,
             tracked=self.track,
         )
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the paths at the rows where ``mask`` is False."""
+        self._stoch_energy = self._stoch_energy[mask]
+        self._stoch_G = self._stoch_G[mask]
+        self._rows = [rows for rows, kept in zip(self._rows, mask) if kept]
 
 
 def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scnls import (
     Coupling,
     NoiseSpec,
+    SystemState,
     build_noise_model,
     evolve,
     make_grid,
@@ -380,3 +381,91 @@ class TestKernel:
                 np.testing.assert_array_equal(got, expected)
             else:
                 np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
+
+
+class TestBatch:
+    """A batch of paths on a leading axis equals each path evolved alone, bitwise."""
+
+    @staticmethod
+    def _batch(states):
+        g = states[0].grid
+        return SystemState(np.stack([s.u for s in states]), np.stack([s.v for s in states]),
+                           0.0, g)
+
+    @staticmethod
+    def _assert_same(got, alone):
+        assert (got.outcome, got.t_star, got.steps) == (alone.outcome, alone.t_star, alone.steps)
+        assert (got.effective_T, got.dropped_remainder) == (
+            alone.effective_T, alone.dropped_remainder)
+        for name, value in vars(alone.record).items():
+            np.testing.assert_array_equal(getattr(got.record, name), value, err_msg=name)
+        np.testing.assert_array_equal(got.state.u, alone.state.u)
+        np.testing.assert_array_equal(got.state.v, alone.state.v)
+        assert got.state.t == alone.state.t and got.state.blown_up == alone.state.blown_up
+
+    def test_1d_noise_tracked_identities(self, grid_1d):
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        rng = np.random.default_rng(21)
+        states = [make_state(grid_1d, random_smooth_field(grid_1d, rng, scale=a),
+                             random_smooth_field(grid_1d, rng)) for a in (0.8, 1.2, 1.6)]
+        seeds = [5, 6, 7]
+        kwargs = dict(record_every=3, track_identities=True)
+        batch = evolve(self._batch(states), 0.05, 1e-3, model, c, seed=seeds, **kwargs)
+        assert len(batch) == 3
+        for st_, s, got in zip(states, seeds, batch):
+            alone = evolve(st_, 0.05, 1e-3, model, c, seed=s, **kwargs)
+            assert got.outcome == "completed" and len(got.record) == 18
+            assert np.any(got.record.stoch_energy != 0) and np.any(got.record.stoch_G != 0)
+            self._assert_same(got, alone)
+
+    def test_2d_path_leaves_on_blowup(self, grid_2d):
+        from scnls import BlowupDetector
+        from scnls.dynamics import _spectral_diagnostics
+
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(K=2, a0=0.1), g)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        # the middle path collapses first, the last one not at all
+        states = [make_state(g, a * np.exp(-g.r_sq), 0.5 * np.exp(-g.r_sq))
+                  for a in (3.6, 4.5, 2.5)]
+        detectors = [BlowupDetector.for_initial(_spectral_diagnostics(s)[0]) for s in states]
+        kwargs = dict(record_every=25, track_identities=True)
+        batch = evolve(self._batch(states), 0.2, 1e-3, model, c, seed=[1, 2, 3],
+                       detector=detectors, **kwargs)
+        alone = [evolve(s, 0.2, 1e-3, model, c, seed=seed, detector=d, **kwargs)
+                 for s, seed, d in zip(states, [1, 2, 3], detectors)]
+        assert [r.outcome for r in alone] == ["blowup", "blowup", "completed"]
+        assert alone[1].steps < alone[0].steps < alone[2].steps
+        for got, ref in zip(batch, alone):
+            self._assert_same(got, ref)
+
+    def test_nan_path_leaves_as_invalid(self, grid_1d):
+        import warnings
+
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        x = grid_1d.x[0]
+        poisoned = np.exp(-x**2).astype(complex)
+        poisoned[7] = np.nan
+        states = [make_state(grid_1d, np.exp(-x**2), 0.5 * np.exp(-x**2)),
+                  make_state(grid_1d, poisoned),
+                  make_state(grid_1d, 1.3 * np.exp(-x**2))]
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                    invalid="raise"):
+            warnings.simplefilter("error")
+            batch = evolve(self._batch(states), 0.02, 1e-3, model, c, seed=[4, 5, 6],
+                           record_every=4)
+        assert [r.outcome for r in batch] == ["completed", "invalid", "completed"]
+        assert batch[1].steps == 1 and batch[1].state.blown_up
+        for st_, s, got in zip(states, [4, 5, 6], batch):
+            self._assert_same(got, evolve(st_, 0.02, 1e-3, model, c, seed=s, record_every=4))
+
+    def test_per_path_arguments_checked(self, grid_1d, no_noise_1d):
+        st_ = make_state(grid_1d, np.exp(-grid_1d.x[0] ** 2))
+        pair = self._batch([st_, st_])
+        with pytest.raises(ValueError, match="one entry per path"):
+            evolve(pair, 0.01, 1e-3, no_noise_1d, scalar_coupling(), seed=[1])
+        with pytest.raises(ValueError, match="increments"):
+            evolve(pair, 0.01, 1e-3, no_noise_1d, scalar_coupling(),
+                   increments=np.zeros((10, 0)))

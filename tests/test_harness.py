@@ -332,6 +332,69 @@ class TestEnsemble:
                 tmp_path / "w4" / name
             ).read_bytes()
 
+    def test_uneven_batches_write_identical_outputs(self, tmp_path):
+        # 5 paths as one batch, as batches of 2 and 3, and as 5 batches of one
+        cfg = base_config(noise=NoiseSpec(K=2, a0=0.1), T=0.05, track_identities=True)
+        for workers in (1, 2, 5):
+            run_ensemble(cfg, 5, workers=workers, output_dir=tmp_path / f"w{workers}")
+        names = ["ensemble.json", "paths_index.csv"] + [
+            f"paths/path_{i:04d}.csv" for i in range(5)]
+        for name in names:
+            reference = (tmp_path / "w1" / name).read_bytes()
+            assert (tmp_path / "w2" / name).read_bytes() == reference, name
+            assert (tmp_path / "w5" / name).read_bytes() == reference, name
+
+    def test_path_output_runs_once_per_path(self, tmp_path, monkeypatch):
+        import scnls.harness
+
+        calls = []
+        original = scnls.harness._ensemble_path_star
+
+        def counting(index, *args):
+            calls.append(index)
+            return original(index, *args)
+
+        monkeypatch.setattr(scnls.harness, "_ensemble_path_star", counting)
+        run_ensemble(base_config(T=0.02), 5, workers=1, output_dir=tmp_path)
+        assert calls == [0, 1, 2, 3, 4]
+
+    def test_pool_starts_no_idle_workers(self, tmp_path, monkeypatch):
+        import scnls.harness
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(scnls.harness, "ProcessPoolExecutor", InlinePool)
+        cfg = base_config(T=0.02)
+        for n_paths in (1, 3, 8):
+            run_ensemble(cfg, n_paths, workers=4, output_dir=tmp_path / str(n_paths),
+                         write_paths=False)
+        assert sizes == [1, 3, 4]
+
+    def test_batches_contiguous_and_capped(self, monkeypatch):
+        from scnls import harness
+
+        assert harness._batches(5, 2, 256) == [range(0, 2), range(2, 5)]
+        assert harness._batches(5, 1, 256) == [range(0, 5)]
+        assert harness._batches(2, 4, 256) == [range(0, 1), range(1, 2)]
+        # a cap of two paths' fields splits one worker's five paths further
+        monkeypatch.setattr(harness, "_BATCH_FIELD_BYTES", 2 * (2 * 16 * 256))
+        batches = harness._batches(5, 1, 256)
+        assert [i for b in batches for i in b] == [0, 1, 2, 3, 4]
+        assert max(len(b) for b in batches) == 2
+
     def test_deterministic_blowup_fraction_one(self, tmp_path):
         cfg = RunConfig(
             dim=2, n=128, L=20.0,
