@@ -158,13 +158,14 @@ class Workspace:
     """Buffers a state reuses every step, so that N, L and the diagnostics allocate no field.
 
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
-    the 2/3-rule mask of kept modes, one complex scratch field and three real
-    scratch fields of the state's field ``shape`` (default: one path on
-    ``grid``).  The N step keeps the two moduli and the phase angle in the
-    real fields and uses the real and imaginary parts of the complex one as
-    temporaries before it writes the unimodular factor there; the
-    diagnostics transform into the complex field and sum powers in the real
-    ones.  One workspace serves one state (a path or a batch) at a time.
+    the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask, one
+    complex scratch field and three real scratch fields of the state's field
+    ``shape`` (default: one path on ``grid``).  The N step keeps the two
+    moduli and the phase angle in the real fields and uses the real and
+    imaginary parts of the complex one as temporaries before it writes the
+    unimodular factor there; the diagnostics transform into the complex field
+    and sum powers in the real ones.  One workspace serves one state (a path
+    or a batch) at a time.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
@@ -176,6 +177,8 @@ class Workspace:
         self.dt = dt
         self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt).reshape(axes)
         self.keep = grid.dealias_mask().reshape(axes)
+        self.k_sq = grid.k_sq.reshape(axes)
+        self.tail_mask = grid.tail_mask.reshape(axes)
         self.scratch = np.empty(shape, dtype=complex)
         self.real = tuple(np.empty(shape) for _ in range(3))
         # the same buffers as one axis, for the pointwise N step: numpy runs
@@ -333,7 +336,7 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     top third of the resolvable frequency range (resolution-loss gauge, in
     [0, 1]).  The transforms and powers go through the buffers of ``work``,
     or of a fresh :class:`Workspace` when none is given.  One path gives two
-    floats, a batch two arrays with one entry per path.
+    floats, a batch two lists of floats with one entry per path.
     """
     grid = state.grid
     if work is None:
@@ -348,15 +351,15 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     np.square(term, out=term)
     power += term
     scale = grid.spacing**grid.dim / grid.node_count
-    grad_norm_sq = _node_sums(np.multiply(grid.k_sq, power, out=term), grid) * scale
-    total = _node_sums(power, grid)
-    tail = _node_sums(np.multiply(power, grid.tail_mask, out=term), grid)
+    grad_norm_sq = [part * scale for part in
+                    _node_sums(np.multiply(work.k_sq, power, out=term), grid).tolist()]
+    total = _node_sums(power, grid).tolist()
+    tail = _node_sums(np.multiply(power, work.tail_mask, out=term), grid).tolist()
     # a path without spectral power (zero or non-finite) reads a zero tail;
     # per path in Python, which beats a masked ufunc on a few values
-    tail = np.array([part / whole if whole > 0 else 0.0
-                     for part, whole in zip(tail.tolist(), total.tolist())])
+    tail = [part / whole if whole > 0 else 0.0 for part, whole in zip(tail, total)]
     if state.u.ndim == grid.dim:
-        return float(grad_norm_sq[0]), float(tail[0])
+        return grad_norm_sq[0], tail[0]
     return grad_norm_sq, tail
 
 
@@ -457,13 +460,17 @@ def evolve(
     recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities,
                                   paths=n_paths)
     results: list[TrajectoryResult | None] = [None] * n_paths
+    # one state per batch row that views its fields, rebuilt when the rows close up
+    views = [SystemState(u, v, state.t, grid) for u, v in zip(state.u, state.v)]
 
     def path_state(r):
-        return SystemState(state.u[r], state.v[r], state.t, grid)
+        view = views[r]
+        view.t = state.t
+        return view
 
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
-        nonlocal live, work, increments, rngs, detectors
+        nonlocal live, work, increments, rngs, detectors, views
         for r in rows:
             final = SystemState(state.u[r].copy(), state.v[r].copy(), state.t, grid,
                                 blown_up=outcome == "invalid")
@@ -483,16 +490,19 @@ def evolve(
         recorder.keep(keep)
         if live:
             work = Workspace(grid, dt, state.u.shape)
+            views = [SystemState(u, v, state.t, grid) for u, v in zip(state.u, state.v)]
 
     grad, tail = _spectral_diagnostics(state, work)
     for r in range(n_paths):
-        recorder.record(path_state(r), float(grad[r]), float(tail[r]), row=r)
+        recorder.record(path_state(r), grad[r], tail[r], row=r)
 
     for j in range(n_steps):
         if increments is not None:
             inc = increments[:, j]
         else:
-            inc = np.stack([sample_increments(model.K, dt, r) for r in rngs])
+            inc = np.empty((len(rngs), model.K))
+            for r, gen in enumerate(rngs):
+                inc[r] = sample_increments(model.K, dt, gen)
         recorder.on_step(state, inc)
         strang_step(state, dt, model, inc, coupling, work=work, dealias=dealias)
 
@@ -508,10 +518,9 @@ def evolve(
         grad, tail = _spectral_diagnostics(state, work)
         fired = []
         for r, detect in enumerate(detectors):
-            g, tl = float(grad[r]), float(tail[r])
-            hit = detect is not None and bool(detect(g, tl))
+            hit = detect is not None and bool(detect(grad[r], tail[r]))
             if hit or due:
-                recorder.record(path_state(r), g, tl, row=r)
+                recorder.record(path_state(r), grad[r], tail[r], row=r)
             if hit:
                 fired.append(r)
         if fired:

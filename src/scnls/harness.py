@@ -216,13 +216,12 @@ class SingleRunResult:
     result: TrajectoryResult
 
 
-def _run_trajectory(cfg: RunConfig, seed):
-    """Integrate the configured path from ``seed``, or one batch of paths.
+def _run_trajectory(cfg: RunConfig, seeds) -> list[TrajectoryResult]:
+    """Integrate a batch of configured paths, one per seed, as one ``evolve``.
 
-    An int ``seed`` gives one :class:`TrajectoryResult`; a sequence of seeds
-    gives a batch of paths from the same initial state, one PCG64 generator
-    per seed, advanced together by one ``evolve``, and a list of results.
-    The grid, noise model and detector are built once either way.
+    Every path starts from the configured state and draws its increments from
+    its own PCG64 generator seeded with its seed.  The grid, noise model and
+    detector are built once for the batch.  Returns the results in seed order.
     """
     grid = cfg.build_grid()
     state = cfg.build_state(grid)
@@ -230,17 +229,14 @@ def _run_trajectory(cfg: RunConfig, seed):
     detector = BlowupDetector.for_initial(
         _spectral_diagnostics(state)[0], cfg.theta_grad, cfg.theta_tail
     )
-    if isinstance(seed, int):
-        rng = np.random.Generator(np.random.PCG64(seed))
-    else:
-        rng = [np.random.Generator(np.random.PCG64(s)) for s in seed]
-        # read-only views; evolve integrates its own copy
-        batch = (len(rng),) + grid.shape
-        state = SystemState(np.broadcast_to(state.u, batch), np.broadcast_to(state.v, batch),
-                            state.t, grid)
+    # read-only views of the one initial state; evolve integrates its own copy
+    batch = (len(seeds),) + grid.shape
+    state = SystemState(np.broadcast_to(state.u, batch), np.broadcast_to(state.v, batch),
+                        state.t, grid)
     return evolve(
         state, cfg.T, cfg.dt, model, cfg.coupling,
-        rng=rng, record_every=cfg.record_every, detector=detector,
+        rng=[np.random.Generator(np.random.PCG64(s)) for s in seeds],
+        record_every=cfg.record_every, detector=detector,
         track_identities=cfg.track_identities, dealias=cfg.dealias,
     )
 
@@ -259,7 +255,7 @@ def run_single(cfg: RunConfig, output_dir: str | Path | None = None) -> SingleRu
     errors to 1 and I/O failures to 3.
     """
     out = _resolve_output_dir(cfg, output_dir)
-    result = _run_trajectory(cfg, cfg.seed)
+    result = _run_trajectory(cfg, [cfg.seed])[0]
 
     csv_path = out / "trajectory.csv"
     write_trajectory_csv(csv_path, result.record)
@@ -329,15 +325,21 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return float(center - half), float(center + half)
 
 
-# most bytes the u and v fields of one batch may hold; an ensemble whose
-# per-worker batches would hold more is split into more batches than workers
-_BATCH_FIELD_BYTES = 16 * 2**20
+# most grid nodes, summed over its paths, one batch integrates.  Batching
+# pays only while a step is bound by numpy's per-call overhead: in-process
+# (2-vCPU x86-64, numpy 2.4, stochastic_pair and collapse_2d.ini), the time
+# per path-step stopped falling at 8192 nodes in 1D (n = 512 at 16 paths,
+# n = 2048 at 4), and in 2D gained about 10% at n = 64 and nothing from
+# n = 128 on, while a batch's traced peak memory grew about 130 B per node.
+# An 8-path collapse_2d.ini ensemble (n = 256) run as one batch was slower
+# than path by path and raised the peak RSS from 60 to 100 MB, so 2D
+# ensembles at n >= 128 run one path per batch.
+_BATCH_NODES = 8192
 
 
 def _batches(n_paths: int, workers: int, node_count: int) -> list[range]:
     """Contiguous path ranges: one per worker, more when a batch would be too big."""
-    path_bytes = 2 * np.dtype(complex).itemsize * node_count
-    per_batch = max(1, _BATCH_FIELD_BYTES // path_bytes)
+    per_batch = max(1, _BATCH_NODES // node_count)
     count = min(n_paths, max(workers, -(-n_paths // per_batch)))
     bounds = [n_paths * i // count for i in range(count + 1)]
     return [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -383,7 +385,7 @@ def run_ensemble(
     """Parallel map over independent paths with deterministic per-path seeds.
 
     Each task integrates a contiguous batch of paths as one array: one batch
-    per worker, capped at ``_BATCH_FIELD_BYTES`` of field memory per batch.
+    per worker, capped at ``_BATCH_NODES`` grid nodes per batch.
     Results are identical for any worker count and batch size.  Paths that
     fail numerically (non-finite state without a detector trigger) are
     counted as invalid; more than 1% invalid paths fails the run.

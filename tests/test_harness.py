@@ -133,7 +133,7 @@ class TestDetector:
         )
         from scnls.harness import _run_trajectory
 
-        result = _run_trajectory(cfg, cfg.seed)
+        result = _run_trajectory(cfg, [cfg.seed])[0]
         assert result.outcome == "completed"
 
 
@@ -389,11 +389,20 @@ class TestEnsemble:
         assert harness._batches(5, 2, 256) == [range(0, 2), range(2, 5)]
         assert harness._batches(5, 1, 256) == [range(0, 5)]
         assert harness._batches(2, 4, 256) == [range(0, 1), range(1, 2)]
-        # a cap of two paths' fields splits one worker's five paths further
-        monkeypatch.setattr(harness, "_BATCH_FIELD_BYTES", 2 * (2 * 16 * 256))
+        # a cap of two paths' nodes splits one worker's five paths further
+        monkeypatch.setattr(harness, "_BATCH_NODES", 2 * 256)
         batches = harness._batches(5, 1, 256)
         assert [i for b in batches for i in b] == [0, 1, 2, 3, 4]
         assert max(len(b) for b in batches) == 2
+
+    def test_large_grids_run_one_path_per_batch(self):
+        from scnls import harness
+
+        # 2D n = 128 and n = 256 gain nothing from batching
+        for node_count in (128**2, 256**2):
+            assert harness._batches(6, 2, node_count) == [range(i, i + 1) for i in range(6)]
+        # the 1D benchmark grid fills one batch per worker
+        assert harness._batches(16, 2, 512) == [range(0, 8), range(8, 16)]
 
     def test_deterministic_blowup_fraction_one(self, tmp_path):
         cfg = RunConfig(
@@ -513,7 +522,7 @@ class TestVerify:
         cfg = base_config(T=0.1, record_every=1)
         from scnls.harness import _run_trajectory
 
-        result = _run_trajectory(cfg, cfg.seed)
+        result = _run_trajectory(cfg, [cfg.seed])[0]
         assert np.all(result.record.stoch_energy == 0)
         assert np.all(result.record.stoch_G == 0)
 
