@@ -34,7 +34,6 @@ from .harness import (
     EnsembleResult,
     HarnessError,
     criterion_sweep,
-    detect_blowup,
     path_seed,
     run_ensemble,
     run_single,
@@ -54,6 +53,6 @@ __all__ = [
     "GroundStateError", "GroundStatePair", "critical_threshold", "gn_ratio",
     "solve_ground_state",
     "ConfigError", "InitialSpec", "RunConfig", "load_config", "parse_config",
-    "BlowupDetector", "EnsembleResult", "HarnessError", "criterion_sweep", "detect_blowup",
+    "BlowupDetector", "EnsembleResult", "HarnessError", "criterion_sweep",
     "path_seed", "run_ensemble", "run_single", "splitmix64", "threshold_study", "verify",
 ]

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Coupling, SystemState
-from .grid import Grid, make_grid
+from .grid import Grid, load_field_snapshot, make_grid
 from .noise import NoiseModel, NoiseSpec, build_noise_model
 
 __all__ = ["ConfigError", "InitialSpec", "RunConfig", "load_config", "parse_config"]
@@ -90,8 +90,6 @@ class InitialSpec:
         if self.family == "zero":
             return np.zeros(grid.shape, dtype=complex)
         if self.family == "file":
-            from .harness import load_field_snapshot
-
             try:
                 snap_grid, values = load_field_snapshot(self.path)
             except ConfigError:

@@ -16,11 +16,17 @@ flow on the grid, and W is the exact pathwise noise phase.  Every sub-step
 preserves the discrete mass of each component to round-off, and the
 deterministic part is Strang splitting (second order).
 
-:func:`evolve` advances a batch of P paths held on a leading axis of the
-fields, shape ``(P, *grid.shape)``; a single run is the batch P = 1.  Each
-sub-step is one numpy call for the whole batch, and every operation on it is
-elementwise, a transform of the trailing grid axes or a sum over one path's
-own nodes, so each path's bits do not depend on the batch it was run in.
+A :class:`SystemState` holds the pair as one array, component axis first:
+shape ``(2, *grid.shape)``, or ``(2, P, *grid.shape)`` for a batch of P
+paths; :func:`evolve` advances such a batch, and a single run is the batch
+P = 1.  Each sub-step is written once for (u, v): N is one loop over the two
+rows with the coefficient pairs (l11, l12) and (l22, l21), L and the
+detector diagnostics loop their transforms over the rows (on a 2D grid one
+transform of the pair runs slower than two of one component), and W and the
+finite check are one numpy call each over the whole pair.  Every operation is
+elementwise, a transform of the trailing grid axes or a sum over one
+component's nodes in one path, so each path's bits do not depend on the
+batch it was run in.
 """
 
 from __future__ import annotations
@@ -119,26 +125,36 @@ class Coupling:
         return abs(self.sigma - 2.0 / dim) < 1e-12
 
 
-@dataclass
 class SystemState:
     """The complex field pair and current time.
 
-    The fields have the grid's shape, or shape ``(P, *grid.shape)`` for a
-    batch of P paths at the same time ``t``; ``blown_up`` then flags a
-    non-finite value in any of them.
+    ``fields`` holds the pair as one array with the component axis first:
+    shape ``(2, *grid.shape)`` for one path, or ``(2, P, *grid.shape)`` for a
+    batch of P paths at the same time ``t``; ``u`` and ``v`` are views of its
+    two rows.  ``SystemState(u, v, t, grid)`` copies the pair into a new
+    array; :meth:`of_pair` holds a given pair array without a copy.
+    ``blown_up`` flags a non-finite value anywhere in the fields.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    t: float
-    grid: Grid
-    blown_up: bool = False
+    def __init__(self, u, v, t: float, grid: Grid, blown_up: bool = False):
+        self._hold(np.array((u, v), dtype=complex), t, grid, blown_up)
 
-    def __post_init__(self):
-        shape, dim = self.u.shape, self.grid.dim
-        if (self.v.shape != shape or len(shape) not in (dim, dim + 1)
-                or shape[len(shape) - dim:] != self.grid.shape):
+    @classmethod
+    def of_pair(cls, fields: np.ndarray, t: float, grid: Grid,
+                blown_up: bool = False) -> "SystemState":
+        """A state whose ``fields`` is the given pair array itself."""
+        state = cls.__new__(cls)
+        state._hold(fields, t, grid, blown_up)
+        return state
+
+    def _hold(self, fields, t, grid, blown_up):
+        rows = fields.shape[1:]
+        if (len(fields) != 2 or len(rows) not in (grid.dim, grid.dim + 1)
+                or rows[len(rows) - grid.dim:] != grid.shape):
             raise ValueError("field shapes do not match the grid")
+        self.fields = fields
+        self.u, self.v = fields
+        self.t, self.grid, self.blown_up = t, grid, blown_up
 
     def copy(self) -> "SystemState":
         """Independent complex128 copy in C order.
@@ -146,45 +162,47 @@ class SystemState:
         The in-place step writes complex values, and a batch's per-path sums
         need each path's nodes contiguous.
         """
-        return SystemState(np.array(self.u, dtype=complex, order="C"),
-                           np.array(self.v, dtype=complex, order="C"), self.t,
-                           self.grid, self.blown_up)
+        return SystemState.of_pair(np.array(self.fields, dtype=complex, order="C"),
+                                   self.t, self.grid, self.blown_up)
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v)))
+        return bool(np.isfinite(self.fields).all())
 
 
 class Workspace:
     """Buffers a state reuses every step, so that N, L and the diagnostics allocate no field.
 
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
-    the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask, one
-    complex scratch field and three real scratch fields of the state's field
-    ``shape`` (default: one path on ``grid``).  The N step keeps the two
-    moduli and the phase angle in the real fields and uses the real and
-    imaginary parts of the complex one as temporaries before it writes the
-    unimodular factor there; the diagnostics transform into the complex field
-    and sum powers in the real ones.  One workspace serves one state (a path
-    or a batch) at a time.
+    the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask, and
+    scratch fields for a state of pair ``shape`` (default: one path on
+    ``grid``): a real field of the pair's shape, and a complex and a real
+    field of one component's shape.  The N step keeps the two moduli in the
+    real pair and the phase angle in the real component field, and uses the
+    real and imaginary parts of the complex field as temporaries before it
+    writes the unimodular factor there; the diagnostics transform each
+    component into the complex field and sum powers in the real fields.  One
+    workspace serves one state (a path or a batch) at a time.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
                  shape: tuple[int, ...] | None = None):
-        shape = grid.shape if shape is None else shape
-        # the multipliers carry the fields' number of axes, so that one path
-        # (P = 1) multiplies without broadcasting
-        axes = (1,) * (len(shape) - grid.dim) + grid.shape
+        shape = (2,) + grid.shape if shape is None else shape
+        # the multipliers carry one component's number of axes, so that one
+        # path (P = 1) multiplies without broadcasting
+        axes = (1,) * (len(shape) - 1 - grid.dim) + grid.shape
         self.dt = dt
         self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt).reshape(axes)
         self.keep = grid.dealias_mask().reshape(axes)
         self.k_sq = grid.k_sq.reshape(axes)
         self.tail_mask = grid.tail_mask.reshape(axes)
-        self.scratch = np.empty(shape, dtype=complex)
-        self.real = tuple(np.empty(shape) for _ in range(3))
-        # the same buffers as one axis, for the pointwise N step: numpy runs
-        # a loop over one strided axis faster than over several
+        self.scratch = np.empty(shape[1:], dtype=complex)
+        self.moduli = np.empty(shape)
+        self.real = np.empty(shape[1:])
+        # the same buffers with each component on one axis, for the pointwise
+        # N step: numpy runs a loop over one strided axis faster than over several
         self.flat_scratch = self.scratch.reshape(-1)
-        self.flat_real = tuple(r.reshape(-1) for r in self.real)
+        self.flat_moduli = self.moduli.reshape(2, -1)
+        self.flat_real = self.real.reshape(-1)
 
 
 def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
@@ -222,18 +240,6 @@ def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
     return out
 
 
-def _rotate(f: np.ndarray, a_self: np.ndarray, a_other: np.ndarray, l_self: float,
-            l_mixed: float, sigma: float, dt: float, work: Workspace) -> None:
-    """f <- f * exp(1j*dt*multiplier), in place; the moduli are flat views."""
-    theta = work.flat_real[2]
-    e = work.flat_scratch
-    _phase_multiplier(a_self, a_other, l_self, l_mixed, sigma, theta, e.real, e.imag)
-    theta *= dt
-    np.cos(theta, out=e.real)
-    np.sin(theta, out=e.imag)
-    f *= work.scratch
-
-
 def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
                     work: Workspace | None = None) -> SystemState:
     """Exact flow of the nonlinear sub-equation: pointwise phase rotation.
@@ -247,13 +253,19 @@ def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
     updated and returned.
     """
     if work is None:
-        state, work = state.copy(), Workspace(state.grid, shape=state.u.shape)
-    np.abs(state.u, out=work.real[0])
-    np.abs(state.v, out=work.real[1])
-    au, av, _ = work.flat_real
-    s = coupling.sigma
-    _rotate(state.u, au, av, coupling.l11, coupling.l12, s, dt, work)
-    _rotate(state.v, av, au, coupling.l22, coupling.l21, s, dt, work)
+        state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
+    np.abs(state.fields, out=work.moduli)
+    moduli = work.flat_moduli
+    theta, e = work.flat_real, work.flat_scratch
+    pairs = ((coupling.l11, coupling.l12), (coupling.l22, coupling.l21))
+    for f, a_self, a_other, (l_self, l_mixed) in zip(state.fields, moduli, moduli[::-1],
+                                                      pairs):
+        _phase_multiplier(a_self, a_other, l_self, l_mixed, coupling.sigma, theta,
+                          e.real, e.imag)
+        theta *= dt
+        np.cos(theta, out=e.real)
+        np.sin(theta, out=e.imag)
+        f *= work.scratch
     return state
 
 
@@ -276,13 +288,13 @@ def strang_step(
     raised.
     """
     if work is None:
-        state, work = state.copy(), Workspace(state.grid, dt, state.u.shape)
+        state, work = state.copy(), Workspace(state.grid, dt, state.fields.shape)
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
     grid = state.grid
     nonlinear_phase(state, 0.5 * dt, coupling, work)
 
-    for f in (state.u, state.v):
+    for f in state.fields:
         grid.fft(f, out=f)
         f *= work.lin
         if dealias:
@@ -290,8 +302,7 @@ def strang_step(
         grid.ifft(f, out=f)
 
     if model.K > 0:
-        stratonovich_phase(state.u, 1, model, increments, out=state.u)
-        stratonovich_phase(state.v, 2, model, increments, out=state.v)
+        stratonovich_phase(state.fields, model, increments, out=state.fields)
 
     nonlinear_phase(state, 0.5 * dt, coupling, work)
     state.t = state.t + dt
@@ -327,7 +338,7 @@ def _node_sums(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
-    """(grad_norm_sq, spectral_tail_fraction) from one FFT per component.
+    """(grad_norm_sq, spectral_tail_fraction) of each path, from one FFT per component.
 
     grad_norm_sq is ||grad u||^2 + ||grad v||^2 by Parseval; this is the one
     place the package computes it (the kinetic part of H, the interpolation
@@ -335,39 +346,36 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
     top third of the resolvable frequency range (resolution-loss gauge, in
     [0, 1]).  The transforms and powers go through the buffers of ``work``,
-    or of a fresh :class:`Workspace` when none is given.  One path gives two
-    floats, a batch two lists of floats with one entry per path.
+    or of a fresh :class:`Workspace` when none is given; the transforms loop
+    over the two rows, as L does, because one transform of the pair runs
+    slower than two of one component on a 2D grid.  Returns two lists of
+    floats with one entry per path (one entry for a single path).
     """
     grid = state.grid
     if work is None:
-        work = Workspace(grid, shape=state.u.shape)
-    f_hat = work.scratch
-    power, term, _ = work.real
-    grid.fft(state.u, out=f_hat)
-    np.abs(f_hat, out=power)
-    np.square(power, out=power)
-    grid.fft(state.v, out=f_hat)
-    np.abs(f_hat, out=term)
-    np.square(term, out=term)
-    power += term
+        work = Workspace(grid, shape=state.fields.shape)
+    power = work.moduli
+    for f, row in zip(state.fields, power):
+        grid.fft(f, out=work.scratch)
+        np.abs(work.scratch, out=row)
+        np.square(row, out=row)
+    total = np.add(power[0], power[1], out=work.real)
+    term = power[0]
     scale = grid.spacing**grid.dim / grid.node_count
     grad_norm_sq = [part * scale for part in
-                    _node_sums(np.multiply(work.k_sq, power, out=term), grid).tolist()]
-    total = _node_sums(power, grid).tolist()
-    tail = _node_sums(np.multiply(power, work.tail_mask, out=term), grid).tolist()
+                    _node_sums(np.multiply(work.k_sq, total, out=term), grid).tolist()]
+    whole = _node_sums(total, grid).tolist()
+    tail = _node_sums(np.multiply(total, work.tail_mask, out=term), grid).tolist()
     # a path without spectral power (zero or non-finite) reads a zero tail;
     # per path in Python, which beats a masked ufunc on a few values
-    tail = [part / whole if whole > 0 else 0.0 for part, whole in zip(tail, total)]
-    if state.u.ndim == grid.dim:
-        return grad_norm_sq[0], tail[0]
+    tail = [part / w if w > 0 else 0.0 for part, w in zip(tail, whole)]
     return grad_norm_sq, tail
 
 
 def _finite_paths(state: SystemState) -> np.ndarray:
     """One flag per path of a batch: all of its u and v values are finite."""
-    rows = len(state.u)
-    return (np.isfinite(state.u.reshape(rows, -1)).all(axis=1)
-            & np.isfinite(state.v.reshape(rows, -1)).all(axis=1))
+    fields = state.fields
+    return np.isfinite(fields.reshape(2, fields.shape[1], -1)).all(axis=(0, 2))
 
 
 def evolve(
@@ -377,7 +385,6 @@ def evolve(
     model: NoiseModel,
     coupling: Coupling,
     *,
-    rng=None,
     seed=None,
     increments: np.ndarray | None = None,
     record_every: int = 1,
@@ -389,16 +396,16 @@ def evolve(
 
     Each path is recorded every ``record_every`` steps.  The Wiener
     increments driving a path come from ``increments`` (shape (n_steps, K))
-    when given, else are sampled from ``rng`` (or a fresh generator seeded
-    with ``seed``).  The blow-up ``detector``, called every step with
-    (grad_norm_sq, tail_fraction), turns a trigger into a normal "blowup"
-    outcome; a non-finite state without a trigger is "invalid".  If T/dt is
-    not an integer the last partial step is dropped and reported via
-    ``dropped_remainder``.
+    when given, else from numpy's PCG64 generator seeded with ``seed``
+    (``np.random.default_rng(seed)``).  The blow-up ``detector``, called
+    every step with (grad_norm_sq, tail_fraction), turns a trigger into a
+    normal "blowup" outcome; a non-finite state without a trigger is
+    "invalid".  If T/dt is not an integer the last partial step is dropped
+    and reported via ``dropped_remainder``.
 
-    A batch is a ``state0`` whose fields carry a leading axis of P paths.
-    Then ``rng`` and ``seed`` are sequences with one generator or seed per
-    path, ``increments`` has shape (P, n_steps, K), and ``detector`` is one
+    A batch is a ``state0`` whose fields carry an axis of P paths after the
+    component axis.  Then ``seed`` is a sequence with one seed per path,
+    ``increments`` has shape (P, n_steps, K), and ``detector`` is one
     callable for every path or a sequence of P.  The batch advances as one
     array; a path that reaches blowup or invalid leaves it with its record.
     One path returns a :class:`TrajectoryResult`, a batch a list of P in path
@@ -420,8 +427,8 @@ def evolve(
         )
 
     grid = state0.grid
-    batched = state0.u.ndim > grid.dim
-    n_paths = len(state0.u) if batched else 1
+    batched = state0.fields.ndim > grid.dim + 1
+    n_paths = state0.fields.shape[1] if batched else 1
 
     def per_path(value, name):
         if not batched:
@@ -438,8 +445,6 @@ def evolve(
             raise ValueError(f"increments must have shape {expected}, got {increments.shape}")
         increments = increments.reshape(n_paths, n_steps, model.K)
         rngs = None
-    elif rng is not None:
-        rngs = per_path(rng, "rng")
     else:
         rngs = [np.random.default_rng(s)
                 for s in (per_path(seed, "seed") if seed is not None else [None] * n_paths)]
@@ -449,38 +454,35 @@ def evolve(
 
     from .observables import TrajectoryRecorder  # observables imports this module
 
-    # the batch advances a private copy in place, through one workspace; row
-    # r of its fields, increments, generators and detectors is path live[r],
-    # and the rows close up when a path leaves
+    # the batch advances a private copy in place, through one workspace; path
+    # axis row r of its fields, increments, generators and detectors is path
+    # live[r], and the rows close up when a path leaves
     state = state0.copy()
     if not batched:
-        state.u, state.v = state.u[None], state.v[None]
+        state = SystemState.of_pair(state.fields[:, None], state.t, grid)
     live = list(range(n_paths))
-    work = Workspace(grid, dt, state.u.shape)
+    work = Workspace(grid, dt, state.fields.shape)
     recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities,
                                   paths=n_paths)
     results: list[TrajectoryResult | None] = [None] * n_paths
-    # one state per batch row that views its fields, rebuilt when the rows close up
-    views = [SystemState(u, v, state.t, grid) for u, v in zip(state.u, state.v)]
 
     def path_state(r):
-        view = views[r]
-        view.t = state.t
-        return view
+        """A state that views batch row ``r`` of the fields, at the batch's time."""
+        return SystemState.of_pair(state.fields[:, r], state.t, grid)
 
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
-        nonlocal live, work, increments, rngs, detectors, views
+        nonlocal state, live, work, increments, rngs, detectors
         for r in rows:
-            final = SystemState(state.u[r].copy(), state.v[r].copy(), state.t, grid,
-                                blown_up=outcome == "invalid")
+            final = SystemState.of_pair(state.fields[:, r].copy(), state.t, grid,
+                                        blown_up=outcome == "invalid")
             results[live[r]] = TrajectoryResult(
                 outcome, final, recorder.finalize(r),
                 t_star=None if outcome == "completed" else state.t,
                 effective_T=effective_T, dropped_remainder=dropped, steps=steps)
         keep = np.ones(len(live), dtype=bool)
         keep[rows] = False
-        state.u, state.v = state.u[keep], state.v[keep]
+        state = SystemState.of_pair(state.fields[:, keep], state.t, grid)
         if increments is not None:
             increments = increments[keep]
         else:
@@ -489,8 +491,7 @@ def evolve(
         detectors = [d for d, kept in zip(detectors, keep) if kept]
         recorder.keep(keep)
         if live:
-            work = Workspace(grid, dt, state.u.shape)
-            views = [SystemState(u, v, state.t, grid) for u, v in zip(state.u, state.v)]
+            work = Workspace(grid, dt, state.fields.shape)
 
     grad, tail = _spectral_diagnostics(state, work)
     for r in range(n_paths):
@@ -508,7 +509,6 @@ def evolve(
 
         if state.blown_up:
             leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
-            state.blown_up = False
             if not live:
                 break
 

@@ -16,9 +16,12 @@ Conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-__all__ = ["Grid", "make_grid"]
+__all__ = ["Grid", "make_grid", "save_field_snapshot", "load_field_snapshot"]
 
 
 class Grid:
@@ -142,3 +145,38 @@ class Grid:
 def make_grid(dim: int, n: int, length: float) -> Grid:
     """Build a periodic grid; rejects dim not in {1,2}, non-power-of-two n, L <= 0."""
     return Grid(dim, n, length)
+
+
+def save_field_snapshot(path: str | Path, grid: Grid, values: np.ndarray) -> None:
+    """Raw snapshot: little-endian float64 (re, im) pairs in row-major node order.
+
+    A JSON sidecar at ``<path>.json`` records the grid so the file round-trips
+    bit-exactly across languages.
+    """
+    path = Path(path)
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    interleaved = np.empty(2 * flat.size, dtype="<f8")
+    interleaved[0::2] = flat.real
+    interleaved[1::2] = flat.imag
+    path.write_bytes(interleaved.tobytes())
+    sidecar = {
+        "dim": grid.dim,
+        "n": grid.n,
+        "L": grid.length,
+        "layout": "row-major",
+        "dtype": "<f8 interleaved re,im",
+    }
+    path.with_suffix(path.suffix + ".json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def load_field_snapshot(path: str | Path) -> tuple[Grid, np.ndarray]:
+    """The grid and field of a snapshot written by :func:`save_field_snapshot`."""
+    path = Path(path)
+    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
+    grid = Grid(sidecar["dim"], sidecar["n"], sidecar["L"])
+    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
+    if raw.size != 2 * grid.node_count:
+        raise ValueError(f"snapshot {path} does not match its sidecar grid")
+    values = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
+    return grid, values

@@ -216,7 +216,7 @@ def gn_ratio(u: np.ndarray, v: np.ndarray, beta: float, sigma: float, grid: Grid
     m = grid.norm_sq(u) + grid.norm_sq(v)
     if m <= 0:
         raise ValueError("gn_ratio requires a nonzero field pair")
-    g, _ = _spectral_diagnostics(SystemState(u, v, 0.0, grid))
+    g = _spectral_diagnostics(SystemState(u, v, 0.0, grid))[0][0]
     if g <= 0:
         raise ValueError("gn_ratio requires a field pair with nonzero gradient")
     iu, iv, iuv = _potential_integrals(np.abs(u), np.abs(v), sigma, grid)

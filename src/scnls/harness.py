@@ -32,7 +32,7 @@ import numpy as np
 from ._version import __version__
 from .config import ConfigError, RunConfig
 from .dynamics import SystemState, TrajectoryResult, _spectral_diagnostics, evolve
-from .grid import Grid, make_grid
+from .grid import load_field_snapshot, save_field_snapshot
 from .groundstate import critical_threshold, solve_ground_state
 from .noise import sample_increments
 from .observables import (
@@ -49,7 +49,6 @@ from .observables import (
 __all__ = [
     "HarnessError",
     "BlowupDetector",
-    "detect_blowup",
     "splitmix64",
     "path_seed",
     "run_single",
@@ -93,14 +92,6 @@ def path_seed(master_seed: int, index: int) -> int:
 # -- blow-up detection --------------------------------------------------------
 
 
-def detect_blowup(grad_norm_sq: float, tail_fraction: float,
-                  theta_grad: float, theta_tail: float) -> bool:
-    """True iff the gradient norm or the spectral tail crossed its threshold."""
-    if theta_grad <= 0 or theta_tail <= 0:
-        raise ValueError("detector thresholds must be positive")
-    return grad_norm_sq > theta_grad or tail_fraction > theta_tail
-
-
 class BlowupDetector:
     """Callable detector with fixed thresholds.
 
@@ -123,7 +114,8 @@ class BlowupDetector:
         return cls(theta_grad, theta_tail)
 
     def __call__(self, grad_norm_sq: float, tail_fraction: float) -> bool:
-        return detect_blowup(grad_norm_sq, tail_fraction, self.theta_grad, self.theta_tail)
+        """True iff the gradient norm or the spectral tail crossed its threshold."""
+        return grad_norm_sq > self.theta_grad or tail_fraction > self.theta_tail
 
 
 # -- formatting and persistence -----------------------------------------------
@@ -155,38 +147,6 @@ def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
-def save_field_snapshot(path: str | Path, grid: Grid, values: np.ndarray) -> None:
-    """Raw snapshot: little-endian float64 (re, im) pairs in row-major node order.
-
-    A JSON sidecar at ``<path>.json`` records the grid so the file round-trips
-    bit-exactly across languages.
-    """
-    path = Path(path)
-    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
-    interleaved = np.empty(2 * flat.size, dtype="<f8")
-    interleaved[0::2] = flat.real
-    interleaved[1::2] = flat.imag
-    path.write_bytes(interleaved.tobytes())
-    _write_json(path.with_suffix(path.suffix + ".json"), {
-        "dim": grid.dim,
-        "n": grid.n,
-        "L": grid.length,
-        "layout": "row-major",
-        "dtype": "<f8 interleaved re,im",
-    })
-
-
-def load_field_snapshot(path: str | Path) -> tuple[Grid, np.ndarray]:
-    path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    grid = make_grid(sidecar["dim"], sidecar["n"], sidecar["L"])
-    raw = np.frombuffer(path.read_bytes(), dtype="<f8")
-    if raw.size != 2 * grid.node_count:
-        raise ValueError(f"snapshot {path} does not match its sidecar grid")
-    values = (raw[0::2] + 1j * raw[1::2]).reshape(grid.shape)
-    return grid, values
 
 
 def _manifest(cfg: RunConfig, outcome: dict, files: list[str]) -> dict:
@@ -227,15 +187,13 @@ def _run_trajectory(cfg: RunConfig, seeds) -> list[TrajectoryResult]:
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)
     detector = BlowupDetector.for_initial(
-        _spectral_diagnostics(state)[0], cfg.theta_grad, cfg.theta_tail
+        _spectral_diagnostics(state)[0][0], cfg.theta_grad, cfg.theta_tail
     )
-    # read-only views of the one initial state; evolve integrates its own copy
-    batch = (len(seeds),) + grid.shape
-    state = SystemState(np.broadcast_to(state.u, batch), np.broadcast_to(state.v, batch),
-                        state.t, grid)
+    # a read-only view of the one initial pair; evolve integrates its own copy
+    batch = (2, len(seeds)) + grid.shape
+    state = SystemState.of_pair(np.broadcast_to(state.fields[:, None], batch), state.t, grid)
     return evolve(
-        state, cfg.T, cfg.dt, model, cfg.coupling,
-        rng=[np.random.Generator(np.random.PCG64(s)) for s in seeds],
+        state, cfg.T, cfg.dt, model, cfg.coupling, seed=seeds,
         record_every=cfg.record_every, detector=detector,
         track_identities=cfg.track_identities, dealias=cfg.dealias,
     )
@@ -637,7 +595,7 @@ def _run_verify_trajectory(cfg: RunConfig, increments: np.ndarray) -> Trajectory
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)
     detector = BlowupDetector.for_initial(
-        _spectral_diagnostics(state)[0], cfg.theta_grad, cfg.theta_tail
+        _spectral_diagnostics(state)[0][0], cfg.theta_grad, cfg.theta_tail
     )
     return evolve(
         state, cfg.T, cfg.dt, model, cfg.coupling,

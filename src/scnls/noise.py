@@ -11,6 +11,12 @@ theta(x) = sum_k g_{i,k}(x) dB_k, i.e. pointwise multiplication by
 ``exp(-1j * theta)``.  This preserves |u| at every node, so the discrete mass
 is exactly invariant, and it contains the Ito drift ``-F_i/2 u dt`` of the
 equivalent Ito form exactly (E[exp(-1j*theta)] = exp(-F dt / 2)).
+
+:class:`NoiseModel` stores the modes of both components as one array with a
+component axis in front.  When both components share their mode shapes and
+their scale, that axis has length 1: the modes are stored once, the noise
+step broadcasts the one row over the field pair, and the Ito terms read it
+for both components.
 """
 
 from __future__ import annotations
@@ -93,8 +99,6 @@ def _frequency_vectors(dim: int):
 
 def _family_modes(grid: Grid, family: str, count: int) -> np.ndarray:
     """First ``count`` unit-amplitude members of the mode family on the grid."""
-    if count == 0:
-        return np.zeros((0,) + grid.shape)
     if family == "constant":
         return np.ones((count,) + grid.shape)
     modes = []
@@ -111,15 +115,21 @@ def _family_modes(grid: Grid, family: str, count: int) -> np.ndarray:
 class NoiseModel:
     """Immutable bundle of mode fields and cached derived quantities.
 
+    Every field array has a component axis of length C in front: C = 1 when
+    the components share their modes and ``scale_u == scale_v`` (the one row
+    serves both), else C = 2 with u's modes in row 0 and v's in row 1.
+
     Attributes:
         K: number of modes (0 = deterministic equation).
-        modes_u, modes_v: arrays of shape ``(K,) + grid.shape``.
-        F_u, F_v: intensity fields ``sum_k g_k^2``.
-        sup_F_u, sup_F_v: their maxima over the grid.
-        grad_modes_u, grad_modes_v: per-axis mode gradients,
-            shape ``(K, dim) + grid.shape``.
-        grad_sq_sum_u, grad_sq_sum_v: fields ``sum_k |grad g_k|^2``.
-        xdot_grad_u, xdot_grad_v: fields ``x . grad g_k``, shape ``(K,) + shape``.
+        modes: the mode fields, shape ``(C, K) + grid.shape``.
+        F: intensity fields ``sum_k g_k^2``, shape ``(C,) + grid.shape``.
+        sup_F: their maxima over the grid, shape ``(C,)``.
+        grad_modes: per-axis mode gradients, shape ``(C, K, dim) + grid.shape``.
+        grad_sq_sum: fields ``sum_k |grad g_k|^2``, shape ``(C,) + grid.shape``.
+        xdot_grad: fields ``x . grad g_k``, shape ``(C, K) + grid.shape``.
+        modes_u, modes_v, F_u, F_v, sup_F_u, sup_F_v, grad_modes_u,
+        grad_modes_v, grad_sq_sum_u, grad_sq_sum_v, xdot_grad_u,
+        xdot_grad_v: each component's row of the arrays above.
     """
 
     def __init__(self, spec: NoiseSpec, grid: Grid):
@@ -127,54 +137,34 @@ class NoiseModel:
         self.grid = grid
         self.K = spec.K
 
-        base = _family_modes(grid, spec.family, 2 * spec.K if not spec.shared_modes else spec.K)
-        amps = spec.amplitudes()
-        if spec.shared_modes:
-            base_u = base
-            base_v = base
-        else:
-            base_u = base[: spec.K]
-            base_v = base[spec.K :]
-        if np.iscomplexobj(base_u) or np.iscomplexobj(base_v):
-            raise ValueError("noise modes must be real-valued")
+        shared = spec.shared_modes
+        one_row = shared and spec.scale_u == spec.scale_v
+        scales = [spec.scale_u] if one_row else [spec.scale_u, spec.scale_v]
+        base = _family_modes(grid, spec.family, spec.K if shared else 2 * spec.K)
+        base = base.reshape((1 if shared else 2, spec.K) + grid.shape)
+        amps = spec.amplitudes().reshape((spec.K,) + (1,) * grid.dim)
+        self.modes = np.reshape(scales, (-1, 1) + (1,) * grid.dim) * amps * base
 
-        shape_k = (spec.K,) + (1,) * grid.dim
-        self.modes_u = spec.scale_u * amps.reshape(shape_k) * base_u
-        self.modes_v = spec.scale_v * amps.reshape(shape_k) * base_v
+        self.F = np.sum(self.modes**2, axis=1)
+        self.sup_F = self.F.reshape(len(self.F), -1).max(axis=1)
+        # an empty mode axis is its own gradient, so a deterministic model
+        # transforms nothing
+        gradient = grid.gradient(self.modes) if spec.K else [self.modes] * grid.dim
+        self.grad_modes = np.stack(gradient, axis=2).real
+        self.grad_sq_sum = np.sum(self.grad_modes**2, axis=(1, 2))
+        self.xdot_grad = sum(xa * self.grad_modes[:, :, a] for a, xa in enumerate(grid.x))
 
-        self.F_u = np.sum(self.modes_u**2, axis=0) if spec.K else np.zeros(grid.shape)
-        self.F_v = np.sum(self.modes_v**2, axis=0) if spec.K else np.zeros(grid.shape)
-        self.sup_F_u = float(self.F_u.max())
-        self.sup_F_v = float(self.F_v.max())
-
-        def _grads(modes):
-            return np.asarray([grid.gradient(g) for g in modes]).real
-
-        self.grad_modes_u = _grads(self.modes_u) if spec.K else np.zeros((0, grid.dim) + grid.shape)
-        self.grad_modes_v = _grads(self.modes_v) if spec.K else np.zeros((0, grid.dim) + grid.shape)
-        self.grad_sq_sum_u = np.sum(self.grad_modes_u**2, axis=(0, 1)) if spec.K else np.zeros(grid.shape)
-        self.grad_sq_sum_v = np.sum(self.grad_modes_v**2, axis=(0, 1)) if spec.K else np.zeros(grid.shape)
-
-        def _xdot(grads):
-            if not spec.K:
-                return np.zeros((0,) + grid.shape)
-            return np.asarray(
-                [sum(xa * gk[a] for a, xa in enumerate(grid.x)) for gk in grads]
-            )
-
-        self.xdot_grad_u = _xdot(self.grad_modes_u)
-        self.xdot_grad_v = _xdot(self.grad_modes_v)
+        # each component's row; v's is u's when the modes are stored once
+        self.modes_u, self.modes_v = self.modes[0], self.modes[-1]
+        self.F_u, self.F_v = self.F[0], self.F[-1]
+        self.sup_F_u, self.sup_F_v = float(self.sup_F[0]), float(self.sup_F[-1])
+        self.grad_modes_u, self.grad_modes_v = self.grad_modes[0], self.grad_modes[-1]
+        self.grad_sq_sum_u, self.grad_sq_sum_v = self.grad_sq_sum[0], self.grad_sq_sum[-1]
+        self.xdot_grad_u, self.xdot_grad_v = self.xdot_grad[0], self.xdot_grad[-1]
 
     @property
     def min_sup_F(self) -> float:
-        return min(self.sup_F_u, self.sup_F_v)
-
-    def modes(self, component: int) -> np.ndarray:
-        if component == 1:
-            return self.modes_u
-        if component == 2:
-            return self.modes_v
-        raise ValueError(f"component must be 1 or 2, got {component}")
+        return float(self.sup_F.min())
 
 
 def build_noise_model(spec: NoiseSpec, grid: Grid) -> NoiseModel:
@@ -190,17 +180,19 @@ def sample_increments(K: int, dt: float, rng: np.random.Generator) -> np.ndarray
 
 
 def stratonovich_phase(
-    values: np.ndarray, component: int, model: NoiseModel, increments: np.ndarray,
+    values: np.ndarray, model: NoiseModel, increments: np.ndarray,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One exact noise step: multiply by exp(-1j * sum_k g_k(x) dB_k).
+    """One exact noise step of the field pair: multiply by exp(-1j * sum_k g_k(x) dB_k).
 
-    ``values`` may carry a leading batch axis of P paths, with ``increments``
-    of shape (P, K) (one row of increments per path); the result goes to
-    ``out``, which may be ``values`` itself.  The phase is accumulated mode by
+    ``values`` is the pair, shape ``(2,) + grid.shape``, or a batch of P
+    paths, shape ``(2, P) + grid.shape`` with ``increments`` of shape (P, K)
+    (one row of increments per path); the result goes to ``out``, which may
+    be ``values`` itself.  The phase of each mode row is accumulated mode by
     mode with elementwise operations, so each path's result is bitwise the
-    same whatever the batch size.  Preserves |values| at every node; the Ito
-    correction -F/2 is contained in the exponential exactly.
+    same whatever the batch size; modes stored once give one phase for both
+    components.  Preserves |values| at every node; the Ito correction -F/2
+    is contained in the exponential exactly.
     """
     increments = np.asarray(increments, dtype=float)
     if increments.shape[-1:] != (model.K,):
@@ -210,13 +202,15 @@ def stratonovich_phase(
             return values.copy()
         out[...] = values
         return out
-    modes = model.modes(component)
+    # the modes' rows over the pair's component axis, broadcast over its paths
+    modes = model.modes.reshape(
+        model.modes.shape[:2] + (1,) * (values.ndim - 1 - model.grid.dim) + model.grid.shape)
     # -dB_k of each path, broadcast over that path's grid axes
     minus_db = -np.moveaxis(increments, -1, 0).reshape(
         (model.K,) + increments.shape[:-1] + (1,) * model.grid.dim)
-    minus_theta = minus_db[0] * modes[0]
+    minus_theta = minus_db[0] * modes[:, 0]
     for k in range(1, model.K):
-        minus_theta += minus_db[k] * modes[k]
+        minus_theta += minus_db[k] * modes[:, k]
     phase = np.empty(minus_theta.shape, dtype=complex)
     np.cos(minus_theta, out=phase.real)
     np.sin(minus_theta, out=phase.imag)

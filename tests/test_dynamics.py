@@ -242,6 +242,20 @@ class TestEvolve:
         with pytest.raises(ValueError):
             evolve(st_, 1.0, 1e-3, no_noise_1d, scalar_coupling(), seed=0, record_every=0)
 
+    def test_zero_component_stays_exactly_zero(self, grid_1d):
+        # every term of v's equation carries v, and the sigma < 1 mixed term
+        # is masked where |v| vanishes, so v0 = 0 stays 0 in every bit
+        model = build_noise_model(NoiseSpec(K=2, a0=0.5), grid_1d)
+        with pytest.warns(UserWarning, match="asymmetric"):
+            c = Coupling(0.5, np.array([[1.0, 0.0], [0.8, 1.0]]), allow_asymmetric=True)
+        st_ = make_state(grid_1d, 1.5 * np.exp(-grid_1d.x[0] ** 2))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            res = evolve(st_, 0.05, 1e-3, model, c, seed=8, record_every=10)
+        assert res.outcome == "completed"
+        assert res.state.v.view(np.uint64).max() == 0
+        assert not np.any(res.record.mass_v)
+        assert np.all(res.record.mass_u > 0)
+
     def test_dealias_flag_removes_spectral_tail(self, grid_1d, no_noise_1d):
         # seed the spectral tail explicitly; the 2/3-rule step clears it
         coeffs = np.zeros(grid_1d.shape, dtype=complex)
@@ -336,13 +350,17 @@ class TestKernel:
         st_ = self._pair(grid_2d, 13)
         st_.u[:3, :] = 0.0  # exact zeros exercise the mixed-term mask
         model = build_noise_model(NoiseSpec(K=K, a0=0.3), grid_2d)
-        c = Coupling(sigma, np.array([[1.2, -0.4], [-0.4, 0.8]]))
+        # the asymmetric matrix tells (l11, l12) for u from (l22, l21) for v
+        with pytest.warns(UserWarning, match="asymmetric"):
+            asymmetric = Coupling(sigma, np.array([[1.2, -0.4], [0.3, 0.8]]),
+                                  allow_asymmetric=True)
         inc = np.linspace(-0.05, 0.05, K)
         dt = 2e-3
-        out = strang_step(st_, dt, model, inc, c, dealias=dealias)
-        ref_u, ref_v = reference_strang_step(st_, dt, model, inc, c, dealias)
-        for got, ref in ((out.u, ref_u), (out.v, ref_v)):
-            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for c in (Coupling(sigma, np.array([[1.2, -0.4], [-0.4, 0.8]])), asymmetric):
+            out = strang_step(st_, dt, model, inc, c, dealias=dealias)
+            ref_u, ref_v = reference_strang_step(st_, dt, model, inc, c, dealias)
+            for got, ref in ((out.u, ref_u), (out.v, ref_v)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_diagnostics_match_plain_numpy(self, grid_2d):
         from scnls.dynamics import Workspace, _spectral_diagnostics
@@ -352,7 +370,7 @@ class TestKernel:
             (2,) + grid_2d.shape)
         power = np.abs(np.fft.fftn(u)) ** 2 + np.abs(np.fft.fftn(v)) ** 2
         scale = grid_2d.spacing**2 / grid_2d.node_count
-        grad, tail = _spectral_diagnostics(make_state(grid_2d, u, v), Workspace(grid_2d))
+        (grad,), (tail,) = _spectral_diagnostics(make_state(grid_2d, u, v), Workspace(grid_2d))
         assert grad == pytest.approx(np.sum(grid_2d.k_sq * power) * scale, rel=1e-13)
         assert tail == pytest.approx(power[grid_2d.tail_mask].sum() / power.sum(), rel=1e-13)
         assert 0.4 < tail < 0.7  # white noise fills the top third of the spectrum
@@ -429,7 +447,7 @@ class TestBatch:
         # the middle path collapses first, the last one not at all
         states = [make_state(g, a * np.exp(-g.r_sq), 0.5 * np.exp(-g.r_sq))
                   for a in (3.6, 4.5, 2.5)]
-        detectors = [BlowupDetector.for_initial(_spectral_diagnostics(s)[0]) for s in states]
+        detectors = [BlowupDetector.for_initial(_spectral_diagnostics(s)[0][0]) for s in states]
         kwargs = dict(record_every=25, track_identities=True)
         batch = evolve(self._batch(states), 0.2, 1e-3, model, c, seed=[1, 2, 3],
                        detector=detectors, **kwargs)

@@ -13,7 +13,6 @@ from scnls import (
     NoiseSpec,
     RunConfig,
     criterion_sweep,
-    detect_blowup,
     make_grid,
     parse_config,
     path_seed,
@@ -103,13 +102,13 @@ class TestSeeding:
 
 class TestDetector:
     def test_thresholds(self):
-        assert detect_blowup(2.0, 0.0, 1.0, 0.1)
-        assert detect_blowup(0.0, 0.2, 1.0, 0.1)
-        assert not detect_blowup(0.5, 0.05, 1.0, 0.1)
+        assert BlowupDetector(1.0, 0.1)(2.0, 0.0)
+        assert BlowupDetector(1.0, 0.1)(0.0, 0.2)
+        assert not BlowupDetector(1.0, 0.1)(0.5, 0.05)
 
     def test_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
-            detect_blowup(0.0, 0.0, 0.0, 0.1)
+            BlowupDetector(0.0, 0.1)
         with pytest.raises(ValueError):
             BlowupDetector(-1.0)
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -111,14 +113,14 @@ class TestStratonovichPhase:
     def test_zero_increment_is_identity(self, grid_1d):
         model = build_noise_model(NoiseSpec(K=3, a0=0.5), grid_1d)
         f = np.exp(-grid_1d.x[0] ** 2) + 0.3j
-        out = stratonovich_phase(f, 1, model, np.zeros(3))
+        out = stratonovich_phase(np.stack((f, f)), model, np.zeros(3))[0]
         np.testing.assert_array_equal(out, f)
 
     def test_constant_mode_scalar_phase(self, grid_1d):
         c, b = 0.8, -0.35
         model = build_noise_model(NoiseSpec(K=1, family="constant", a0=c), grid_1d)
         f = np.exp(-grid_1d.x[0] ** 2) + 0j
-        out = stratonovich_phase(f, 1, model, np.array([b]))
+        out = stratonovich_phase(np.stack((f, f)), model, np.array([b]))[0]
         np.testing.assert_allclose(out, f * np.exp(-1j * c * b), atol=1e-14)
 
     def test_modulus_preserved_pointwise(self, grid_1d):
@@ -126,7 +128,7 @@ class TestStratonovichPhase:
         rng = np.random.default_rng(9)
         f = random_smooth_field(grid_1d, rng)
         inc = sample_increments(4, 0.05, rng)
-        out = stratonovich_phase(f, 2, model, inc)
+        out = stratonovich_phase(np.stack((f, f)), model, inc)[1]
         np.testing.assert_allclose(np.abs(out), np.abs(f), rtol=1e-13)
 
     def test_mass_invariance(self, grid_1d):
@@ -136,13 +138,27 @@ class TestStratonovichPhase:
             f = random_smooth_field(grid_1d, rng, scale=rng.uniform(0.1, 5.0))
             inc = sample_increments(6, rng.uniform(1e-4, 0.5), rng)
             m0 = grid_1d.norm_sq(f)
-            m1 = grid_1d.norm_sq(stratonovich_phase(f, 1, model, inc))
+            m1 = grid_1d.norm_sq(stratonovich_phase(np.stack((f, f)), model, inc)[0])
             assert abs(m1 - m0) < 1e-13 * m0
+
+    def test_modes_stored_once_equal_modes_spelled_out(self, grid_1d):
+        # shared modes with equal scales are stored as one row; the step
+        # broadcasts it over the pair with the bits of one row per component
+        model = build_noise_model(NoiseSpec(K=3, a0=0.5, decay_p=1.0), grid_1d)
+        assert model.modes.shape == (1, 3) + grid_1d.shape
+        spelled = copy.copy(model)
+        spelled.modes = np.concatenate((model.modes, model.modes))
+        rng = np.random.default_rng(4)
+        pair = np.stack([np.stack([random_smooth_field(grid_1d, rng) for _ in range(4)])
+                         for _ in range(2)])
+        inc = rng.standard_normal((4, 3)) * 0.1
+        np.testing.assert_array_equal(stratonovich_phase(pair, model, inc),
+                                      stratonovich_phase(pair, spelled, inc))
 
     def test_increment_count_mismatch(self, grid_1d):
         model = build_noise_model(NoiseSpec(K=3, a0=0.5), grid_1d)
         with pytest.raises(ValueError):
-            stratonovich_phase(np.ones(grid_1d.shape, dtype=complex), 1, model, np.zeros(2))
+            stratonovich_phase(np.ones((2,) + grid_1d.shape, dtype=complex), model, np.zeros(2))
 
     def test_ito_drift_consistency(self, grid_1d):
         # sample mean of (out - in)/dt over many one-step draws approaches

@@ -476,7 +476,7 @@ class TestRecordRow:
         st = make_state(grid_2d, u, v)
         model = build_noise_model(NoiseSpec(K=3, a0=0.3), grid_2d)
         recorder = TrajectoryRecorder(model, c)
-        grad, tail = _spectral_diagnostics(st)
+        (grad,), (tail,) = _spectral_diagnostics(st)
         recorder.record(st, grad, tail)
         rec = recorder.finalize()
 
