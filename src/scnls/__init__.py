@@ -3,7 +3,7 @@ nonlinear Schrodinger system with multiplicative phase noise."""
 
 from ._version import __version__
 
-from .grid import Grid, make_grid
+from .grid import Grid
 from .noise import NoiseModel, NoiseSpec, build_noise_model, sample_increments, stratonovich_phase
 from .dynamics import Coupling, SystemState, TrajectoryResult, evolve, nonlinear_phase, strang_step
 from .observables import (
@@ -44,7 +44,7 @@ from .harness import (
 
 __all__ = [
     "__version__",
-    "Grid", "make_grid",
+    "Grid",
     "NoiseModel", "NoiseSpec", "build_noise_model", "sample_increments", "stratonovich_phase",
     "Coupling", "SystemState", "TrajectoryResult", "evolve", "nonlinear_phase", "strang_step",
     "CriterionResult", "EnergyBudget", "TrajectoryRecord", "TrajectoryRecorder",

@@ -1,13 +1,16 @@
 """Run configuration: strict key=value sections, initial-data families.
 
 The config file is flat structured text (INI-style sections of key = value
-pairs, UTF-8).  Unknown sections or keys are errors: a misspelled physics
-parameter must never silently fall back to a default.
+pairs, UTF-8; values are literal, ``%`` included).  Unknown sections or keys
+are errors: a misspelled physics parameter must never silently fall back to a
+default.
 
-Sections and keys (* = required):
+The table ``_SCHEMA`` below is the schema: parsing, the required-key checks
+and the manifest echo :meth:`RunConfig.to_dict` all read it, and omitted keys
+take the defaults of the dataclass fields.  In brief (* = required):
 
     [grid]        dim*, n*, L*
-    [coupling]    sigma*, lambda11*, lambda12*, lambda21*, lambda22*,
+    [coupling]    lambda11*, lambda12*, lambda21*, lambda22*, sigma*,
                   allow_asymmetric
     [initial_u]   family* (gaussian | sech | file | zero) + family parameters:
                   gaussian: amplitude*, width*, center, chirp
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import Coupling, SystemState
-from .grid import Grid, load_field_snapshot, make_grid
+from .grid import Grid, load_field_snapshot
 from .noise import NoiseModel, NoiseSpec, build_noise_model
 
 __all__ = ["ConfigError", "InitialSpec", "RunConfig", "load_config", "parse_config"]
@@ -52,18 +55,40 @@ _FAMILY_KEYS = {
     "zero": {"required": set(), "optional": set()},
 }
 
+# The schema.  Each section lists its keys as manifests spell them, with their
+# types: first the keys a file must set, then those it may omit, which take
+# the defaults of the RunConfig, Coupling and NoiseSpec fields.  A section is
+# required when it has a required key.  A key fills the RunConfig field of its
+# name; [coupling] and [noise] keys fill RunConfig.coupling and
+# RunConfig.noise.  Two exceptions: the lambda keys are the entries of
+# Coupling.lam, row by row, and [groundstate] fields carry a "groundstate_"
+# prefix.  The [initial_*] keys depend on the family (_FAMILY_KEYS).
 _SCHEMA = {
-    "grid": {"dim", "n", "l"},
-    "coupling": {"sigma", "lambda11", "lambda12", "lambda21", "lambda22", "allow_asymmetric"},
-    "initial_u": {"family", "amplitude", "width", "center", "chirp", "path"},
-    "initial_v": {"family", "amplitude", "width", "center", "chirp", "path"},
-    "noise": {"k", "family", "a0", "decay_p", "shared_modes", "scale_u", "scale_v"},
-    "time": {"t", "dt", "record_every", "dealias"},
-    "run": {"seed", "output_dir", "track_identities", "snapshot_final"},
-    "detector": {"theta_grad", "theta_tail"},
-    "groundstate": {"beta", "tol", "max_iter"},
+    "grid": ({"dim": int, "n": int, "L": float}, {}),
+    "coupling": (
+        {"lambda11": float, "lambda12": float, "lambda21": float, "lambda22": float,
+         "sigma": float},
+        {"allow_asymmetric": bool},
+    ),
+    "noise": ({}, {"K": int, "family": str, "a0": float, "decay_p": float,
+                   "shared_modes": bool, "scale_u": float, "scale_v": float}),
+    "initial_u": None,
+    "initial_v": None,
+    "time": ({"T": float, "dt": float}, {"record_every": int, "dealias": bool}),
+    "run": ({"seed": int},
+            {"output_dir": str, "track_identities": bool, "snapshot_final": bool}),
+    "detector": ({}, {"theta_grad": float, "theta_tail": float}),
+    "groundstate": ({}, {"beta": float, "tol": float, "max_iter": int}),
 }
-_REQUIRED_SECTIONS = ("grid", "coupling", "initial_u", "initial_v", "time", "run")
+
+
+def _field(section: str, key: str) -> str:
+    """The attribute a schema key fills on its owner."""
+    if key.startswith("lambda"):
+        return "l" + key[len("lambda"):]
+    if section == "groundstate":
+        return "groundstate_" + key
+    return key
 
 
 @dataclass(frozen=True)
@@ -141,7 +166,7 @@ class RunConfig:
 
     def __post_init__(self):
         try:
-            make_grid(self.dim, self.n, self.L)
+            Grid(self.dim, self.n, self.L)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.T <= 0:
@@ -157,7 +182,7 @@ class RunConfig:
         self.coupling.check_dimension(self.dim)
 
     def build_grid(self) -> Grid:
-        return make_grid(self.dim, self.n, self.L)
+        return Grid(self.dim, self.n, self.L)
 
     def build_state(self, grid: Grid | None = None) -> SystemState:
         grid = grid or self.build_grid()
@@ -180,73 +205,43 @@ class RunConfig:
         return 0.0
 
     def to_dict(self) -> dict:
-        """Plain-value echo of the configuration for manifests."""
-        return {
-            "grid": {"dim": self.dim, "n": self.n, "L": self.L},
-            "coupling": {
-                "sigma": self.coupling.sigma,
-                "lambda11": self.coupling.l11,
-                "lambda12": self.coupling.l12,
-                "lambda21": self.coupling.l21,
-                "lambda22": self.coupling.l22,
-                "allow_asymmetric": self.coupling.allow_asymmetric,
-            },
-            "initial_u": _initial_dict(self.initial_u),
-            "initial_v": _initial_dict(self.initial_v),
-            "noise": {
-                "K": self.noise.K,
-                "family": self.noise.family,
-                "a0": self.noise.a0,
-                "decay_p": self.noise.decay_p,
-                "shared_modes": self.noise.shared_modes,
-                "scale_u": self.noise.scale_u,
-                "scale_v": self.noise.scale_v,
-            },
-            "time": {
-                "T": self.T,
-                "dt": self.dt,
-                "record_every": self.record_every,
-                "dealias": self.dealias,
-            },
-            "run": {
-                "seed": self.seed,
-                "output_dir": self.output_dir,
-                "track_identities": self.track_identities,
-                "snapshot_final": self.snapshot_final,
-            },
-            "detector": {"theta_grad": self.theta_grad, "theta_tail": self.theta_tail},
-            "groundstate": {
-                "beta": self.groundstate_beta,
-                "tol": self.groundstate_tol,
-                "max_iter": self.groundstate_max_iter,
-            },
-        }
+        """Plain-value echo of the configuration for manifests, read off the
+        schema: every key, set or defaulted."""
+        out = {}
+        for section, keys in _SCHEMA.items():
+            if keys is None:
+                out[section] = _initial_dict(getattr(self, section))
+                continue
+            owner = getattr(self, section) if section in ("coupling", "noise") else self
+            out[section] = {key: getattr(owner, _field(section, key))
+                            for key in keys[0] | keys[1]}
+        return out
 
 
 def _initial_dict(spec: InitialSpec) -> dict:
-    out = {"family": spec.family}
     keys = _FAMILY_KEYS[spec.family]
-    for key in sorted(keys["required"] | keys["optional"]):
-        out[key] = getattr(spec, key)
+    return {"family": spec.family,
+            **{key: getattr(spec, key) for key in sorted(keys["required"] | keys["optional"])}}
+
+
+def _read(parser, section, required: dict, optional: dict) -> dict:
+    """The keys of ``section`` the file sets, converted to their types."""
+    out = {}
+    for key, conv in (required | optional).items():
+        if not parser.has_option(section, key):
+            if key in required:
+                raise ConfigError(f"missing required key {key.lower()!r} in section [{section}]")
+            continue
+        raw = parser.get(section, key)
+        try:
+            out[key] = parser.getboolean(section, key) if conv is bool else conv(raw)
+        except ValueError as exc:
+            raise ConfigError(f"invalid value for [{section}] {key.lower()}: {raw!r}") from exc
     return out
 
 
-def _get(parser, section, key, conv, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing required key {key!r} in section [{section}]")
-        return default
-    raw = parser.get(section, key)
-    try:
-        if conv is bool:
-            return parser.getboolean(section, key)
-        return conv(raw)
-    except ValueError as exc:
-        raise ConfigError(f"invalid value for [{section}] {key}: {raw!r}") from exc
-
-
 def _parse_initial(parser, section) -> InitialSpec:
-    family = _get(parser, section, "family", str, required=True)
+    family = _read(parser, section, {"family": str}, {})["family"]
     if family not in _FAMILY_KEYS:
         raise ConfigError(
             f"unknown initial-data family {family!r} in [{section}]; "
@@ -262,16 +257,13 @@ def _parse_initial(parser, section) -> InitialSpec:
     missing = keys["required"] - present
     if missing:
         raise ConfigError(f"family {family!r} in [{section}] requires keys {sorted(missing)}")
-    kwargs = {"family": family}
-    for key in present:
-        conv = str if key == "path" else float
-        kwargs[key] = _get(parser, section, key, conv)
-    return InitialSpec(**kwargs)
+    params = {key: str if key == "path" else float for key in sorted(present)}
+    return InitialSpec(family=family, **_read(parser, section, {}, params))
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config from its text."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:
@@ -280,69 +272,33 @@ def parse_config(text: str) -> RunConfig:
     for section in parser.sections():
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
-        extra = set(parser[section].keys()) - _SCHEMA[section]
-        if extra and not section.startswith("initial_"):
+        keys = _SCHEMA[section]
+        if keys is None:  # [initial_*] keys are checked against the family
+            continue
+        extra = set(parser[section].keys()) - {key.lower() for key in keys[0] | keys[1]}
+        if extra:
             raise ConfigError(f"unknown keys {sorted(extra)} in section [{section}]")
-    for section in _REQUIRED_SECTIONS:
-        if not parser.has_section(section):
+    for section, keys in _SCHEMA.items():
+        if (keys is None or keys[0]) and not parser.has_section(section):
             raise ConfigError(f"missing required config section [{section}]")
 
-    dim = _get(parser, "grid", "dim", int, required=True)
-    n = _get(parser, "grid", "n", int, required=True)
-    L = _get(parser, "grid", "l", float, required=True)
-
-    lam = np.array(
-        [
-            [_get(parser, "coupling", "lambda11", float, required=True),
-             _get(parser, "coupling", "lambda12", float, required=True)],
-            [_get(parser, "coupling", "lambda21", float, required=True),
-             _get(parser, "coupling", "lambda22", float, required=True)],
-        ]
-    )
-    try:
-        coupling = Coupling(
-            sigma=_get(parser, "coupling", "sigma", float, required=True),
-            lam=lam,
-            allow_asymmetric=_get(parser, "coupling", "allow_asymmetric", bool, default=False),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    try:
-        noise = NoiseSpec(
-            K=_get(parser, "noise", "k", int, default=0),
-            family=_get(parser, "noise", "family", str, default="fourier"),
-            a0=_get(parser, "noise", "a0", float, default=0.0),
-            decay_p=_get(parser, "noise", "decay_p", float, default=2.0),
-            shared_modes=_get(parser, "noise", "shared_modes", bool, default=True),
-            scale_u=_get(parser, "noise", "scale_u", float, default=1.0),
-            scale_v=_get(parser, "noise", "scale_v", float, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        dim=dim,
-        n=n,
-        L=L,
-        coupling=coupling,
-        initial_u=_parse_initial(parser, "initial_u"),
-        initial_v=_parse_initial(parser, "initial_v"),
-        noise=noise,
-        T=_get(parser, "time", "t", float, required=True),
-        dt=_get(parser, "time", "dt", float, required=True),
-        record_every=_get(parser, "time", "record_every", int, default=1),
-        dealias=_get(parser, "time", "dealias", bool, default=False),
-        seed=_get(parser, "run", "seed", int, required=True),
-        output_dir=_get(parser, "run", "output_dir", str, default=""),
-        track_identities=_get(parser, "run", "track_identities", bool, default=True),
-        snapshot_final=_get(parser, "run", "snapshot_final", bool, default=False),
-        theta_grad=_get(parser, "detector", "theta_grad", float),
-        theta_tail=_get(parser, "detector", "theta_tail", float, default=0.1),
-        groundstate_beta=_get(parser, "groundstate", "beta", float),
-        groundstate_tol=_get(parser, "groundstate", "tol", float, default=1e-10),
-        groundstate_max_iter=_get(parser, "groundstate", "max_iter", int, default=5000),
-    )
+    fields = {}
+    for section, keys in _SCHEMA.items():
+        if keys is None:
+            fields[section] = _parse_initial(parser, section)
+            continue
+        values = _read(parser, section, *keys)
+        try:
+            if section == "coupling":
+                lam = [values.pop(key) for key in keys[0] if key.startswith("lambda")]
+                fields[section] = Coupling(lam=np.reshape(lam, (2, 2)), **values)
+            elif section == "noise":
+                fields[section] = NoiseSpec(**values)
+            else:
+                fields.update({_field(section, key): value for key, value in values.items()})
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return RunConfig(**fields)
 
 
 def load_config(path: str | Path) -> RunConfig:

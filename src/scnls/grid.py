@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Grid", "make_grid", "save_field_snapshot", "load_field_snapshot"]
+__all__ = ["Grid", "save_field_snapshot", "load_field_snapshot"]
 
 
 class Grid:
@@ -140,11 +140,6 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid(dim={self.dim}, n={self.n}, length={self.length})"
-
-
-def make_grid(dim: int, n: int, length: float) -> Grid:
-    """Build a periodic grid; rejects dim not in {1,2}, non-power-of-two n, L <= 0."""
-    return Grid(dim, n, length)
 
 
 def save_field_snapshot(path: str | Path, grid: Grid, values: np.ndarray) -> None:

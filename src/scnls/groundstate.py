@@ -113,9 +113,9 @@ def solve_ground_state(
     grid: Grid,
     tol: float = 1e-10,
     max_iter: int = 5000,
-    seed_width: float = 1.0,
 ) -> GroundStatePair:
-    """Solve the coupled elliptic system from a symmetric Gaussian seed.
+    """Solve the coupled elliptic system from the symmetric Gaussian seed
+    P = Q = exp(-|x|^2 / 2).
 
     Returns a :class:`GroundStatePair` whose elliptic residual max-norm is
     below ``tol``.  Raises :class:`GroundStateError` on non-convergence
@@ -139,7 +139,7 @@ def solve_ground_state(
     inv_symbol = 1.0 / (1.0 + grid.k_sq)
     gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
 
-    P = np.exp(-grid.r_sq / (2.0 * seed_width**2))
+    P = np.exp(-grid.r_sq / 2.0)
     Q = P.copy()
     h = grid.spacing**dim
 

@@ -350,12 +350,8 @@ def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
 class EnergyBudget:
     """Residual series of the energy identity for both drift kernels."""
 
-    t: np.ndarray
     paper: np.ndarray
     gradient: np.ndarray
-    martingale: np.ndarray
-    drift_paper: np.ndarray
-    drift_gradient: np.ndarray
 
 
 def energy_budget(record: TrajectoryRecord) -> EnergyBudget:
@@ -367,17 +363,10 @@ def energy_budget(record: TrajectoryRecord) -> EnergyBudget:
     if not record.tracked:
         raise ValueError("trajectory was recorded without increments; "
                          "re-run with identity tracking enabled")
-    t = record.t
-    dh = record.H - record.H[0]
-    drift_paper = _cumulative_trapezoid(record.paper_kernel, t)
-    drift_gradient = _cumulative_trapezoid(record.gradient_kernel, t)
+    dh = record.H - record.H[0] - record.stoch_energy  # left for the drift
     return EnergyBudget(
-        t=t,
-        paper=dh - record.stoch_energy - drift_paper,
-        gradient=dh - record.stoch_energy - drift_gradient,
-        martingale=record.stoch_energy.copy(),
-        drift_paper=drift_paper,
-        drift_gradient=drift_gradient,
+        paper=dh - _cumulative_trapezoid(record.paper_kernel, record.t),
+        gradient=dh - _cumulative_trapezoid(record.gradient_kernel, record.t),
     )
 
 

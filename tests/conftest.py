@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from scnls import Coupling, NoiseSpec, SystemState, build_noise_model, make_grid
+from scnls import Coupling, Grid, NoiseSpec, SystemState, build_noise_model
 
 
 @pytest.fixture(scope="session")
 def grid_1d():
-    return make_grid(1, 256, 40.0)
+    return Grid(1, 256, 40.0)
 
 
 @pytest.fixture(scope="session")
 def grid_1d_fine():
-    return make_grid(1, 1024, 40.0)
+    return Grid(1, 1024, 40.0)
 
 
 @pytest.fixture(scope="session")
 def grid_2d():
-    return make_grid(2, 64, 16.0)
+    return Grid(2, 64, 16.0)
 
 
 @pytest.fixture(scope="session")

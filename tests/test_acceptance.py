@@ -9,6 +9,7 @@ import pytest
 
 from scnls import (
     Coupling,
+    Grid,
     InitialSpec,
     NoiseSpec,
     RunConfig,
@@ -17,7 +18,6 @@ from scnls import (
     energy_budget,
     evolve,
     gn_ratio,
-    make_grid,
     run_ensemble,
     run_single,
     solve_ground_state,
@@ -34,7 +34,7 @@ def report(index, passed, detail):
 
 @pytest.fixture(scope="module")
 def grid_fine():
-    return make_grid(1, 1024, 40.0)
+    return Grid(1, 1024, 40.0)
 
 
 @pytest.fixture(scope="module")
@@ -64,12 +64,12 @@ def order_study(grid_fine):
 
 @pytest.fixture(scope="module")
 def townes():
-    return solve_ground_state(1.0, 0.0, make_grid(2, 128, 16.0), tol=1e-10)
+    return solve_ground_state(1.0, 0.0, Grid(2, 128, 16.0), tol=1e-10)
 
 
 def test_criterion_1_mass_conservation():
     # stochastic two-component run, 1e4 steps at n=1024
-    g = make_grid(1, 1024, 40.0)
+    g = Grid(1, 1024, 40.0)
     st = make_state(g, 1.3 * np.exp(-g.x[0] ** 2),
                     0.7 * np.exp(-g.x[0] ** 2 / 2))
     lam = np.array([[1.0, 0.5], [0.5, 1.0]])
@@ -136,7 +136,7 @@ def test_criterion_5_g_identity_drift_coefficient(grid_fine):
 
 
 def test_criterion_6_energy_budget_discrimination():
-    g = make_grid(1, 256, 40.0)
+    g = Grid(1, 256, 40.0)
     # (a) closed-form path: one spatially constant mode, no nonlinearity
     c_amp = 0.3
     model = build_noise_model(NoiseSpec(K=1, family="constant", a0=c_amp), g)
@@ -171,7 +171,7 @@ def test_criterion_6_energy_budget_discrimination():
 
 
 def test_criterion_7_ground_state_and_sharp_constant(townes):
-    g = make_grid(1, 1024, 40.0)
+    g = Grid(1, 1024, 40.0)
     profile = np.sqrt(2) / np.cosh(g.x[0])
 
     gs0 = solve_ground_state(1.0, 0.0, g, tol=1e-10)

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from scnls import (
     Coupling,
+    Grid,
     NoiseSpec,
     SystemState,
     build_noise_model,
     evolve,
-    make_grid,
     nonlinear_phase,
     strang_step,
 )
@@ -85,7 +85,7 @@ class TestNonlinearPhase:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**31), sigma=st.floats(0.3, 2.5), dt=st.floats(-0.5, 0.5))
     def test_modulus_invariant_property(self, seed, sigma, dt):
-        g = make_grid(1, 64, 10.0)
+        g = Grid(1, 64, 10.0)
         rng = np.random.default_rng(seed)
         u = random_smooth_field(g, rng)
         v = random_smooth_field(g, rng)
@@ -204,7 +204,7 @@ class TestEvolve:
         # mass-critical focusing with H0 < 0 collapses in finite time
         from scnls import BlowupDetector, hamiltonian
 
-        g = make_grid(2, 128, 20.0)
+        g = Grid(2, 128, 20.0)
         u0 = 4.0 * np.exp(-g.r_sq)
         st_ = make_state(g, u0)
         c = Coupling(1.0, np.array([[1.0, 0.0], [0.0, 1.0]]))

@@ -8,34 +8,34 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import scnls
-from scnls import make_grid
+from scnls import Grid
 
 
 class TestMakeGrid:
     def test_1d_basic(self):
-        g = make_grid(1, 8, 2 * np.pi)
+        g = Grid(1, 8, 2 * np.pi)
         assert g.spacing == pytest.approx(np.pi / 4)
         assert sorted(np.rint(g.k[0]).astype(int)) == [-4, -3, -2, -1, 0, 1, 2, 3]
         assert g.node_count == 8
 
     def test_2d_basic(self):
-        g = make_grid(2, 16, 10.0)
+        g = Grid(2, 16, 10.0)
         assert g.node_count == 256
         assert g.spacing == pytest.approx(0.625)
         assert g.shape == (16, 16)
 
     def test_spacing_times_n_is_length(self):
-        g = make_grid(1, 64, 17.0)
+        g = Grid(1, 64, 17.0)
         assert g.spacing * g.n == pytest.approx(g.length)
 
     def test_each_signed_frequency_once(self):
-        g = make_grid(1, 32, 5.0)
+        g = Grid(1, 32, 5.0)
         m = np.rint(g.k[0] * g.length / (2 * np.pi)).astype(int)
         assert len(set(m.tolist())) == 32
         assert 0 in m
 
     def test_box_is_half_open(self):
-        g = make_grid(1, 16, 8.0)
+        g = Grid(1, 16, 8.0)
         x = g.x[0]
         assert x[0] == pytest.approx(-4.0)
         assert x[-1] == pytest.approx(4.0 - g.spacing)
@@ -47,7 +47,7 @@ class TestMakeGrid:
     )
     def test_rejects_bad_arguments(self, dim, n, L):
         with pytest.raises(ValueError):
-            make_grid(dim, n, L)
+            Grid(dim, n, L)
 
 
 class TestFreePropagate:
@@ -64,7 +64,7 @@ class TestFreePropagate:
 
     def test_gaussian_closed_form(self):
         # u0 = exp(-a x^2) evolves to exp(-a x^2/(1+4iat)) / sqrt(1+4iat)
-        g = make_grid(1, 1024, 40.0)
+        g = Grid(1, 1024, 40.0)
         x = g.x[0]
         a, t = 1.0, 0.1
         u0 = np.exp(-a * x**2) + 0j
@@ -82,7 +82,7 @@ class TestFreePropagate:
     @settings(max_examples=20, deadline=None)
     @given(dt=st.floats(-50.0, 50.0), seed=st.integers(0, 2**32 - 1))
     def test_mass_preserved_any_dt(self, dt, seed):
-        g = make_grid(1, 128, 20.0)
+        g = Grid(1, 128, 20.0)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         m0 = g.norm_sq(f)
@@ -92,7 +92,7 @@ class TestFreePropagate:
     @settings(max_examples=20, deadline=None)
     @given(dt=st.floats(1e-4, 10.0), seed=st.integers(0, 2**32 - 1))
     def test_reversibility(self, dt, seed):
-        g = make_grid(1, 128, 20.0)
+        g = Grid(1, 128, 20.0)
         rng = np.random.default_rng(seed)
         f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
         back = g.free_propagate(g.free_propagate(f, dt), -dt)
@@ -121,7 +121,7 @@ class TestGradient:
     def test_matches_fourth_order_differences(self):
         # band-limited field: spectral derivative agrees with the FD4 stencil
         # up to the stencil's own O(dx^4) truncation error
-        g = make_grid(1, 128, 2 * np.pi)
+        g = Grid(1, 128, 2 * np.pi)
         rng = np.random.default_rng(5)
         f = np.zeros(128, dtype=complex)
         for m in range(-8, 9):
@@ -149,7 +149,7 @@ class TestGradient:
 
 class TestQuadrature:
     def test_constant_on_periodic_box(self):
-        g = make_grid(1, 64, 2 * np.pi)
+        g = Grid(1, 64, 2 * np.pi)
         assert g.quadrature(np.ones(64)) == pytest.approx(2 * np.pi, rel=1e-14)
 
     def test_gaussian_against_adaptive_quadrature(self, grid_1d):

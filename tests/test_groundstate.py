@@ -5,7 +5,6 @@ from scnls import (
     GroundStateError,
     critical_threshold,
     gn_ratio,
-    make_grid,
     solve_ground_state,
 )
 
@@ -72,7 +71,7 @@ class TestSolveGroundState:
     def test_closed_form_profile_at_general_exponent(self, sigma):
         # -P'' + P = P^(2s+1) has the explicit solution
         # P = (1+s)^(1/(2s)) sech^(1/s)(s x)
-        g = make_grid(1, 1024, 60.0)
+        g = Grid(1, 1024, 60.0)
         gs = solve_ground_state(sigma, 0.0, g, tol=1e-10)
         x = g.x[0]
         analytic = (1.0 + sigma) ** (1.0 / (2.0 * sigma)) * (
@@ -170,7 +169,7 @@ class TestKopt:
         assert _k_opt_value(1.0, 1, 32.0) == pytest.approx(base / 4.0, rel=1e-12)
 
     def test_grid_refinement_invariance(self, gs_scalar):
-        g2 = make_grid(1, 512, 40.0)
+        g2 = Grid(1, 512, 40.0)
         gs2 = solve_ground_state(1.0, 0.0, g2, tol=1e-10)
         assert gs2.k_opt_pair == pytest.approx(gs_scalar.k_opt_pair, rel=5e-3)
 
@@ -212,7 +211,7 @@ class TestGnRatio:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_matches_plain_gradient_reference(self, dim):
-        grid = make_grid(dim, 64, 12.0)
+        grid = Grid(dim, 64, 12.0)
         rng = np.random.default_rng(10 + dim)
         u = random_smooth_field(grid, rng, n_modes=6)
         v = random_smooth_field(grid, rng, n_modes=6, scale=0.6)

@@ -1,19 +1,22 @@
+import configparser
 import json
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scnls import (
     BlowupDetector,
     ConfigError,
     Coupling,
+    Grid,
     HarnessError,
     InitialSpec,
     NoiseSpec,
     RunConfig,
     criterion_sweep,
-    make_grid,
     parse_config,
     path_seed,
     run_ensemble,
@@ -23,6 +26,7 @@ from scnls import (
     verify,
 )
 from scnls.cli import main as cli_main
+from scnls.config import _FAMILY_KEYS, _SCHEMA
 from scnls.harness import load_field_snapshot, save_field_snapshot
 
 
@@ -77,6 +81,73 @@ record_every = 10
 [run]
 seed = 99
 """
+
+
+def _config_text(sections: dict) -> str:
+    """Config text of a manifest-shaped dict; None values are left out."""
+    lines = []
+    for section, values in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {value}" for key, value in values.items() if value is not None]
+    return "\n".join(lines) + "\n"
+
+
+def _spelled(strategy):
+    return strategy.map(lambda value: (str(value), value))
+
+
+# (text, value) pairs a config key may hold: by type, or by (section, key)
+# where the type admits invalid values
+_POSITIVE = _spelled(st.floats(1e-3, 1e3))
+_BY_TYPE = {
+    int: _spelled(st.integers(0, 2**64 - 1)),
+    float: _spelled(st.floats(-1e3, 1e3)),
+    bool: st.sampled_from(sorted(configparser.ConfigParser.BOOLEAN_STATES.items())),
+    str: _spelled(st.text(alphabet="az09_-./%()", max_size=12)),
+}
+_VALID = {
+    ("grid", "dim"): _spelled(st.sampled_from([1, 2])),
+    ("grid", "n"): _spelled(st.sampled_from([8, 16, 64])),
+    ("grid", "L"): _POSITIVE,
+    ("coupling", "sigma"): _POSITIVE,
+    ("noise", "K"): _spelled(st.integers(0, 8)),
+    ("noise", "family"): _spelled(st.sampled_from(["fourier", "constant"])),
+    ("noise", "a0"): _POSITIVE,
+    ("noise", "decay_p"): _POSITIVE,
+    ("time", "T"): _POSITIVE,
+    ("time", "dt"): _POSITIVE,
+    ("time", "record_every"): _spelled(st.integers(1, 100)),
+    ("detector", "theta_grad"): _POSITIVE,
+    ("detector", "theta_tail"): _spelled(st.floats(1e-3, 1.0)),
+    ("initial", "width"): _POSITIVE,
+}
+
+
+@st.composite
+def _config_specs(draw):
+    """Section -> key -> (text, value) for every schema section; each optional
+    key is set or left out, each initial family is drawn."""
+
+    def keys(section, required, optional):
+        out = {}
+        for key, conv in (required | optional).items():
+            if key in required or draw(st.booleans()):
+                out[key] = draw(_VALID.get((section, key), _BY_TYPE[conv]))
+        return out
+
+    spec = {}
+    for section, schema in _SCHEMA.items():
+        if schema is None:
+            family = draw(st.sampled_from(sorted(_FAMILY_KEYS)))
+            names = {kind: {key: str if key == "path" else float for key in sorted(found)}
+                     for kind, found in _FAMILY_KEYS[family].items()}
+            spec[section] = {"family": (family, family),
+                             **keys("initial", names["required"], names["optional"])}
+        else:
+            spec[section] = keys(section, *schema)
+    if not spec["coupling"].get("allow_asymmetric", ("", False))[1]:
+        spec["coupling"]["lambda21"] = spec["coupling"]["lambda12"]
+    return spec
 
 
 class TestSeeding:
@@ -216,6 +287,29 @@ class TestConfigParsing:
         assert "[noise]" not in bare
         assert parse_config(bare).to_dict() == parse_config(spelled).to_dict()
 
+    @pytest.mark.filterwarnings("ignore:asymmetric interaction matrix")
+    @settings(max_examples=60, deadline=None)
+    @given(spec=_config_specs())
+    def test_to_dict_roundtrips_generated_configs(self, spec):
+        # a config parses to the values it sets; its echo names every schema
+        # key and, written back as config text, parses to the same echo
+        cfg = parse_config(_config_text(
+            {section: {key: text for key, (text, _) in values.items()}
+             for section, values in spec.items()}))
+        echo = cfg.to_dict()
+        for section, values in spec.items():
+            for key, (_, value) in values.items():
+                assert echo[section][key] == value
+        for section, schema in _SCHEMA.items():
+            if schema is not None:
+                assert set(echo[section]) == set(schema[0] | schema[1])
+        assert parse_config(_config_text(echo)).to_dict() == echo
+
+    def test_percent_is_literal(self):
+        for value in ("out/100%", "out/%(seed)s"):
+            text = CONFIG_TEXT.replace("seed = 99", f"seed = 99\noutput_dir = {value}")
+            assert parse_config(text).output_dir == value
+
     def test_comments_allowed(self):
         text = CONFIG_TEXT.replace("seed = 99", "seed = 99  # master seed")
         assert parse_config(text).seed == 99
@@ -247,7 +341,7 @@ class TestSnapshots:
 
     def test_file_family_grid_mismatch(self, tmp_path, grid_1d):
         save_field_snapshot(tmp_path / "u0.bin", grid_1d, np.zeros(grid_1d.shape, dtype=complex))
-        other = make_grid(1, 512, 40.0)
+        other = Grid(1, 512, 40.0)
         with pytest.raises(ConfigError, match="does not match"):
             InitialSpec("file", path=str(tmp_path / "u0.bin")).build(other)
 
@@ -622,7 +716,9 @@ class TestCli:
     def test_criterion_cli(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.ini"
         cfg_file.write_text(CONFIG_TEXT)
-        assert cli_main(["criterion", str(cfg_file), "--tbar", "0.5"]) == 0
+        # sigma N = 1 lies below the mass-critical exponent: the criterion warns
+        with pytest.warns(UserWarning, match="mass-critical"):
+            assert cli_main(["criterion", str(cfg_file), "--tbar", "0.5"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "lhs_min" in report
 

@@ -14,7 +14,6 @@ from scnls import (
     energy_budget,
     evolve,
     hamiltonian,
-    make_grid,
     mass,
     momentum_G,
     variance,
@@ -103,7 +102,7 @@ class TestVariance:
         assert variance(shifted) - variance(centered) == pytest.approx(m * x0**2, rel=1e-10)
 
     def test_boundary_mass_warns(self):
-        g = make_grid(1, 64, 10.0)
+        g = Grid(1, 64, 10.0)
         st = make_state(g, np.ones(g.shape))
         with pytest.warns(UserWarning, match="boundary"):
             variance(st)
@@ -294,7 +293,7 @@ class TestIdentitiesAcrossRegimes:
     def test_momentum_drift_coefficient_at_general_sigma(self, sigma):
         # the (2 - s N)/(s + 1) drift coefficient is exponent-dependent;
         # a wrong coefficient would stall residual_G at O(1), not O(dt^2)
-        g = make_grid(1, 512, 40.0)
+        g = Grid(1, 512, 40.0)
         c = Coupling(sigma, np.array([[1.0, 0.4], [0.4, 0.7]]))
         model = build_noise_model(NoiseSpec(), g)
         dts, g_res = [], []
@@ -312,7 +311,7 @@ class TestIdentitiesAcrossRegimes:
         # u and v are driven through different mode shapes by the same dB
         from conftest import brownian_tree, coarsen
 
-        g = make_grid(1, 512, 40.0)
+        g = Grid(1, 512, 40.0)
         model = build_noise_model(NoiseSpec(K=2, a0=0.01, shared_modes=False), g)
         c = Coupling(1.0, np.array([[1.0, 0.0], [0.0, 1.0]]))
         n_fine = 1000
@@ -330,7 +329,7 @@ class TestIdentitiesAcrossRegimes:
 
     def test_chirped_data_nonzero_g0(self):
         # nonzero momentum at t=0 exercises the linear term of both identities
-        g = make_grid(1, 512, 40.0)
+        g = Grid(1, 512, 40.0)
         u0 = np.exp(-g.x[0] ** 2) * np.exp(-0.4j * g.x[0] ** 2)
         st = make_state(g, u0)
         c = scalar_coupling(1.0, 1.0)
