@@ -263,7 +263,10 @@ def _parse_initial(parser, section) -> InitialSpec:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config from its text."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    # no header line can name the defaults section, so a [DEFAULT] in the
+    # file is an ordinary section and is rejected as unknown below
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None,
+                                       default_section="\n")
     try:
         parser.read_file(io.StringIO(text))
     except configparser.Error as exc:

@@ -19,14 +19,22 @@ deterministic part is Strang splitting (second order).
 A :class:`SystemState` holds the pair as one array, component axis first:
 shape ``(2, *grid.shape)``, or ``(2, P, *grid.shape)`` for a batch of P
 paths; :func:`evolve` advances such a batch, and a single run is the batch
-P = 1.  Each sub-step is written once for (u, v): N is one loop over the two
-rows with the coefficient pairs (l11, l12) and (l22, l21), L and the
-detector diagnostics loop their transforms over the rows (on a 2D grid one
-transform of the pair runs slower than two of one component), and W and the
-finite check are one numpy call each over the whole pair.  Every operation is
-elementwise, a transform of the trailing grid axes or a sum over one
-component's nodes in one path, so each path's bits do not depend on the
+P = 1.  Each sub-step is written once for (u, v): N is one loop over the
+live rows with the coefficient pairs (l11, l12) and (l22, l21), L and the
+detector diagnostics loop their transforms over the live rows (on a 2D grid
+one transform of the pair runs slower than two of one component), and W and
+the finite check are one numpy call each over the whole pair.  Every
+operation is elementwise, a transform of the trailing grid axes or a sum over
+one component's nodes in one path, so each path's bits do not depend on the
 batch it was run in.
+
+A row that is zero in every path of the initial batch stays zero in every
+bit (each term of its equation carries it), so :func:`evolve` marks it dead
+on the :class:`Workspace` and N, L, the diagnostics and the recorder's G skip
+it.  Its zeros stay in the pair and in the workspace's moduli, so every output
+is bitwise what computing on them gives.  Revive rule: when its mixed
+coefficient is nonzero and the live row's |f|^(s+1) is not all finite, 0 * inf
+turns it NaN, so N computes it from then on.
 """
 
 from __future__ import annotations
@@ -182,6 +190,8 @@ class Workspace:
     writes the unimodular factor there; the diagnostics transform each
     component into the complex field and sum powers in the real fields.  One
     workspace serves one state (a path or a batch) at a time.
+    ``rows`` names the rows N, L and the diagnostics compute: both, unless
+    :func:`evolve` marks one dead; a dead row's moduli stay zero.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
@@ -195,8 +205,9 @@ class Workspace:
         self.keep = grid.dealias_mask().reshape(axes)
         self.k_sq = grid.k_sq.reshape(axes)
         self.tail_mask = grid.tail_mask.reshape(axes)
+        self.rows = (0, 1)
         self.scratch = np.empty(shape[1:], dtype=complex)
-        self.moduli = np.empty(shape)
+        self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
         # the same buffers with each component on one axis, for the pointwise
         # N step: numpy runs a loop over one strided axis faster than over several
@@ -254,17 +265,30 @@ def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
     """
     if work is None:
         state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
-    np.abs(state.fields, out=work.moduli)
     moduli = work.flat_moduli
-    theta, e = work.flat_real, work.flat_scratch
     pairs = ((coupling.l11, coupling.l12), (coupling.l22, coupling.l21))
-    for f, a_self, a_other, (l_self, l_mixed) in zip(state.fields, moduli, moduli[::-1],
-                                                      pairs):
-        _phase_multiplier(a_self, a_other, l_self, l_mixed, coupling.sigma, theta,
-                          e.real, e.imag)
+    if len(work.rows) == 2:
+        np.abs(state.fields, out=work.moduli)
+    else:
+        (live,) = work.rows
+        np.abs(state.fields[live], out=work.moduli[live])
+        if pairs[1 - live][1] != 0.0:
+            # revive rule: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f|
+            # * |f| at sigma = 1), which is NaN where that power is not finite
+            peak = moduli[live].max()
+            if coupling.sigma != 1.0:
+                peak = np.power(peak, coupling.sigma + 1.0)
+            if not np.isfinite(peak):
+                work.rows = (0, 1)
+    theta, e = work.flat_real, work.flat_scratch
+    for i in work.rows:
+        l_self, l_mixed = pairs[i]
+        _phase_multiplier(moduli[i], moduli[1 - i], l_self, l_mixed, coupling.sigma,
+                          theta, e.real, e.imag)
         theta *= dt
         np.cos(theta, out=e.real)
         np.sin(theta, out=e.imag)
+        f = state.fields[i]
         f *= work.scratch
     return state
 
@@ -294,7 +318,8 @@ def strang_step(
     grid = state.grid
     nonlinear_phase(state, 0.5 * dt, coupling, work)
 
-    for f in state.fields:
+    for i in work.rows:
+        f = state.fields[i]
         grid.fft(f, out=f)
         f *= work.lin
         if dealias:
@@ -347,20 +372,21 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     top third of the resolvable frequency range (resolution-loss gauge, in
     [0, 1]).  The transforms and powers go through the buffers of ``work``,
     or of a fresh :class:`Workspace` when none is given; the transforms loop
-    over the two rows, as L does, because one transform of the pair runs
-    slower than two of one component on a 2D grid.  Returns two lists of
-    floats with one entry per path (one entry for a single path).
+    over the live rows, as L does, because one transform of the pair runs
+    slower than two of one component on a 2D grid; a dead row's power is the
+    zeros its transform would give.  Returns two lists of floats with one
+    entry per path (one entry for a single path).
     """
     grid = state.grid
     if work is None:
         work = Workspace(grid, shape=state.fields.shape)
     power = work.moduli
-    for f, row in zip(state.fields, power):
-        grid.fft(f, out=work.scratch)
-        np.abs(work.scratch, out=row)
-        np.square(row, out=row)
+    for i in work.rows:
+        grid.fft(state.fields[i], out=work.scratch)
+        np.abs(work.scratch, out=power[i])
+        np.square(power[i], out=power[i])
     total = np.add(power[0], power[1], out=work.real)
-    term = power[0]
+    term = power[work.rows[0]]  # never a dead row, whose zeros N reads
     scale = grid.spacing**grid.dim / grid.node_count
     grad_norm_sq = [part * scale for part in
                     _node_sums(np.multiply(work.k_sq, total, out=term), grid).tolist()]
@@ -462,8 +488,14 @@ def evolve(
         state = SystemState.of_pair(state.fields[:, None], state.t, grid)
     live = list(range(n_paths))
     work = Workspace(grid, dt, state.fields.shape)
+    # a row zero in every path is dead, unless non-finite coefficients NaN it
+    rows = tuple(i for i, f in enumerate(state.fields) if f.any())
+    if len(rows) == 1 and np.isfinite(coupling.lam).all():
+        work.rows = rows
     recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities,
                                   paths=n_paths)
+    # a revived row is NaN only in paths that leave unrecorded, as invalid
+    recorder.rows = work.rows
     results: list[TrajectoryResult | None] = [None] * n_paths
 
     def path_state(r):
@@ -491,7 +523,8 @@ def evolve(
         detectors = [d for d, kept in zip(detectors, keep) if kept]
         recorder.keep(keep)
         if live:
-            work = Workspace(grid, dt, state.fields.shape)
+            rows, work = work.rows, Workspace(grid, dt, state.fields.shape)
+            work.rows = rows
 
     grad, tail = _spectral_diagnostics(state, work)
     for r in range(n_paths):

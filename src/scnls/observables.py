@@ -18,7 +18,8 @@ The masked mixed-term factor |f|^(s-1) lives only in
 ``scnls.dynamics._phase_multiplier``, shared by the N step and the
 ground-state solver.  :meth:`TrajectoryRecorder.record` takes |u| and |v|
 once per row and reuses the diagnostics ``evolve`` has just computed, so of
-a row only G transforms.
+a row only G transforms, and only the live components (a component that is
+zero in every path ``evolve`` started from adds exactly 0 to G).
 
 Along a path, M is exactly conserved by the scheme.  H evolves by an Ito
 martingale plus a drift; two candidate drift kernels are computed side by
@@ -144,9 +145,13 @@ def variance(state: SystemState, warn_boundary: bool = True) -> float:
 
 def momentum_G(state: SystemState) -> float:
     """G = Im integral u x.grad(conj u) + v x.grad(conj v)."""
-    grid = state.grid
+    return _momentum(state.grid, state.fields)
+
+
+def _momentum(grid: Grid, fields) -> float:
+    """G summed over the component fields given; a zero field adds exactly 0."""
     total = 0.0j
-    for f in state.fields:
+    for f in fields:
         grads = grid.gradient(f)
         xdot = sum(xa * np.conj(da) for xa, da in zip(grid.x, grads))
         total += grid.quadrature(f * xdot)
@@ -252,7 +257,8 @@ class TrajectoryRecorder:
     grad_norm_sq, tail, row)`` appends one row to path ``row`` from that
     path's own state; ``finalize(row)`` returns the path's record.  When
     paths leave the batch, ``keep(mask)`` drops their rows so that the rest
-    close up as the batch's rows do.
+    close up as the batch's rows do.  ``evolve`` sets ``rows``, the live
+    components, to its workspace's.
     """
 
     def __init__(self, model: NoiseModel, coupling: Coupling,
@@ -260,6 +266,7 @@ class TrajectoryRecorder:
         self.model = model
         self.coupling = coupling
         self.track = bool(track_identities)
+        self.rows = (0, 1)
         self._stoch_energy = np.zeros(paths)
         self._stoch_G = np.zeros(paths)
         # columns of raw doubles: a row costs 8 bytes per value, not a float object
@@ -289,13 +296,13 @@ class TrajectoryRecorder:
         state (``evolve`` has just computed them); H takes its kinetic part
         from them.  |u| and |v| are taken once, and the masses, V, both drift
         kernels and the potential integrals all come from them, so only G
-        transforms.  G goes first, so that its complex temporaries are freed
-        before the moduli are taken.
+        transforms, and only for the components in ``rows``.  G goes first,
+        so that its complex temporaries are freed before the moduli are taken.
         """
         grid = state.grid
         model = self.model
         c = self.coupling
-        G = momentum_G(state)
+        G = _momentum(grid, (state.fields[i] for i in self.rows))
         moduli = np.abs(state.fields)
         au, av = moduli
         iu, iv, iuv = potential = _potential_integrals(au, av, c.sigma, grid)

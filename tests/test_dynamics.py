@@ -479,6 +479,66 @@ class TestBatch:
         for st_, s, got in zip(states, [4, 5, 6], batch):
             self._assert_same(got, evolve(st_, 0.02, 1e-3, model, c, seed=s, record_every=4))
 
+    @staticmethod
+    def _dead_row_cases(grid_1d, grid_2d):
+        """(model, coupling, T, evolve kwargs, outcome, path with a dead row, companion)."""
+        from scnls import BlowupDetector
+        from scnls.dynamics import _spectral_diagnostics
+
+        x, g = grid_1d.x[0], grid_2d
+        noise_1d = build_noise_model(NoiseSpec(K=2, a0=0.5), grid_1d)
+        mixed = np.array([[1.0, 0.5], [0.5, 1.0]])
+        tracked = dict(seed=[3, 4], record_every=5, track_identities=True)
+        collapse = make_state(g, 4.5 * np.exp(-g.r_sq))
+        detector = BlowupDetector.for_initial(_spectral_diagnostics(collapse)[0][0])
+        return {
+            "v0 = 0, sigma = 0.5": (
+                noise_1d, Coupling(0.5, mixed), 0.05, tracked, "completed",
+                make_state(grid_1d, 1.5 * np.exp(-x**2)),
+                make_state(grid_1d, np.exp(-x**2), 0.7 * np.exp(-x**2))),
+            "u0 = 0": (
+                noise_1d, Coupling(1.0, mixed), 0.05, tracked, "completed",
+                make_state(grid_1d, np.zeros(grid_1d.shape), 1.5 * np.exp(-x**2)),
+                make_state(grid_1d, 0.5 * np.exp(-x**2), np.exp(-x**2))),
+            "2D collapse": (
+                build_noise_model(NoiseSpec(K=2, a0=0.1), g), Coupling(1.0, mixed), 0.2,
+                dict(tracked, seed=[1, 2], record_every=25, detector=detector), "blowup",
+                collapse, make_state(g, 2.5 * np.exp(-g.r_sq), 0.5 * np.exp(-g.r_sq))),
+        }
+
+    def test_dead_row_skip_matches_live_row(self, grid_1d, grid_2d):
+        # alone, the dead row is skipped; in a batch with a companion whose
+        # same row is live it is computed on its zeros, as every row used to be
+        cases = self._dead_row_cases(grid_1d, grid_2d)
+        for label, (model, c, T, kwargs, outcome, path, companion) in cases.items():
+            alone = evolve(path, T, 1e-3, model, c, **dict(kwargs, seed=kwargs["seed"][0]))
+            batch = evolve(self._batch([path, companion]), T, 1e-3, model, c, **kwargs)
+            assert (alone.outcome, batch[1].outcome) == (outcome, "completed"), label
+            self._assert_same(batch[0], alone)
+
+    @pytest.mark.parametrize("sigma, amplitude", [(2.0, 1e100), (0.5, 1e250)])
+    def test_dead_row_revives_when_its_mixed_term_overflows(self, grid_1d, sigma,
+                                                             amplitude):
+        # sigma = 2: |u|^(2 sigma) overflows in the first N, u turns NaN, and
+        # the second N computes 0 * NaN into v.  sigma = 0.5: u stays finite,
+        # but v's mixed term 0 * |u|^(s+1) is 0 * inf in the first N.  Either
+        # way v must not be left at 0
+        x = grid_1d.x[0]
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
+        c = Coupling(sigma, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        huge = make_state(grid_1d, amplitude * np.exp(-x**2))
+        companion = make_state(grid_1d, 0.5 * np.exp(-x**2), 0.5 * np.exp(-x**2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            alone = evolve(huge, 0.01, 1e-3, model, c, seed=4, record_every=2)
+            batch = evolve(self._batch([huge, companion]), 0.01, 1e-3, model, c,
+                           seed=[4, 5], record_every=2)
+        assert alone.outcome == "invalid" and alone.steps == 1
+        assert np.isnan(alone.state.v).any()
+        assert batch[1].outcome == "completed"
+        # equal with NaN at the same nodes; the sign bit of a NaN that went
+        # through a transform of the batch may differ, as it always has
+        self._assert_same(batch[0], alone)
+
     def test_per_path_arguments_checked(self, grid_1d, no_noise_1d):
         st_ = make_state(grid_1d, np.exp(-grid_1d.x[0] ** 2))
         pair = self._batch([st_, st_])

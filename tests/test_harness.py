@@ -314,6 +314,13 @@ class TestConfigParsing:
         text = CONFIG_TEXT.replace("seed = 99", "seed = 99  # master seed")
         assert parse_config(text).seed == 99
 
+    def test_default_section_rejected_as_section(self):
+        # configparser would copy [DEFAULT]'s keys into every section and
+        # report them as unknown keys of the first one
+        for header in ("[DEFAULT]\nseed = 5\n", "[DEFAULT]\n"):
+            with pytest.raises(ConfigError, match=r"unknown config section \[DEFAULT\]"):
+                parse_config(header + CONFIG_TEXT)
+
 
 class TestSnapshots:
     def test_bit_exact_roundtrip(self, tmp_path, grid_1d):

@@ -520,3 +520,36 @@ class TestRecordRow:
                                       scalar_coupling())
         recorder.record(st, 1.0, 0.0)
         assert len(calls) == 2 * (1 + grid_2d.dim)
+
+    def test_dead_component_halves_the_transforms(self, grid_2d, monkeypatch):
+        # evolve skips a component that is zero in every path: its L step,
+        # its diagnostics transform and its part of G in record()
+        calls, in_record = [], []
+        for name in ("fft", "ifft"):
+            original = getattr(Grid, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, counted)
+        record = TrajectoryRecorder.record
+
+        def counted_record(self, *args, **kwargs):
+            before = len(calls)
+            record(self, *args, **kwargs)
+            in_record.append(len(calls) - before)
+
+        monkeypatch.setattr(TrajectoryRecorder, "record", counted_record)
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(), g)
+        counts = {}
+        for label, v in (("live", 0.5 * np.exp(-g.r_sq)), ("dead", None)):
+            calls.clear()
+            in_record.clear()
+            evolve(make_state(g, np.exp(-g.r_sq), v), 1e-3, 1e-3, model, scalar_coupling())
+            counts[label] = (len(calls), list(in_record))
+        # the initial and the final diagnostics and record, one L step
+        assert counts["live"] == (2 * (2 + 2 * (1 + g.dim)) + 4, [2 * (1 + g.dim)] * 2)
+        assert counts["dead"][0] * 2 == counts["live"][0]
+        assert counts["dead"][1] == [1 + g.dim] * 2
