@@ -508,7 +508,7 @@ class TestBatch:
 
     def test_dead_row_skip_matches_live_row(self, grid_1d, grid_2d):
         # alone, the dead row is skipped; in a batch with a companion whose
-        # same row is live it is computed on its zeros, as every row used to be
+        # same row is live, it is computed on its zeros
         cases = self._dead_row_cases(grid_1d, grid_2d)
         for label, (model, c, T, kwargs, outcome, path, companion) in cases.items():
             alone = evolve(path, T, 1e-3, model, c, **dict(kwargs, seed=kwargs["seed"][0]))
@@ -536,7 +536,7 @@ class TestBatch:
         assert np.isnan(alone.state.v).any()
         assert batch[1].outcome == "completed"
         # equal with NaN at the same nodes; the sign bit of a NaN that went
-        # through a transform of the batch may differ, as it always has
+        # through a transform of the batch may differ, with or without a dead row
         self._assert_same(batch[0], alone)
 
     def test_per_path_arguments_checked(self, grid_1d, no_noise_1d):
