@@ -22,23 +22,42 @@ paths; :func:`evolve` advances such a batch, and a single run is the batch
 P = 1.  Each sub-step is written once for (u, v): N is one loop over the
 live rows with the coefficient pairs (l11, l12) and (l22, l21), L and the
 detector diagnostics loop their transforms over the live rows (on a 2D grid
-one transform of the pair runs slower than two of one component), and W and
-the finite check are one numpy call each over the whole pair.  Every
-operation is elementwise, a transform of the trailing grid axes or a sum over
-one component's nodes in one path, so each path's bits do not depend on the
-batch it was run in.
+one transform of the pair runs slower than two of one component), W is one
+numpy call over the whole pair, and the finite check one per chunk (below).
+Every operation is elementwise, a transform of the trailing grid axes or a
+sum over one component's nodes in one path, so each path's bits do not
+depend on the batch it was run in.
 
 A row that is zero in every path of the initial batch stays zero in every
 bit (each term of its equation carries it), so :func:`evolve` marks it dead
-on the :class:`Workspace` and N, L, the diagnostics and the recorder's G skip
-it.  Its zeros stay in the pair and in the workspace's moduli, so every output
-is bitwise what computing on them gives.  Revive rule: when its mixed
-coefficient is nonzero and the live row's |f|^(s+1) is not all finite, 0 * inf
-turns it NaN, so N computes it from then on.
+on the :class:`Workspace` and N, L, the diagnostics and the recorder's G and
+Ito terms skip it.  Its zeros stay in the pair and in the workspace's moduli,
+so every output is bitwise what computing on them gives.  Revive rule: when
+its mixed coefficient is nonzero and the live row's |f|^(s+1) is not all
+finite, 0 * inf turns it NaN, so N computes it from then on.
+
+A step and the diagnostics are written once, as phases over chunks of the
+grid (see :func:`strang_step`): row phases for the pointwise work and the
+transforms along the last axis, column phases for the transforms along the
+first axis (numpy transforms the last axis first, so the two passes are
+bitwise one transform of both).  A 2D state of at least ``_SPLIT_NODES``
+nodes per path, in a process that is not a multiprocessing child (ensemble
+workers already fill the cores) and may use two CPUs, runs each phase over
+two halves of the grid: the calling thread takes one, a helper thread the
+other.  The helper lives only inside :func:`evolve`.  Every other state runs
+each phase as one chunk on the calling thread.  Either way a chunk of a row
+phase holds whole grid rows, so every pointwise operation runs on contiguous
+rows, and the node sums run on the whole batch: the results are bitwise the
+same split or not.
 """
 
 from __future__ import annotations
 
+import contextvars
+import itertools
+import multiprocessing
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -183,15 +202,17 @@ class Workspace:
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
     the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask, and
     scratch fields for a state of pair ``shape`` (default: one path on
-    ``grid``): a real field of the pair's shape, and a complex and a real
-    field of one component's shape.  The N step keeps the two moduli in the
-    real pair and the phase angle in the real component field, and uses the
-    real and imaginary parts of the complex field as temporaries before it
-    writes the unimodular factor there; the diagnostics transform each
-    component into the complex field and sum powers in the real fields.  One
-    workspace serves one state (a path or a batch) at a time.
-    ``rows`` names the rows N, L and the diagnostics compute: both, unless
-    :func:`evolve` marks one dead; a dead row's moduli stay zero.
+    ``grid``): a real and a complex field of the pair's shape, and a complex
+    and a real field of one component's shape.  The N step keeps the two
+    moduli in the real pair and the phase angle in the real component field,
+    and uses the real and imaginary parts of the complex component field as
+    temporaries before it writes the unimodular factor there; the
+    diagnostics transform the pair into ``spectra`` and sum powers in the
+    real fields.  One workspace serves one state (a path or a batch) at a
+    time.  ``rows`` names the rows N, L and the diagnostics compute: both,
+    unless :func:`evolve` marks one dead; a dead row's moduli stay zero, and
+    its spectra are never written.  ``runner`` runs each phase of a step: as
+    one chunk, unless :func:`evolve` gives it a split runner.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
@@ -206,14 +227,146 @@ class Workspace:
         self.k_sq = grid.k_sq.reshape(axes)
         self.tail_mask = grid.tail_mask.reshape(axes)
         self.rows = (0, 1)
+        self.runner = _OneChunk()
         self.scratch = np.empty(shape[1:], dtype=complex)
+        self.spectra = np.empty(shape, dtype=complex)
         self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
-        # the same buffers with each component on one axis, for the pointwise
-        # N step: numpy runs a loop over one strided axis faster than over several
+        # the same buffers with each component on one axis, for an N step on
+        # the whole grid: numpy runs a loop over one strided axis faster than
+        # over several
         self.flat_scratch = self.scratch.reshape(-1)
         self.flat_moduli = self.moduli.reshape(2, -1)
         self.flat_real = self.real.reshape(-1)
+
+
+# A 2D state splits its phases over two threads when each path has at least
+# this many nodes.  Measured on a 2-vCPU x86-64 host, the collapse_2d step of
+# one path (n = 256) and its 64 and 128 analogues, split against one chunk,
+# interleaved: n = 64 0.4-0.5x, n = 128 0.9-1.1x, n = 256 1.2-1.5x,
+# n = 512 1.35-1.55x.  Halves beat quarters and eighths at n = 256.
+_SPLIT_NODES = 256 * 256
+
+
+class _OneChunk:
+    """Runs each phase of a step as one chunk on the calling thread.
+
+    A phase is a function of ``(index, axis)``: ``index`` selects its chunk's
+    nodes on the trailing grid axes, and ``axis`` is the one grid axis its
+    transforms run along, or None for all of them.  ``rows`` lists the chunks
+    of a row phase (pointwise work, and transforms along the last axis),
+    ``cols`` those of a column phase (transforms along the first axis).  Here
+    a row phase takes the whole grid and transforms every axis, so a column
+    phase has nothing left to do.
+    """
+
+    rows = ((Ellipsis, None),)
+    cols = ()
+
+    def run(self, phase, chunks) -> None:
+        for index, axis in chunks:
+            phase(index, axis)
+
+    def close(self) -> None:
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class _Split(_OneChunk):
+    """Runs each phase over two halves of a 2D grid on the calling thread and one helper thread.
+
+    A row chunk is half of the grid's rows, so every pointwise operation runs
+    on whole contiguous rows, as it does on the whole grid; a column chunk
+    is half of its columns.  Both threads take the next chunk of a phase
+    until none is left: the helper takes one, or none when it wakes after
+    the calling thread has taken both.  :meth:`run` returns once every chunk
+    is done, and raises what a chunk raised.  The helper starts with the
+    runner, in a copy of the creating thread's context (numpy's error
+    state), and ends at :meth:`close`.  The numpy calls of a chunk release
+    the GIL, so the two threads compute at once.
+    """
+
+    def __init__(self, grid: Grid):
+        halves = (slice(None, grid.n // 2), slice(grid.n // 2, None))
+        self.rows = tuple((np.s_[..., half, :], -1) for half in halves)
+        self.cols = tuple((np.s_[..., half], -2) for half in halves)
+        # locks used as binary semaphores, cheaper than a Condition: only
+        # run() releases _go and only the helper takes it; whoever finishes
+        # a phase's last chunk releases _done, and run() takes it
+        self._go, self._done = threading.Lock(), threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._error = None
+        self._helper = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._serve,), daemon=True)
+        self._helper.start()
+
+    def run(self, phase, chunks) -> None:
+        # the chunk iterator and the count of finished chunks are shared;
+        # next() on them is atomic under the GIL
+        task = self._task = (phase, chunks, iter(chunks), itertools.count(1))
+        if self._go.locked():  # else the helper has yet to take the last release
+            self._go.release()
+        self._take(task)
+        self._done.acquire()
+        error, self._error = self._error, None
+        if error is not None:
+            raise error
+
+    def _take(self, task) -> None:
+        phase, chunks, todo, finished = task
+        for index, axis in todo:
+            try:
+                phase(index, axis)
+            except BaseException as exc:  # raised on the calling thread by run()
+                self._error = exc
+            finally:
+                if next(finished) == len(chunks):
+                    self._done.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._go.acquire()
+            if self._task is None:
+                return
+            self._take(self._task)
+
+    def close(self) -> None:
+        self._task = None
+        if self._go.locked():
+            self._go.release()
+        self._helper.join()
+
+
+def _runner(grid: Grid) -> _OneChunk:
+    """Halves on two threads for a 2D grid of at least ``_SPLIT_NODES`` nodes, else one chunk.
+
+    Never in a multiprocessing child (ensemble workers already fill the
+    cores), nor with fewer than two usable CPUs.
+    """
+    if (grid.dim == 2 and grid.node_count >= _SPLIT_NODES
+            and multiprocessing.parent_process() is None
+            and len(os.sched_getaffinity(0)) >= 2):
+        return _Split(grid)
+    return _OneChunk()
+
+
+def _transform(transform, pair: np.ndarray, rows: tuple[int, ...], out=None):
+    """A phase that transforms the given rows of ``pair`` along its chunk's axis.
+
+    Into the same rows of ``out``, or of ``pair`` itself (in place).
+    """
+    out = pair if out is None else out
+
+    def phase(index, axis):
+        for i in rows:
+            transform(pair[i][index], out=out[i][index], axis=axis)
+    return phase
 
 
 def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
@@ -251,6 +404,43 @@ def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
     return out
 
 
+def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Workspace,
+                 index) -> tuple[int, ...]:
+    """N on the nodes ``index`` of the trailing grid axes; returns the rows it rotated.
+
+    Those are ``work.rows``, or both rows when the revive rule fires on these
+    nodes: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f| * |f| at
+    sigma = 1), which is NaN where that power of the live row is not finite.
+    """
+    if index is Ellipsis:
+        moduli, theta, e = work.flat_moduli, work.flat_real, work.flat_scratch
+    else:
+        moduli, theta, e = work.moduli[index], work.real[index], work.scratch[index]
+    pairs = ((coupling.l11, coupling.l12), (coupling.l22, coupling.l21))
+    rows = work.rows
+    if len(rows) == 2:
+        np.abs(fields[index], out=work.moduli[index])
+    else:
+        (live,) = rows
+        np.abs(fields[live][index], out=work.moduli[live][index])
+        if pairs[1 - live][1] != 0.0:
+            peak = moduli[live].max()
+            if coupling.sigma != 1.0:
+                peak = np.power(peak, coupling.sigma + 1.0)
+            if not np.isfinite(peak):
+                rows = (0, 1)
+    for i in rows:
+        l_self, l_mixed = pairs[i]
+        _phase_multiplier(moduli[i], moduli[1 - i], l_self, l_mixed, coupling.sigma,
+                          theta, e.real, e.imag)
+        theta *= dt
+        np.cos(theta, out=e.real)
+        np.sin(theta, out=e.imag)
+        f = fields[i][index]
+        f *= work.scratch[index]
+    return rows
+
+
 def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
                     work: Workspace | None = None) -> SystemState:
     """Exact flow of the nonlinear sub-equation: pointwise phase rotation.
@@ -260,36 +450,12 @@ def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
     Moduli are pointwise invariant; t is left to the caller.
 
     Without ``work`` the input is left untouched and a new state is returned.
-    With a :class:`Workspace` (as ``evolve`` passes) ``state`` itself is
-    updated and returned.
+    With a :class:`Workspace` ``state`` itself is updated and returned.
+    :func:`strang_step` runs the same rotation inside its phases.
     """
     if work is None:
         state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
-    moduli = work.flat_moduli
-    pairs = ((coupling.l11, coupling.l12), (coupling.l22, coupling.l21))
-    if len(work.rows) == 2:
-        np.abs(state.fields, out=work.moduli)
-    else:
-        (live,) = work.rows
-        np.abs(state.fields[live], out=work.moduli[live])
-        if pairs[1 - live][1] != 0.0:
-            # revive rule: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f|
-            # * |f| at sigma = 1), which is NaN where that power is not finite
-            peak = moduli[live].max()
-            if coupling.sigma != 1.0:
-                peak = np.power(peak, coupling.sigma + 1.0)
-            if not np.isfinite(peak):
-                work.rows = (0, 1)
-    theta, e = work.flat_real, work.flat_scratch
-    for i in work.rows:
-        l_self, l_mixed = pairs[i]
-        _phase_multiplier(moduli[i], moduli[1 - i], l_self, l_mixed, coupling.sigma,
-                          theta, e.real, e.imag)
-        theta *= dt
-        np.cos(theta, out=e.real)
-        np.sin(theta, out=e.imag)
-        f = state.fields[i]
-        f *= work.scratch
+    work.rows = _rotate_rows(state.fields, dt, coupling, work, Ellipsis)
     return state
 
 
@@ -310,28 +476,58 @@ def strang_step(
     ``evolve`` passes) ``state`` itself is advanced and returned.
     Non-finite output is flagged on the returned state instead of being
     raised.
+
+    The step runs as five phases of the workspace's runner: rows (N, then
+    the forward transform along the last axis), columns (the forward
+    transform along the first axis), rows (the free-flow multiplier, the
+    dealiasing mask, the inverse transform along the last axis), columns
+    (the inverse transform along the first axis), then W as one call on
+    the calling thread, then rows (N, the finite check).  One chunk
+    transforms every axis in its row phases.
     """
     if work is None:
         state, work = state.copy(), Workspace(state.grid, dt, state.fields.shape)
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
-    grid = state.grid
-    nonlinear_phase(state, 0.5 * dt, coupling, work)
+    grid, fields, runner = state.grid, state.fields, work.runner
+    revived, finite = [], []
 
-    for i in work.rows:
-        f = state.fields[i]
-        grid.fft(f, out=f)
-        f *= work.lin
-        if dealias:
-            f *= work.keep
-        grid.ifft(f, out=f)
+    def rotate(index):
+        rows = _rotate_rows(fields, 0.5 * dt, coupling, work, index)
+        if rows != work.rows:
+            revived.append(index)
+        return rows
 
+    def leading(index, axis):
+        for i in rotate(index):
+            f = fields[i][index]
+            grid.fft(f, out=f, axis=axis)
+
+    def free_flow(index, axis):
+        for i in work.rows:
+            f = fields[i][index]
+            f *= work.lin[index]
+            if dealias:
+                f *= work.keep[index]
+            grid.ifft(f, out=f, axis=axis)
+
+    def trailing(index, axis):
+        rotate(index)
+        finite.append(bool(np.isfinite(fields[index]).all()))
+
+    runner.run(leading, runner.rows)
+    if revived:
+        work.rows = (0, 1)
+    runner.run(_transform(grid.fft, fields, work.rows), runner.cols)
+    runner.run(free_flow, runner.rows)
+    runner.run(_transform(grid.ifft, fields, work.rows), runner.cols)
     if model.K > 0:
-        stratonovich_phase(state.fields, model, increments, out=state.fields)
-
-    nonlinear_phase(state, 0.5 * dt, coupling, work)
+        stratonovich_phase(fields, model, increments, out=fields)
+    runner.run(trailing, runner.rows)
+    if revived:
+        work.rows = (0, 1)
     state.t = state.t + dt
-    if not state.is_finite():
+    if not all(finite):
         state.blown_up = True
     return state
 
@@ -370,26 +566,34 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     ratio and the detector's initial value all come from here).  The tail
     fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
     top third of the resolvable frequency range (resolution-loss gauge, in
-    [0, 1]).  The transforms and powers go through the buffers of ``work``,
-    or of a fresh :class:`Workspace` when none is given; the transforms loop
-    over the live rows, as L does, because one transform of the pair runs
-    slower than two of one component on a 2D grid; a dead row's power is the
-    zeros its transform would give.  Returns two lists of floats with one
-    entry per path (one entry for a single path).
+    [0, 1]).  The transforms go into ``work.spectra`` and the powers into
+    its real pair, of ``work`` or of a fresh :class:`Workspace` when none is
+    given, in three phases of its runner (rows, columns, rows) over the live
+    rows, as L transforms them.  A dead row's power is the zeros its
+    transform would give.  The node sums run on the whole batch.  Returns
+    two lists of floats with one entry per path (one entry for a single
+    path).
     """
     grid = state.grid
     if work is None:
         work = Workspace(grid, shape=state.fields.shape)
-    power = work.moduli
-    for i in work.rows:
-        grid.fft(state.fields[i], out=work.scratch)
-        np.abs(work.scratch, out=power[i])
-        np.square(power[i], out=power[i])
-    total = np.add(power[0], power[1], out=work.real)
+    spectra, power, runner = work.spectra, work.moduli, work.runner
+    total = work.real
     term = power[work.rows[0]]  # never a dead row, whose zeros N reads
+
+    def powers(index, axis):
+        for i in work.rows:
+            p = power[i][index]
+            np.abs(spectra[i][index], out=p)
+            np.square(p, out=p)
+        np.add(power[0][index], power[1][index], out=total[index])
+        np.multiply(work.k_sq[index], total[index], out=term[index])
+
+    runner.run(_transform(grid.fft, state.fields, work.rows, spectra), runner.rows)
+    runner.run(_transform(grid.fft, spectra, work.rows), runner.cols)
+    runner.run(powers, runner.rows)
     scale = grid.spacing**grid.dim / grid.node_count
-    grad_norm_sq = [part * scale for part in
-                    _node_sums(np.multiply(work.k_sq, total, out=term), grid).tolist()]
+    grad_norm_sq = [part * scale for part in _node_sums(term, grid).tolist()]
     whole = _node_sums(total, grid).tolist()
     tail = _node_sums(np.multiply(total, work.tail_mask, out=term), grid).tolist()
     # a path without spectral power (zero or non-finite) reads a zero tail;
@@ -436,8 +640,13 @@ def evolve(
     array; a path that reaches blowup or invalid leaves it with its record.
     One path returns a :class:`TrajectoryResult`, a batch a list of P in path
     order, each bitwise equal to the result of that path evolved alone.
+    That promise does not cover the sign bits of NaN in the final state of
+    an "invalid" path: a transform of a batch row can propagate NaN signs
+    differently, so alone and batched they may differ at some nodes.  Its
+    record and outcome do match.
 
-    Identical (seed, config) pairs reproduce bit-identical records.
+    Identical (seed, config) pairs reproduce bit-identical records, whether
+    or not the step is split over two threads (see the module docstring).
     """
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
@@ -497,6 +706,9 @@ def evolve(
     # a revived row is NaN only in paths that leave unrecorded, as invalid
     recorder.rows = work.rows
     results: list[TrajectoryResult | None] = [None] * n_paths
+    # the diagnostics' spectra of the current state, for the recorder's
+    # gradients; None once a step has moved the state on
+    spectra = None
 
     def path_state(r):
         """A state that views batch row ``r`` of the fields, at the batch's time."""
@@ -504,7 +716,7 @@ def evolve(
 
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
-        nonlocal state, live, work, increments, rngs, detectors
+        nonlocal state, live, work, increments, rngs, detectors, spectra
         for r in rows:
             final = SystemState.of_pair(state.fields[:, r].copy(), state.t, grid,
                                         blown_up=outcome == "invalid")
@@ -522,44 +734,54 @@ def evolve(
         live = [p for p, kept in zip(live, keep) if kept]
         detectors = [d for d, kept in zip(detectors, keep) if kept]
         recorder.keep(keep)
+        if spectra is not None:
+            spectra = spectra[:, keep]
         if live:
-            rows, work = work.rows, Workspace(grid, dt, state.fields.shape)
-            work.rows = rows
+            rows, runner = work.rows, work.runner
+            work = Workspace(grid, dt, state.fields.shape)
+            work.rows, work.runner = rows, runner
 
-    grad, tail = _spectral_diagnostics(state, work)
-    for r in range(n_paths):
-        recorder.record(path_state(r), grad[r], tail[r], row=r)
-
-    for j in range(n_steps):
-        if increments is not None:
-            inc = increments[:, j]
-        else:
-            inc = np.empty((len(rngs), model.K))
-            for r, gen in enumerate(rngs):
-                inc[r] = sample_increments(model.K, dt, gen)
-        recorder.on_step(state, inc)
-        strang_step(state, dt, model, inc, coupling, work=work, dealias=dealias)
-
-        if state.blown_up:
-            leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
-            if not live:
-                break
-
-        due = (j + 1) % record_every == 0 or j == n_steps - 1
-        if not (detecting or due):
-            continue
+    # the helper thread of a split runner lives only inside this block
+    with _runner(grid) as runner:
+        work.runner = runner
         grad, tail = _spectral_diagnostics(state, work)
-        fired = []
-        for r, detect in enumerate(detectors):
-            hit = detect is not None and bool(detect(grad[r], tail[r]))
-            if hit or due:
-                recorder.record(path_state(r), grad[r], tail[r], row=r)
-            if hit:
-                fired.append(r)
-        if fired:
-            leave(fired, "blowup", j + 1)
-            if not live:
-                break
+        spectra = work.spectra
+        for r in range(n_paths):
+            recorder.record(path_state(r), grad[r], tail[r], row=r, spectra=spectra[:, r])
+
+        for j in range(n_steps):
+            if increments is not None:
+                inc = increments[:, j]
+            else:
+                inc = np.empty((len(rngs), model.K))
+                for r, gen in enumerate(rngs):
+                    inc[r] = sample_increments(model.K, dt, gen)
+            recorder.on_step(state, inc, spectra)
+            strang_step(state, dt, model, inc, coupling, work=work, dealias=dealias)
+            spectra = None
+
+            if state.blown_up:
+                leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
+                if not live:
+                    break
+
+            due = (j + 1) % record_every == 0 or j == n_steps - 1
+            if not (detecting or due):
+                continue
+            grad, tail = _spectral_diagnostics(state, work)
+            spectra = work.spectra
+            fired = []
+            for r, detect in enumerate(detectors):
+                hit = detect is not None and bool(detect(grad[r], tail[r]))
+                if hit or due:
+                    recorder.record(path_state(r), grad[r], tail[r], row=r,
+                                    spectra=spectra[:, r])
+                if hit:
+                    fired.append(r)
+            if fired:
+                leave(fired, "blowup", j + 1)
+                if not live:
+                    break
 
     if live:
         leave(range(len(live)), "completed", n_steps)

@@ -90,12 +90,21 @@ class Grid:
     # transform the trailing ``dim`` axes only, so a batch of fields on a
     # leading axis is transformed row by row (each row bitwise equal to its
     # transform alone); ``out`` may be the input itself (in place, bitwise
-    # equal); passing ``s`` spares numpy a slow shape lookup per call
+    # equal); passing ``s`` spares numpy a slow shape lookup per call.
+    # ``axis`` transforms along that one grid axis only: numpy transforms the
+    # last axis first, so the last axis and then the first is bitwise the
+    # transform of both
 
-    def fft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def fft(self, values: np.ndarray, out: np.ndarray | None = None,
+            axis: int | None = None) -> np.ndarray:
+        if axis is not None:
+            return np.fft.fft(values, axis=axis, out=out)
         return np.fft.fftn(values, s=self.shape, axes=self._axes, out=out)
 
-    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def ifft(self, coeffs: np.ndarray, out: np.ndarray | None = None,
+             axis: int | None = None) -> np.ndarray:
+        if axis is not None:
+            return np.fft.ifft(coeffs, axis=axis, out=out)
         return np.fft.ifftn(coeffs, s=self.shape, axes=self._axes, out=out)
 
     def free_propagate(self, values: np.ndarray, dt: float) -> np.ndarray:
@@ -107,13 +116,17 @@ class Grid:
             raise ValueError("free_propagate requires a finite field")
         return self.ifft(self.fft(values) * np.exp(-1j * self.k_sq * dt))
 
-    def gradient(self, values: np.ndarray) -> list[np.ndarray]:
+    def gradient(self, values: np.ndarray,
+                 coeffs: np.ndarray | None = None) -> list[np.ndarray]:
         """Spectral gradient: Fourier multiplier ``i*k`` per axis.
 
         The Nyquist frequency is excluded from the multiplier so that real
-        input yields a real-valued derivative to round-off.
+        input yields a real-valued derivative to round-off.  ``coeffs``, when
+        given, is ``self.fft(values)`` already taken, and is not transformed
+        again.
         """
-        coeffs = self.fft(values)
+        if coeffs is None:
+            coeffs = self.fft(values)
         return [self.ifft(1j * ka * coeffs) for ka in self._k_deriv]
 
     # -- quadrature ---------------------------------------------------------

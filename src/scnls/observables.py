@@ -19,7 +19,10 @@ The masked mixed-term factor |f|^(s-1) lives only in
 ground-state solver.  :meth:`TrajectoryRecorder.record` takes |u| and |v|
 once per row and reuses the diagnostics ``evolve`` has just computed, so of
 a row only G transforms, and only the live components (a component that is
-zero in every path ``evolve`` started from adds exactly 0 to G).
+zero in every path ``evolve`` started from adds exactly 0 to G).  G and the
+Ito terms of :meth:`TrajectoryRecorder.on_step` take their forward
+transforms from the diagnostics' spectra of the same state when ``evolve``
+has them, so they transform only back.
 
 Along a path, M is exactly conserved by the scheme.  H evolves by an Ito
 martingale plus a drift; two candidate drift kernels are computed side by
@@ -148,11 +151,16 @@ def momentum_G(state: SystemState) -> float:
     return _momentum(state.grid, state.fields)
 
 
-def _momentum(grid: Grid, fields) -> float:
-    """G summed over the component fields given; a zero field adds exactly 0."""
+def _momentum(grid: Grid, fields, rows=(0, 1), spectra=None) -> float:
+    """G summed over the given rows of the pair; a zero field adds exactly 0.
+
+    ``spectra``, when given, holds the pair's forward transforms, so the
+    gradients take only their inverse transforms.
+    """
     total = 0.0j
-    for f in fields:
-        grads = grid.gradient(f)
+    for i in rows:
+        f = fields[i]
+        grads = grid.gradient(f, None if spectra is None else spectra[i])
         xdot = sum(xa * np.conj(da) for xa, da in zip(grid.x, grads))
         total += grid.quadrature(f * xdot)
     return float(np.imag(total))
@@ -206,30 +214,35 @@ _ROW_NAMES = (
 )
 
 
-def _ito_terms(fields: np.ndarray, model: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+def _ito_terms(fields: np.ndarray, model: NoiseModel, rows=(0, 1),
+               spectra=None) -> tuple[np.ndarray, np.ndarray]:
     """Per-component, per-path, per-mode Ito integrands of a batch pair, each (2, P, K).
 
     Im integral conj(f) grad(f) . grad(g_k) dx (energy identity) and
     integral |f|^2 x.grad(g_k) dx (momentum identity) for each row f of the
-    pair ``fields`` (shape ``(2, P, *grid.shape)``), with that component's
-    own modes.  The rows are taken one at a time, as the L step takes them:
-    the gradient's temporaries of one component cost less than those of the
-    pair (measured on the ``ensemble_1d`` batches of 8 and 16 paths).
+    pair ``fields`` (shape ``(2, P, *grid.shape)``) in ``rows``, with that
+    component's own modes; a row not in ``rows`` is zero in every path and
+    its terms are 0.  The rows are taken one at a time, as the L step takes
+    them: the gradient's temporaries of one component cost less than those
+    of the pair (measured on the ``ensemble_1d`` batches of 8 and 16 paths).
+    ``spectra``, when given, holds the pair's forward transforms.
     """
     grid = model.grid
     h = grid.spacing**grid.dim
     energy = np.zeros(fields.shape[:2] + (model.K,))
     moment = np.zeros_like(energy)
-    for f, f_energy, f_moment, grad_modes, xdot in zip(
-            fields, energy, moment, (model.grad_modes_u, model.grad_modes_v),
-            (model.xdot_grad_u, model.xdot_grad_v)):
+    for i in rows:
+        f, f_energy, f_moment = fields[i], energy[i], moment[i]
+        grad_modes = (model.grad_modes_u, model.grad_modes_v)[i]
+        xdot = (model.xdot_grad_u, model.xdot_grad_v)[i]
         density = np.abs(f)
         np.square(density, out=density)
         for k, field in enumerate(xdot):
             f_moment[:, k] = _node_sums(density * field, grid) * h
         del density  # freed before the gradient's transforms allocate
         conj_f = np.conj(f)
-        for axis, derivative in enumerate(grid.gradient(f)):
+        coeffs = None if spectra is None else spectra[i]
+        for axis, derivative in enumerate(grid.gradient(f, coeffs)):
             derivative *= conj_f
             for k, mode_gradient in enumerate(grad_modes):
                 f_energy[:, k] += _node_sums(derivative.imag * mode_gradient[axis], grid)
@@ -258,7 +271,11 @@ class TrajectoryRecorder:
     path's own state; ``finalize(row)`` returns the path's record.  When
     paths leave the batch, ``keep(mask)`` drops their rows so that the rest
     close up as the batch's rows do.  ``evolve`` sets ``rows``, the live
-    components, to its workspace's.
+    components, to its workspace's; the Ito terms and G are taken over them
+    only.  Both calls take an optional ``spectra``: the forward transforms
+    of the pair the diagnostics have just taken of the same state, so that
+    the gradients only transform back.  Without it they transform the state
+    themselves.
     """
 
     def __init__(self, model: NoiseModel, coupling: Coupling,
@@ -272,37 +289,42 @@ class TrajectoryRecorder:
         # columns of raw doubles: a row costs 8 bytes per value, not a float object
         self._rows = [{name: array("d") for name in _ROW_NAMES} for _ in range(paths)]
 
-    def on_step(self, state: SystemState, increments: np.ndarray) -> None:
+    def on_step(self, state: SystemState, increments: np.ndarray,
+                spectra: np.ndarray | None = None) -> None:
         """Add one step's Ito terms of the energy and momentum identities.
 
         ``state`` is the batch pair, fields of shape ``(2, paths, *grid.shape)``;
         one call takes the terms of both components, added in the order u, v.
         Every path's terms are sums over its own nodes, taken mode by mode,
-        so they are bitwise the same whatever the batch size.
+        so they are bitwise the same whatever the batch size.  ``spectra``,
+        of the same shape, holds the pair's forward transforms when the
+        caller has them.
         """
         model = self.model
         if not self.track or model.K == 0:
             return
-        energy, moment = _ito_terms(state.fields, model)
+        energy, moment = _ito_terms(state.fields, model, self.rows, spectra)
         # energy identity: H(t) = H(0) - sum_k Im(...) dB_k + drift
         self._stoch_energy -= _mode_dot(energy[0] + energy[1], increments)
         self._stoch_G += _mode_dot(moment[0] + moment[1], increments)
 
     def record(self, state: SystemState, grad_norm_sq: float, tail: float,
-               row: int = 0) -> None:
+               row: int = 0, spectra: np.ndarray | None = None) -> None:
         """Append one row to path ``row`` at ``state``, that path's own state.
 
         ``grad_norm_sq`` and ``tail`` are the spectral diagnostics of this
         state (``evolve`` has just computed them); H takes its kinetic part
-        from them.  |u| and |v| are taken once, and the masses, V, both drift
-        kernels and the potential integrals all come from them, so only G
-        transforms, and only for the components in ``rows``.  G goes first,
-        so that its complex temporaries are freed before the moduli are taken.
+        from them, and G its forward transforms from ``spectra`` (this path's
+        pair of them) when given.  |u| and |v| are taken once, and the
+        masses, V, both drift kernels and the potential integrals all come
+        from them, so only G transforms, and only for the components in
+        ``rows``.  G goes first, so that its complex temporaries are freed
+        before the moduli are taken.
         """
         grid = state.grid
         model = self.model
         c = self.coupling
-        G = _momentum(grid, (state.fields[i] for i in self.rows))
+        G = _momentum(grid, state.fields, self.rows, spectra)
         moduli = np.abs(state.fields)
         au, av = moduli
         iu, iv, iuv = potential = _potential_integrals(au, av, c.sigma, grid)

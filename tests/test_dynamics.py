@@ -547,3 +547,149 @@ class TestBatch:
         with pytest.raises(ValueError, match="increments"):
             evolve(pair, 0.01, 1e-3, no_noise_1d, scalar_coupling(),
                    increments=np.zeros((10, 0)))
+
+
+class TestSplitStep:
+    """A 2D step split over row and column halves on two threads equals the one-chunk step.
+
+    The split is forced on for the small test grid, or off, through the
+    node count from which ``evolve`` splits.
+    """
+
+    @staticmethod
+    def _evolve(monkeypatch, split, *args, **kwargs):
+        from scnls import dynamics
+
+        monkeypatch.setattr(dynamics, "_SPLIT_NODES", 0 if split else np.inf)
+        return evolve(*args, **kwargs)
+
+    @staticmethod
+    def _assert_bitwise(got, ref):
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert (a.outcome, a.t_star, a.steps) == (b.outcome, b.t_star, b.steps)
+            assert (a.state.t, a.state.blown_up) == (b.state.t, b.state.blown_up)
+            assert a.state.fields.tobytes() == b.state.fields.tobytes()
+            for name, value in vars(b.record).items():
+                other = getattr(a.record, name)
+                if isinstance(value, np.ndarray):
+                    assert other.tobytes() == value.tobytes(), name
+                else:
+                    assert other == value, name
+
+    @staticmethod
+    def _counting(detectors, seen):
+        """The detectors, each noting the live thread count when called."""
+        import threading
+
+        def spy(detect):
+            def call(grad, tail):
+                seen.add(threading.active_count())
+                return detect(grad, tail)
+            return call
+        return [spy(d) for d in detectors]
+
+    @staticmethod
+    def _splits_here():
+        import os
+
+        return len(os.sched_getaffinity(0)) >= 2
+
+    def test_batch_with_live_rows_leaving_on_blowup(self, grid_2d, monkeypatch):
+        import threading
+
+        from scnls import BlowupDetector
+        from scnls.dynamics import _spectral_diagnostics
+
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(K=2, a0=0.1), g)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        # the first path collapses, the second does not
+        states = [make_state(g, a * np.exp(-g.r_sq), 0.5 * np.exp(-g.r_sq)) for a in (4.5, 2.5)]
+        batch = TestBatch._batch(states)
+        detectors = [BlowupDetector.for_initial(_spectral_diagnostics(s)[0][0]) for s in states]
+        kwargs = dict(seed=[1, 2], record_every=25, track_identities=True)
+        before = threading.active_count()
+        seen = set()
+        split = self._evolve(monkeypatch, True, batch, 0.2, 1e-3, model, c,
+                             detector=self._counting(detectors, seen), **kwargs)
+        assert threading.active_count() == before
+        assert seen == {before + 1 if self._splits_here() else before}
+        one = self._evolve(monkeypatch, False, batch, 0.2, 1e-3, model, c,
+                           detector=detectors, **kwargs)
+        assert [r.outcome for r in one] == ["blowup", "completed"]
+        assert np.any(one[1].record.stoch_energy != 0)
+        self._assert_bitwise(split, one)
+
+    def test_dead_row(self, grid_2d, monkeypatch):
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(K=2, a0=0.3), g)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        states = [make_state(g, a * np.exp(-g.r_sq)) for a in (1.5, 2.0)]
+        kwargs = dict(seed=[3, 4], record_every=5, track_identities=True, dealias=True)
+        split, one = (self._evolve(monkeypatch, s, TestBatch._batch(states), 0.03, 1e-3,
+                                   model, c, **kwargs) for s in (True, False))
+        assert [r.outcome for r in one] == ["completed"] * 2
+        assert not one[0].state.v.any()
+        self._assert_bitwise(split, one)
+
+    def test_dead_row_revived_in_one_half(self, grid_2d, monkeypatch):
+        # the first path's |u|^(s+1) overflows in the second half of the rows
+        # only, so only that half revives the dead row in the first N
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), g)
+        c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        huge = 1e220 * np.exp(-4.0 * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(huge[g.n // 2:] ** 1.5).all()
+        assert np.isfinite(huge[: g.n // 2] ** 1.5).all()
+        batch = make_state(g, np.stack([huge, 0.5 * np.exp(-g.r_sq)]),
+                           np.zeros((2,) + g.shape))
+        with np.errstate(over="ignore", invalid="ignore"):
+            split, one = (self._evolve(monkeypatch, s, batch, 0.01, 1e-3, model, c,
+                                       seed=[4, 5], record_every=2) for s in (True, False))
+        assert [r.outcome for r in one] == ["invalid", "completed"]
+        self._assert_bitwise(split[1:], one[1:])
+        # equal with NaN at the same nodes; NaN sign bits may differ
+        TestBatch._assert_same(split[0], one[0])
+
+    def test_helper_ends_when_evolve_raises(self, grid_2d, monkeypatch):
+        import threading
+
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(), g)
+        before = threading.active_count()
+
+        def detector(grad, tail):
+            raise RuntimeError("detector failed")
+
+        st_ = make_state(g, np.exp(-g.r_sq))
+        with pytest.raises(RuntimeError, match="detector failed"):
+            self._evolve(monkeypatch, True, st_, 0.01, 1e-3, model, scalar_coupling(),
+                         detector=detector)
+        assert threading.active_count() == before
+
+    def test_helper_raises_under_the_callers_error_state(self, grid_2d):
+        import threading
+        import time
+
+        from scnls.dynamics import _Split
+
+        caller = threading.get_ident()
+
+        def phase(index, axis):
+            if threading.get_ident() == caller:
+                time.sleep(0.05)  # leaves chunks for the helper to take
+            else:
+                np.square(np.array([1e200]))
+
+        before = threading.active_count()
+        with np.errstate(over="raise"):
+            runner = _Split(grid_2d)
+        try:
+            with pytest.raises(FloatingPointError):
+                runner.run(phase, runner.rows)
+            runner.run(lambda index, axis: None, runner.cols)
+        finally:
+            runner.close()
+        assert threading.active_count() == before

@@ -543,6 +543,26 @@ class TestEnsemble:
         with pytest.raises(HarnessError, match="failed numerically"):
             run_ensemble(cfg, 2, output_dir=tmp_path / "ens", write_paths=False)
 
+    def test_pool_workers_never_split_the_step(self, tmp_path, monkeypatch):
+        # ensemble workers already fill the cores, so evolve in a worker runs
+        # each phase as one chunk where the parent would start a helper
+        import os
+
+        from scnls import dynamics
+
+        class NoHelper(dynamics._Split):
+            def __init__(self, grid):
+                raise AssertionError("evolve split the step")
+
+        monkeypatch.setattr(dynamics, "_SPLIT_NODES", 0)
+        monkeypatch.setattr(dynamics, "_Split", NoHelper)
+        cfg = base_config(dim=2, n=32, L=16.0, noise=NoiseSpec(K=2, a0=0.1), T=0.01)
+        if len(os.sched_getaffinity(0)) >= 2:
+            with pytest.raises(AssertionError, match="split"):
+                dynamics._runner(cfg.build_grid())
+        ens = run_ensemble(cfg, 2, workers=2, output_dir=tmp_path, write_paths=False)
+        assert ens.n_paths == 2
+
     def test_workers_env_override(self, tmp_path, monkeypatch):
         # the environment sets only the CLI default (TestCli); the library
         # runs with the worker count it is given

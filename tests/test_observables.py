@@ -20,7 +20,7 @@ from scnls import (
     virial_residuals,
 )
 
-from scnls.dynamics import _spectral_diagnostics
+from scnls.dynamics import Workspace, _spectral_diagnostics
 from scnls.grid import Grid
 from scnls.observables import TrajectoryRecorder
 
@@ -504,8 +504,11 @@ class TestRecordRow:
         assert (rec.grad_norm_sq[0], rec.spectral_tail_fraction[0]) == (grad, tail)
 
     def test_2d_record_transforms_only_for_G(self, grid_2d, monkeypatch):
-        # G takes one forward and dim inverse transforms per component; the
-        # gradient norm and H come from the diagnostics passed in
+        # G takes dim inverse transforms per component from the diagnostics'
+        # spectra; the gradient norm and H come from the diagnostics passed in
+        st = make_state(grid_2d, np.exp(-grid_2d.r_sq), 0.5 * np.exp(-grid_2d.r_sq))
+        work = Workspace(grid_2d)
+        (grad,), (tail,) = _spectral_diagnostics(st, work)
         calls = []
         for name in ("fft", "ifft"):
             original = getattr(Grid, name)
@@ -515,11 +518,47 @@ class TestRecordRow:
                 return _original(self, *args, **kwargs)
 
             monkeypatch.setattr(Grid, name, counted)
-        st = make_state(grid_2d, np.exp(-grid_2d.r_sq), 0.5 * np.exp(-grid_2d.r_sq))
         recorder = TrajectoryRecorder(build_noise_model(NoiseSpec(), grid_2d),
                                       scalar_coupling())
-        recorder.record(st, 1.0, 0.0)
-        assert len(calls) == 2 * (1 + grid_2d.dim)
+        recorder.record(st, grad, tail, spectra=work.spectra)
+        assert len(calls) == 2 * grid_2d.dim
+        assert recorder.finalize().G[0] == momentum_G(st)
+
+    def test_on_step_transforms_only_the_live_rows(self, grid_1d, monkeypatch):
+        # on_step's gradients take the diagnostics' spectra when the step
+        # before was diagnosed, else transform forward themselves; a dead
+        # component adds exactly 0 and is not transformed
+        calls, in_step = [], []
+        for name in ("fft", "ifft"):
+            original = getattr(Grid, name)
+
+            def counted(self, *args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Grid, name, counted)
+        on_step = TrajectoryRecorder.on_step
+
+        def counted_on_step(self, *args, **kwargs):
+            before = len(calls)
+            on_step(self, *args, **kwargs)
+            in_step.append(len(calls) - before)
+
+        monkeypatch.setattr(TrajectoryRecorder, "on_step", counted_on_step)
+        x = grid_1d.x[0]
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        counts = {}
+        for label, v in (("live", 0.5 * np.exp(-x**2)), ("dead", None)):
+            in_step.clear()
+            res = evolve(make_state(grid_1d, np.exp(-x**2), v), 3e-3, 1e-3, model, c,
+                         seed=1, record_every=2, track_identities=True)
+            assert np.all(res.record.stoch_energy[1:] != 0)
+            counts[label] = list(in_step)
+        # the first step follows the initial diagnostics, the second an
+        # undiagnosed step, the third the record after the second
+        assert counts["live"] == [2, 4, 2]
+        assert counts["dead"] == [1, 2, 1]
 
     def test_dead_component_halves_the_transforms(self, grid_2d, monkeypatch):
         # evolve skips a component that is zero in every path: its L step,
@@ -549,7 +588,8 @@ class TestRecordRow:
             in_record.clear()
             evolve(make_state(g, np.exp(-g.r_sq), v), 1e-3, 1e-3, model, scalar_coupling())
             counts[label] = (len(calls), list(in_record))
-        # the initial and the final diagnostics and record, one L step
-        assert counts["live"] == (2 * (2 + 2 * (1 + g.dim)) + 4, [2 * (1 + g.dim)] * 2)
+        # the initial and the final diagnostics and record (G from the
+        # diagnostics' spectra), one L step
+        assert counts["live"] == (2 * (2 + 2 * g.dim) + 4, [2 * g.dim] * 2)
         assert counts["dead"][0] * 2 == counts["live"][0]
-        assert counts["dead"][1] == [1 + g.dim] * 2
+        assert counts["dead"][1] == [g.dim] * 2
