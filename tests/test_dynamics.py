@@ -558,9 +558,9 @@ class TestSplitStep:
 
     @staticmethod
     def _evolve(monkeypatch, split, *args, **kwargs):
-        from scnls import dynamics
+        from scnls import phases
 
-        monkeypatch.setattr(dynamics, "_SPLIT_NODES", 0 if split else np.inf)
+        monkeypatch.setattr(phases, "_SPLIT_NODES", 0 if split else np.inf)
         return evolve(*args, **kwargs)
 
     @staticmethod
@@ -673,7 +673,7 @@ class TestSplitStep:
         import threading
         import time
 
-        from scnls.dynamics import _Split
+        from scnls.phases import _Split
 
         caller = threading.get_ident()
 

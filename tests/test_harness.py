@@ -548,18 +548,18 @@ class TestEnsemble:
         # each phase as one chunk where the parent would start a helper
         import os
 
-        from scnls import dynamics
+        from scnls import phases
 
-        class NoHelper(dynamics._Split):
+        class NoHelper(phases._Split):
             def __init__(self, grid):
                 raise AssertionError("evolve split the step")
 
-        monkeypatch.setattr(dynamics, "_SPLIT_NODES", 0)
-        monkeypatch.setattr(dynamics, "_Split", NoHelper)
+        monkeypatch.setattr(phases, "_SPLIT_NODES", 0)
+        monkeypatch.setattr(phases, "_Split", NoHelper)
         cfg = base_config(dim=2, n=32, L=16.0, noise=NoiseSpec(K=2, a0=0.1), T=0.01)
         if len(os.sched_getaffinity(0)) >= 2:
             with pytest.raises(AssertionError, match="split"):
-                dynamics._runner(cfg.build_grid())
+                phases._runner(cfg.build_grid())
         ens = run_ensemble(cfg, 2, workers=2, output_dir=tmp_path, write_paths=False)
         assert ens.n_paths == 2
 
