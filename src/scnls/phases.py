@@ -27,6 +27,7 @@ import itertools
 import multiprocessing
 import os
 import threading
+import time
 
 import numpy as np
 
@@ -38,6 +39,15 @@ from .grid import Grid
 # interleaved: n = 64 0.4-0.5x, n = 128 0.9-1.1x, n = 256 1.2-1.5x,
 # n = 512 1.35-1.55x.  Halves beat quarters and eighths at n = 256.
 _SPLIT_NODES = 256 * 256
+# A split runner weighs each window of this many phases it ran on two
+# threads: when their wall time exceeds the calling thread's compute time
+# scaled to all chunks (what it would take alone), it runs the next
+# _SOLO_WINDOWS windows on the calling thread alone, then tries the helper
+# again.  A helper whose CPU another process holds makes every phase wait
+# for it (collapse_2d ran at 56 and 83 steps/s split, against 134-143 at the
+# parent, in a stretch when the host was busy).
+_WINDOW = 64
+_SOLO_WINDOWS = 8
 
 
 class _OneChunk:
@@ -72,11 +82,13 @@ class _Split(_OneChunk):
     on whole contiguous rows, as it does on the whole grid; a column chunk
     is half of its columns.  Both threads take the next chunk of a phase
     until none is left: the helper takes one, or none when it wakes after
-    the calling thread has taken both.  :meth:`run` returns once every chunk
-    is done, and raises what a chunk raised.  The helper starts with the
-    runner, in a copy of the creating thread's context (numpy's error
-    state), and ends at :meth:`close`.  The numpy calls of a chunk release
-    the GIL, so the two threads compute at once.
+    the calling thread has taken both.  While the split does not pay (see
+    ``_WINDOW``) the calling thread takes every chunk and the helper sleeps.
+    :meth:`run` returns once every chunk is done, and raises what a chunk
+    raised.  The helper starts with the runner, in a copy of the creating
+    thread's context (numpy's error state), and ends at :meth:`close`.  The
+    numpy calls of a chunk release the GIL, so the two threads compute at
+    once.
     """
 
     def __init__(self, grid: Grid):
@@ -90,6 +102,9 @@ class _Split(_OneChunk):
         self._go.acquire()
         self._done.acquire()
         self._task = self._error = None
+        # the current window: phases, their wall time, the estimate alone;
+        # and the phases left to run alone
+        self._phases, self._wall, self._alone, self._solo = 0, 0.0, 0.0, 0
         self._helper = threading.Thread(target=contextvars.copy_context().run,
                                         args=(self._serve,), daemon=True)
         self._helper.start()
@@ -98,17 +113,37 @@ class _Split(_OneChunk):
         # the chunk iterator and the count of finished chunks are shared;
         # next() on them is atomic under the GIL
         task = self._task = (phase, chunks, iter(chunks), itertools.count(1))
-        if self._go.locked():  # else the helper has yet to take the last release
+        split = not self._solo
+        if split and self._go.locked():  # else the helper has yet to take the last release
             self._go.release()
-        self._take(task)
+        start = time.perf_counter()
+        taken = self._take(task)
+        computed = time.perf_counter()
         self._done.acquire()
+        if not split:
+            self._solo -= 1
+        elif taken:
+            self._weigh(time.perf_counter() - start,
+                        (computed - start) * len(chunks) / taken)
         error, self._error = self._error, None
         if error is not None:
             raise error
 
-    def _take(self, task) -> None:
+    def _weigh(self, wall: float, alone: float) -> None:
+        self._phases += 1
+        self._wall += wall
+        self._alone += alone
+        if self._phases == _WINDOW:
+            if self._wall > self._alone:
+                self._solo = _WINDOW * _SOLO_WINDOWS
+            self._phases, self._wall, self._alone = 0, 0.0, 0.0
+
+    def _take(self, task) -> int:
+        """Run chunks of ``task`` until none is left; returns how many this thread ran."""
         phase, chunks, todo, finished = task
+        taken = 0
         for index, axis in todo:
+            taken += 1
             try:
                 phase(index, axis)
             except BaseException as exc:  # raised on the calling thread by run()
@@ -116,6 +151,7 @@ class _Split(_OneChunk):
             finally:
                 if next(finished) == len(chunks):
                     self._done.release()
+        return taken
 
     def _serve(self) -> None:
         while True:

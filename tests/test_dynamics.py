@@ -669,6 +669,38 @@ class TestSplitStep:
                          detector=detector)
         assert threading.active_count() == before
 
+    def test_runs_alone_while_the_helper_lags(self, grid_2d, monkeypatch):
+        import threading
+        import time
+
+        from scnls import phases
+
+        monkeypatch.setattr(phases, "_WINDOW", 4)
+        monkeypatch.setattr(phases, "_SOLO_WINDOWS", 2)
+        caller = threading.get_ident()
+        on_caller = []
+
+        def phase(index, axis):
+            on_caller.append(threading.get_ident() == caller)
+            # the helper's chunk takes four times the caller's, as when
+            # another process holds the helper's CPU
+            time.sleep(0.02 if on_caller[-1] else 0.08)
+
+        runner = phases._Split(grid_2d)
+        try:
+            for _ in range(4):
+                runner.run(phase, runner.rows)
+            assert not all(on_caller)
+            on_caller.clear()
+            for _ in range(8):
+                runner.run(phase, runner.rows)
+            assert on_caller == [True] * 16
+            on_caller.clear()
+            runner.run(phase, runner.rows)  # the helper is tried again
+            assert on_caller == [True, False]
+        finally:
+            runner.close()
+
     def test_helper_raises_under_the_callers_error_state(self, grid_2d):
         import threading
         import time
