@@ -669,35 +669,39 @@ class TestSplitStep:
                          detector=detector)
         assert threading.active_count() == before
 
-    def test_runs_alone_while_the_helper_lags(self, grid_2d, monkeypatch):
+    @pytest.mark.parametrize("helper_s", [0.08, 0.02])
+    def test_runs_the_faster_way(self, grid_2d, monkeypatch, helper_s):
+        # windows of two phases: an untimed first one with the helper, then
+        # cycles of one with the helper, one alone and two the faster way.  A
+        # helper chunk that takes four times the caller's (its CPU held by
+        # another process) loses to the caller alone; one as fast as the
+        # caller's wins
         import threading
         import time
 
         from scnls import phases
 
-        monkeypatch.setattr(phases, "_WINDOW", 4)
-        monkeypatch.setattr(phases, "_SOLO_WINDOWS", 2)
+        monkeypatch.setattr(phases, "_WINDOW", 2)
+        monkeypatch.setattr(phases, "_EXPLOIT", 2)
         caller = threading.get_ident()
         on_caller = []
 
         def phase(index, axis):
             on_caller.append(threading.get_ident() == caller)
-            # the helper's chunk takes four times the caller's, as when
-            # another process holds the helper's CPU
-            time.sleep(0.02 if on_caller[-1] else 0.08)
+            time.sleep(0.02 if on_caller[-1] else helper_s)
+
+        def windows(count):
+            on_caller.clear()
+            for _ in range(2 * count):
+                runner.run(phase, runner.rows)
+            return list(on_caller)
 
         runner = phases._Split(grid_2d)
         try:
-            for _ in range(4):
-                runner.run(phase, runner.rows)
-            assert not all(on_caller)
-            on_caller.clear()
-            for _ in range(8):
-                runner.run(phase, runner.rows)
-            assert on_caller == [True] * 16
-            on_caller.clear()
-            runner.run(phase, runner.rows)  # the helper is tried again
-            assert on_caller == [True, False]
+            assert not all(windows(2))
+            assert all(windows(1))
+            assert all(windows(2)) == (helper_s > 0.02)
+            assert not all(windows(1))
         finally:
             runner.close()
 
