@@ -43,10 +43,10 @@ _SPLIT_NODES = 256 * 256
 # _EXPLOIT + 2 windows: one with the helper, one on the calling thread alone,
 # then _EXPLOIT windows the way that has the lower running mean (each new
 # time weighs one half; the first window, which pays for cold buffers, is not
-# timed).  When the host lends the helper's CPU to another process, two
-# threads handing over the GIL can be slower than one: collapse_2d ran at
-# 56, 83 and 133-143 steps/s split in busy stretches of a benchmark run,
-# against 134-145 at the parent.
+# timed).  On a busy shared host two threads handing over the GIL can be
+# slower than one: collapse_2d ran at
+# 56, 83 and 133-143 steps/s split in busy stretches of benchmark runs,
+# against 134-145 steps/s on one thread.
 _WINDOW = 64
 _EXPLOIT = 8
 
