@@ -194,16 +194,20 @@ class Workspace:
     moduli in the real pair and the phase angle in the real component field,
     and uses the real and imaginary parts of the complex component field as
     temporaries before it writes the unimodular factor there; the
-    diagnostics transform the pair into ``spectra`` and sum powers in the
-    real fields.  One workspace serves one state (a path or a batch) at a
-    time.  ``rows`` names the rows N, L and the diagnostics compute: both,
-    unless :func:`evolve` marks one dead; a dead row's moduli stay zero, and
-    its spectra are never written.  ``runner`` runs each phase of a step: as
-    one chunk, unless :func:`evolve` gives it a split runner.
+    diagnostics sum powers in the real fields.  With ``spectra`` (as
+    :func:`evolve` builds it, for its recorder) it also holds a complex
+    field of the pair's shape, ``spectra``, that the diagnostics transform
+    the pair into; without it they transform one row at a time through the
+    complex component field.  One workspace serves one state (a path or a
+    batch) at a time.  ``rows`` names the rows N, L and the diagnostics
+    compute: both, unless :func:`evolve` marks one dead; a dead row's moduli
+    stay zero, and its spectra are never written.  ``runner`` runs each
+    phase of a step: as one chunk, unless :func:`evolve` gives it a split
+    runner.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
-                 shape: tuple[int, ...] | None = None):
+                 shape: tuple[int, ...] | None = None, spectra: bool = False):
         shape = (2,) + grid.shape if shape is None else shape
         # the multipliers carry one component's number of axes, so that one
         # path (P = 1) multiplies without broadcasting
@@ -216,7 +220,7 @@ class Workspace:
         self.rows = (0, 1)
         self.runner = _OneChunk()
         self.scratch = np.empty(shape[1:], dtype=complex)
-        self.spectra = np.empty(shape, dtype=complex)
+        self.spectra = np.empty(shape, dtype=complex) if spectra else None
         self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
         # the same buffers with each component on one axis, for an N step on
@@ -424,32 +428,41 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     ratio and the detector's initial value all come from here).  The tail
     fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
     top third of the resolvable frequency range (resolution-loss gauge, in
-    [0, 1]).  The transforms go into ``work.spectra`` and the powers into
-    its real pair, of ``work`` or of a fresh :class:`Workspace` when none is
-    given, in three phases of its runner (rows, columns, rows) over the live
-    rows, as L transforms them.  A dead row's power is the zeros its
-    transform would give.  The node sums run on the whole batch.  Returns
-    two lists of floats with one entry per path (one entry for a single
-    path).
+    [0, 1]).  The powers go into the real pair of ``work``, or of a fresh
+    :class:`Workspace` when none is given, in three phases of its runner
+    (rows, columns, rows) over the live rows, as L transforms them.  The
+    transforms go into ``work.spectra``, or, in a workspace without it, one
+    row at a time into its complex component field.  A dead row's power is
+    the zeros its transform would give.  The node sums run on the whole
+    batch.  Returns two lists of floats with one entry per path (one entry
+    for a single path).
     """
     grid = state.grid
     if work is None:
         work = Workspace(grid, shape=state.fields.shape)
-    spectra, power, runner = work.spectra, work.moduli, work.runner
-    total = work.real
+    power, runner, total = work.moduli, work.runner, work.real
     term = power[work.rows[0]]  # never a dead row, whose zeros N reads
+    # (rows, where their transforms go) for each pass of the three phases
+    if work.spectra is not None:
+        passes = [(work.rows, work.spectra)]
+    else:
+        passes = [((i,), {i: work.scratch}) for i in work.rows]
 
-    def powers(index, axis):
-        for i in work.rows:
-            p = power[i][index]
-            np.abs(spectra[i][index], out=p)
-            np.square(p, out=p)
-        np.add(power[0][index], power[1][index], out=total[index])
-        np.multiply(work.k_sq[index], total[index], out=term[index])
+    def powers(rows, spectra, last):
+        def phase(index, axis):
+            for i in rows:
+                p = power[i][index]
+                np.abs(spectra[i][index], out=p)
+                np.square(p, out=p)
+            if last:
+                np.add(power[0][index], power[1][index], out=total[index])
+                np.multiply(work.k_sq[index], total[index], out=term[index])
+        return phase
 
-    runner.run(_transform(grid.fft, state.fields, work.rows, spectra), runner.rows)
-    runner.run(_transform(grid.fft, spectra, work.rows), runner.cols)
-    runner.run(powers, runner.rows)
+    for n, (rows, spectra) in enumerate(passes, 1):
+        runner.run(_transform(grid.fft, state.fields, rows, spectra), runner.rows)
+        runner.run(_transform(grid.fft, spectra, rows), runner.cols)
+        runner.run(powers(rows, spectra, n == len(passes)), runner.rows)
     scale = grid.spacing**grid.dim / grid.node_count
     grad_norm_sq = [part * scale for part in _node_sums(term, grid).tolist()]
     whole = _node_sums(total, grid).tolist()
@@ -554,7 +567,7 @@ def evolve(
     if not batched:
         state = SystemState.of_pair(state.fields[:, None], state.t, grid)
     live = list(range(n_paths))
-    work = Workspace(grid, dt, state.fields.shape)
+    work = Workspace(grid, dt, state.fields.shape, spectra=True)
     # a row zero in every path is dead, unless non-finite coefficients NaN it
     rows = tuple(i for i, f in enumerate(state.fields) if f.any())
     if len(rows) == 1 and np.isfinite(coupling.lam).all():
@@ -596,7 +609,7 @@ def evolve(
             spectra = spectra[:, keep]
         if live:
             rows, runner = work.rows, work.runner
-            work = Workspace(grid, dt, state.fields.shape)
+            work = Workspace(grid, dt, state.fields.shape, spectra=True)
             work.rows, work.runner = rows, runner
 
     # the helper thread of a split runner lives only inside this block

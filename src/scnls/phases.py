@@ -27,7 +27,6 @@ import itertools
 import multiprocessing
 import os
 import threading
-import time
 
 import numpy as np
 
@@ -39,16 +38,6 @@ from .grid import Grid
 # interleaved: n = 64 0.4-0.5x, n = 128 0.9-1.1x, n = 256 1.2-1.5x,
 # n = 512 1.35-1.55x.  Halves beat quarters and eighths at n = 256.
 _SPLIT_NODES = 256 * 256
-# A split runner times its phases in windows of _WINDOW phases, in cycles of
-# _EXPLOIT + 2 windows: one with the helper, one on the calling thread alone,
-# then _EXPLOIT windows the way that has the lower running mean (each new
-# time weighs one half; the first window, which pays for cold buffers, is not
-# timed).  On a busy shared host two threads handing over the GIL can be
-# slower than one: collapse_2d ran at
-# 56, 83 and 133-143 steps/s split in busy stretches of benchmark runs,
-# against 134-145 steps/s on one thread.
-_WINDOW = 64
-_EXPLOIT = 8
 
 
 class _OneChunk:
@@ -83,13 +72,11 @@ class _Split(_OneChunk):
     on whole contiguous rows, as it does on the whole grid; a column chunk
     is half of its columns.  Both threads take the next chunk of a phase
     until none is left: the helper takes one, or none when it wakes after
-    the calling thread has taken both.  In a window that runs alone (see
-    ``_WINDOW``) the calling thread takes every chunk and the helper sleeps.
-    :meth:`run` returns once every chunk is done, and raises what a chunk
-    raised.  The helper starts with the runner, in a copy of the creating
-    thread's context (numpy's error state), and ends at :meth:`close`.  The
-    numpy calls of a chunk release the GIL, so the two threads compute at
-    once.
+    the calling thread has taken both.  :meth:`run` returns once every chunk
+    is done, and raises what a chunk raised.  The helper starts with the
+    runner, in a copy of the creating thread's context (numpy's error
+    state), and ends at :meth:`close`.  The numpy calls of a chunk release
+    the GIL, so the two threads compute at once.
     """
 
     def __init__(self, grid: Grid):
@@ -103,11 +90,6 @@ class _Split(_OneChunk):
         self._go.acquire()
         self._done.acquire()
         self._task = self._error = None
-        # windows ended, phases and time in the current one, and the running
-        # mean time of a window with the helper and of one without
-        self._windows, self._phases, self._elapsed = 0, 0, 0.0
-        self._timed = [None, None]
-        self._split = True
         self._helper = threading.Thread(target=contextvars.copy_context().run,
                                         args=(self._serve,), daemon=True)
         self._helper.start()
@@ -116,30 +98,13 @@ class _Split(_OneChunk):
         # the chunk iterator and the count of finished chunks are shared;
         # next() on them is atomic under the GIL
         task = self._task = (phase, chunks, iter(chunks), itertools.count(1))
-        start = time.perf_counter()
-        if self._split and self._go.locked():  # else the helper has yet to take the last release
+        if self._go.locked():  # else the helper has yet to take the last release
             self._go.release()
         self._take(task)
         self._done.acquire()
-        self._elapsed += time.perf_counter() - start
-        self._phases += 1
-        if self._phases == _WINDOW:
-            self._next_window()
         error, self._error = self._error, None
         if error is not None:
             raise error
-
-    def _next_window(self) -> None:
-        # the cycle starts after the first window: with the helper, alone,
-        # then the way of the lower mean
-        place = (self._windows - 1) % (_EXPLOIT + 2)
-        if self._windows and place < 2:
-            last = self._timed[place]
-            self._timed[place] = self._elapsed if last is None else 0.5 * (last + self._elapsed)
-        self._windows += 1
-        place = (self._windows - 1) % (_EXPLOIT + 2)
-        self._split = place == 0 or (place > 1 and self._timed[0] <= self._timed[1])
-        self._phases, self._elapsed = 0, 0.0
 
     def _take(self, task) -> None:
         phase, chunks, todo, finished = task

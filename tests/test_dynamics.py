@@ -669,42 +669,6 @@ class TestSplitStep:
                          detector=detector)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("helper_s", [0.08, 0.02])
-    def test_runs_the_faster_way(self, grid_2d, monkeypatch, helper_s):
-        # windows of two phases: an untimed first one with the helper, then
-        # cycles of one with the helper, one alone and two the faster way.  A
-        # helper chunk that takes four times the caller's (its CPU held by
-        # another process) loses to the caller alone; one as fast as the
-        # caller's wins
-        import threading
-        import time
-
-        from scnls import phases
-
-        monkeypatch.setattr(phases, "_WINDOW", 2)
-        monkeypatch.setattr(phases, "_EXPLOIT", 2)
-        caller = threading.get_ident()
-        on_caller = []
-
-        def phase(index, axis):
-            on_caller.append(threading.get_ident() == caller)
-            time.sleep(0.02 if on_caller[-1] else helper_s)
-
-        def windows(count):
-            on_caller.clear()
-            for _ in range(2 * count):
-                runner.run(phase, runner.rows)
-            return list(on_caller)
-
-        runner = phases._Split(grid_2d)
-        try:
-            assert not all(windows(2))
-            assert all(windows(1))
-            assert all(windows(2)) == (helper_s > 0.02)
-            assert not all(windows(1))
-        finally:
-            runner.close()
-
     def test_helper_raises_under_the_callers_error_state(self, grid_2d):
         import threading
         import time
