@@ -671,16 +671,18 @@ class TestSplitStep:
 
     def test_helper_raises_under_the_callers_error_state(self, grid_2d):
         import threading
-        import time
 
         from scnls.phases import _Split
 
         caller = threading.get_ident()
+        helper_took = threading.Event()
 
         def phase(index, axis):
             if threading.get_ident() == caller:
-                time.sleep(0.05)  # leaves chunks for the helper to take
+                # holds its chunk until the helper has taken the other one
+                assert helper_took.wait(timeout=30)
             else:
+                helper_took.set()
                 np.square(np.array([1e200]))
 
         before = threading.active_count()
@@ -693,3 +695,38 @@ class TestSplitStep:
         finally:
             runner.close()
         assert threading.active_count() == before
+
+    def test_every_chunk_runs_once_before_run_returns(self, grid_2d):
+        # the two threads share each phase's chunk iterator and count of
+        # finished chunks; frequent thread switches must not let a chunk run
+        # twice, be skipped, or finish after run() has returned
+        import sys
+        import threading
+
+        from scnls.phases import _Split
+
+        runs = []
+
+        def loop():
+            runner = _Split(grid_2d)
+            try:
+                for p in range(2000):
+                    chunks, ran = (runner.rows if p % 2 else runner.cols), []
+
+                    def phase(index, axis, chunks=chunks, ran=ran):
+                        ran.append(chunks.index((index, axis)))
+                    runner.run(phase, chunks)
+                    runs.append(sorted(ran))
+            finally:
+                runner.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker = threading.Thread(target=loop, daemon=True)
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert runs == [[0, 1]] * 2000
