@@ -375,6 +375,24 @@ class TestKernel:
         assert tail == pytest.approx(power[grid_2d.tail_mask].sum() / power.sum(), rel=1e-13)
         assert 0.4 < tail < 0.7  # white noise fills the top third of the spectrum
 
+    @pytest.mark.parametrize("rows", [(0, 1), (0,)])
+    def test_diagnostics_equal_with_and_without_the_spectra_pair(self, grid_2d, rows):
+        # without the pair the transforms go one row at a time through the
+        # complex component field; the bits are the same either way
+        from scnls.dynamics import Workspace, _spectral_diagnostics
+
+        rng = np.random.default_rng(16)
+        fields = rng.standard_normal((2, 2) + grid_2d.shape) + 0j
+        fields[1:] *= len(rows) - 1  # a dead row is zero in every path
+        state = SystemState.of_pair(fields, 0.0, grid_2d)
+        works = [Workspace(grid_2d, shape=fields.shape, spectra=s) for s in (False, True)]
+        for work in works:
+            work.rows = rows
+        alone, paired = (_spectral_diagnostics(state, work) for work in works)
+        assert alone == paired
+        for i in rows:
+            assert works[1].spectra[i].tobytes() == grid_2d.fft(fields[i]).tobytes()
+
     def test_integer_sigma_mixed_term_matches_power_formula(self):
         from scnls.dynamics import _TINY_MODULUS, _phase_multiplier
 
