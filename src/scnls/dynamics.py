@@ -187,9 +187,9 @@ class Workspace:
     """Buffers a state reuses every step, so that N, L and the diagnostics allocate no field.
 
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
-    the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask, and
-    scratch fields for a state of pair ``shape`` (default: one path on
-    ``grid``): a real and a complex field of the pair's shape, and a complex
+    the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask (as
+    1.0/0.0), and scratch fields for a state of pair ``shape`` (default: one
+    path on ``grid``): a real and a complex field of the pair's shape, and a complex
     and a real field of one component's shape.  The N step keeps the two
     moduli in the real pair and the phase angle in the real component field,
     and uses the real and imaginary parts of the complex component field as
@@ -216,7 +216,9 @@ class Workspace:
         self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt).reshape(axes)
         self.keep = grid.dealias_mask().reshape(axes)
         self.k_sq = grid.k_sq.reshape(axes)
-        self.tail_mask = grid.tail_mask.reshape(axes)
+        # float, so that the diagnostics' product runs numpy's float loop
+        # rather than its mixed bool/float one (the same bits)
+        self.tail_mask = grid.tail_mask.reshape(axes).astype(float)
         self.rows = (0, 1)
         self.runner = _OneChunk()
         self.scratch = np.empty(shape[1:], dtype=complex)

@@ -25,9 +25,16 @@ mass-critical exponent, where the mass of the solution family is
 scale-invariant; the stabilized iteration has no such degeneracy and
 converges from a symmetric Gaussian seed for every admissible s.)
 
-Each iterate is evaluated once: N_P, N_Q, the numerator of S and the
-elliptic residual come from one pass, and the next sweep reuses them, so a
-solve of m sweeps takes 4 + 8m transforms.
+The seed is symmetric and both equations carry the coefficients (1, beta),
+so the system is unchanged when P and Q are swapped: every operation on Q
+would repeat, on the same bits, the matching operation on P, and Q stays
+equal to P in every bit.  The solver therefore iterates P alone, takes each
+sum over the two components as x + x (exact, and bitwise x_P + x_Q), and
+returns a copy of P as Q.
+
+Each iterate is evaluated once: N_P, the numerator of S and the elliptic
+residual come from one pass, and the next sweep reuses them, so a solve of
+m sweeps takes 2 + 4m transforms.
 
 At beta = 0 the system decouples and the solution pair found from a symmetric
 seed consists of two copies of the scalar ground state, so the constant is
@@ -85,17 +92,24 @@ class GroundStatePair:
     k_opt_single: float
 
 
+def _nonlinear_term(f: np.ndarray, a_self: np.ndarray, a_other: np.ndarray,
+                    sigma: float, beta: float) -> np.ndarray:
+    """Right-hand side N_f = (...)f of one real component, given the moduli
+    |f| and |g| of the pair; the bracket is the N-step multiplier with
+    l_self = 1 and l_mixed = beta."""
+    tmp, tmp2 = np.empty_like(a_self), np.empty_like(a_self)
+    nf = _phase_multiplier(a_self, a_other, 1.0, beta, sigma, np.empty_like(a_self),
+                           tmp, tmp2)
+    nf *= f
+    return nf
+
+
 def _nonlinear_terms(P: np.ndarray, Q: np.ndarray, sigma: float, beta: float):
-    """Right-hand sides N_P = (...)P and N_Q for real fields; the bracket is
-    the N-step multiplier with l_self = 1 and l_mixed = beta."""
+    """Right-hand sides N_P and N_Q of a pair of real fields."""
     aP = np.abs(P)
     aQ = np.abs(Q)
-    tmp, tmp2 = np.empty_like(aP), np.empty_like(aP)
-    NP = _phase_multiplier(aP, aQ, 1.0, beta, sigma, np.empty_like(aP), tmp, tmp2)
-    NQ = _phase_multiplier(aQ, aP, 1.0, beta, sigma, np.empty_like(aQ), tmp, tmp2)
-    NP *= P
-    NQ *= Q
-    return NP, NQ
+    return (_nonlinear_term(P, aP, aQ, sigma, beta),
+            _nonlinear_term(Q, aQ, aP, sigma, beta))
 
 
 def _k_opt_value(sigma: float, dim: int, norm_sq_sum: float) -> float:
@@ -136,11 +150,13 @@ def solve_ground_state(
             stacklevel=2,
         )
 
-    inv_symbol = 1.0 / (1.0 + grid.k_sq)
+    symbol = 1.0 + grid.k_sq
+    inv_symbol = 1.0 / symbol
     gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
 
+    # Q stays P's bits (see the module docstring), so only P is iterated;
+    # each pair sum over the components is x + x, which is exact
     P = np.exp(-grid.r_sq / 2.0)
-    Q = P.copy()
     h = grid.spacing**dim
 
     def _apply_symbol(f, symbol):
@@ -148,32 +164,30 @@ def solve_ground_state(
         coeffs *= symbol
         return grid.ifft(coeffs, out=coeffs).real
 
-    def _evaluate(P, Q):
-        # N_P, N_Q, <P,(1-Lap)P> + <Q,(1-Lap)Q> and the residual max-norm of
-        # one iterate; (1-Lap)f is held for one component at a time
-        NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
-        inner, res = [], []
-        for f, Nf in ((P, NP), (Q, NQ)):
-            op_f = _apply_symbol(f, 1.0 + grid.k_sq)
-            inner.append((f * op_f).sum())
-            res.append(np.abs(op_f - Nf).max())
-        return NP, NQ, float((inner[0] + inner[1]) * h), float(max(res))
+    def _evaluate(P):
+        # N_P, <P,(1-Lap)P> + <Q,(1-Lap)Q> and the residual max-norm of one
+        # iterate
+        aP = np.abs(P)
+        NP = _nonlinear_term(P, aP, aP, sigma, beta)
+        op_P = _apply_symbol(P, symbol)
+        inner = (P * op_P).sum()
+        return NP, float((inner + inner) * h), float(np.abs(op_P - NP).max())
 
-    NP, NQ, lhs, _ = _evaluate(P, Q)
+    NP, lhs, _ = _evaluate(P)
     trace: list[float] = []
     residual = np.inf
     for iteration in range(1, max_iter + 1):
-        rhs = float(((P * NP).sum() + (Q * NQ).sum()) * h)
+        power = (P * NP).sum()
+        rhs = float((power + power) * h)
         if rhs <= 0 or lhs <= 0:
             raise GroundStateError(
                 "iteration collapsed to the zero solution", trace
             )
         s_factor = (lhs / rhs) ** gamma
         P = s_factor * _apply_symbol(NP, inv_symbol)
-        Q = s_factor * _apply_symbol(NQ, inv_symbol)
-        del NP, NQ  # freed before the evaluation allocates the next pair
+        del NP  # freed before the evaluation allocates the next one
 
-        NP, NQ, lhs, residual = _evaluate(P, Q)
+        NP, lhs, residual = _evaluate(P)
         trace.append(residual)
         if residual < tol:
             break
@@ -184,23 +198,22 @@ def solve_ground_state(
             trace,
         )
 
-    norm_sq_P = grid.norm_sq(P)
-    norm_sq_Q = grid.norm_sq(Q)
-    if norm_sq_P + norm_sq_Q < 1e-8:
+    norm_sq = grid.norm_sq(P)
+    if norm_sq + norm_sq < 1e-8:
         raise GroundStateError("converged to the zero solution (mass floor)", trace)
 
     return GroundStatePair(
         P=P,
-        Q=Q,
+        Q=P.copy(),
         sigma=sigma,
         beta=beta,
         grid=grid,
         residual_inf=residual,
         iterations=iteration,
-        norm_sq_P=norm_sq_P,
-        norm_sq_Q=norm_sq_Q,
-        k_opt_pair=_k_opt_value(sigma, dim, norm_sq_P + norm_sq_Q),
-        k_opt_single=_k_opt_value(sigma, dim, norm_sq_P),
+        norm_sq_P=norm_sq,
+        norm_sq_Q=norm_sq,
+        k_opt_pair=_k_opt_value(sigma, dim, norm_sq + norm_sq),
+        k_opt_single=_k_opt_value(sigma, dim, norm_sq),
     )
 
 

@@ -86,8 +86,9 @@ class TestSolveGroundState:
             solve_ground_state(sigma, beta, grid_1d, tol=tol)
 
     def test_evaluates_each_iterate_once(self, grid_1d, monkeypatch):
-        # the seed's (1-Lap)P, (1-Lap)Q take 4 transforms; each sweep takes 4
-        # for (1-Lap)^-1 N and 4 for the new iterate's (1-Lap)P, (1-Lap)Q
+        # Q stays P's bits, so only P is transformed: the seed's (1-Lap)P takes
+        # 2 transforms; each sweep takes 2 for (1-Lap)^-1 N_P and 2 for the new
+        # iterate's (1-Lap)P
         calls = []
         for name in ("fft", "ifft"):
             original = getattr(Grid, name)
@@ -98,15 +99,22 @@ class TestSolveGroundState:
 
             monkeypatch.setattr(Grid, name, counted)
         gs = solve_ground_state(1.0, 0.5, grid_1d, tol=1e-10)
-        assert len(calls) == 4 + 8 * gs.iterations
+        assert len(calls) == 2 + 4 * gs.iterations
 
     @pytest.mark.parametrize("dim", [1, 2])
-    @pytest.mark.parametrize("beta", [0.0, 1.0])
-    def test_matches_reference_iteration(self, grid_1d, grid_2d, dim, beta):
-        # oracle: the sweep written out plainly, recomputing N and (1-Lap)
-        # at both ends of every iteration; the solver must agree bitwise
+    @pytest.mark.parametrize("sigma,beta", [
+        pytest.param(1.0, 0.0, id="0.0"),
+        pytest.param(1.0, 1.0, id="1.0"),
+        pytest.param(1.0, 0.5, id="0.5"),
+        pytest.param(0.75, 0.5, id="0.75-0.5"),
+    ])
+    def test_matches_reference_iteration(self, grid_1d, grid_2d, dim, sigma, beta):
+        # oracle: the two-component sweep written out plainly, recomputing N
+        # and (1-Lap) at both ends of every iteration; the solver, which
+        # iterates P alone, must agree bitwise (sigma = 0.75 takes the general
+        # power with the moduli of P and Q aliased)
         g = grid_1d if dim == 1 else grid_2d
-        sigma, tol = 1.0, 1e-10
+        tol = 1e-10
         h = g.spacing**dim
         gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
 
@@ -135,6 +143,7 @@ class TestSolveGroundState:
         gs = solve_ground_state(sigma, beta, g, tol=tol)
         np.testing.assert_array_equal(gs.P, P)
         np.testing.assert_array_equal(gs.Q, Q)
+        assert not np.shares_memory(gs.Q, gs.P)
         assert gs.iterations == iteration
         assert gs.residual_inf == residual
         with pytest.raises(GroundStateError) as err:
