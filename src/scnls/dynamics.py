@@ -189,8 +189,8 @@ class Workspace:
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
     the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask (as
     1.0/0.0), and scratch fields for a state of pair ``shape`` (default: one
-    path on ``grid``): a real and a complex field of the pair's shape, and a complex
-    and a real field of one component's shape.  The N step keeps the two
+    path on ``grid``): a real and a complex field of the pair's shape, and a
+    complex and a real field of one component's shape.  The N step keeps the two
     moduli in the real pair and the phase angle in the real component field,
     and uses the real and imaginary parts of the complex component field as
     temporaries before it writes the unimodular factor there; the

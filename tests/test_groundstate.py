@@ -111,8 +111,8 @@ class TestSolveGroundState:
     def test_matches_reference_iteration(self, grid_1d, grid_2d, dim, sigma, beta):
         # oracle: the two-component sweep written out plainly, recomputing N
         # and (1-Lap) at both ends of every iteration; the solver, which
-        # iterates P alone, must agree bitwise (sigma = 0.75 takes the general
-        # power with the moduli of P and Q aliased)
+        # iterates P alone and passes |P| as both moduli, must agree bitwise
+        # (sigma = 0.75 takes the general power)
         g = grid_1d if dim == 1 else grid_2d
         tol = 1e-10
         h = g.spacing**dim
