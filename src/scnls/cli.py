@@ -106,6 +106,7 @@ def _cmd_groundstate(args) -> int:
         "k_opt_single_component": gs.k_opt_single,
         "residual_inf": gs.residual_inf,
         "iterations": gs.iterations,
+        "levels": [{"n": n, "iterations": m} for n, m in gs.levels],
         "grid": {"dim": grid.dim, "n": grid.n, "L": grid.length},
     }
     (out / "groundstate.json").write_text(

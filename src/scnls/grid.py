@@ -86,7 +86,7 @@ class Grid:
 
     # -- transforms ---------------------------------------------------------
 
-    # every transform in the package goes through these two methods; they
+    # every transform in the package goes through the methods below; they
     # transform the trailing ``dim`` axes only, so a batch of fields on a
     # leading axis is transformed row by row (each row bitwise equal to its
     # transform alone); ``out`` may be the input itself (in place, bitwise
@@ -106,6 +106,38 @@ class Grid:
         if axis is not None:
             return np.fft.ifft(coeffs, axis=axis, out=out)
         return np.fft.ifftn(coeffs, s=self.shape, axes=self._axes, out=out)
+
+    # the real-input pair: the half spectrum keeps modes 0..n/2 of the last
+    # axis, and the inverse returns a real field
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        return np.fft.rfftn(values, s=self.shape, axes=self._axes)
+
+    def irfft(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.fft.irfftn(coeffs, s=self.shape, axes=self._axes)
+
+    def prolong(self, values: np.ndarray, coarse: Grid) -> np.ndarray:
+        """Trigonometric interpolation of the real ``values``, sampled on
+        ``coarse`` (the same box at fewer nodes), onto this grid.
+
+        The centred spectrum is zero-padded, and the Nyquist mode of each
+        axis is split evenly between +n_c/2 and -n_c/2, so the result is
+        real and every mode the coarse grid resolves is reproduced.
+        """
+        if (coarse.dim, coarse.length) != (self.dim, self.length) or coarse.n >= self.n:
+            raise ValueError(f"cannot prolong from {coarse!r} onto {self!r}")
+        m = coarse.n // 2
+        spec = coarse.rfft(values)
+        spec *= (self.n // coarse.n) ** self.dim  # numpy's inverse divides by the node count
+        spec[..., m] *= 0.5  # its mirror at -n_c/2 is implicit in the half spectrum
+        padded = np.zeros(self.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
+        if self.dim == 1:
+            padded[:m + 1] = spec
+        else:
+            spec[m] *= 0.5
+            padded[:m + 1, :m + 1] = spec[:m + 1]
+            padded[-m:, :m + 1] = spec[m:]
+        return self.irfft(padded)
 
     def free_propagate(self, values: np.ndarray, dt: float) -> np.ndarray:
         """Apply the free flow ``exp(i*dt*Lap)``: multiply mode k by exp(-i|k|^2 dt).

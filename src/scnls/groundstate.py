@@ -33,8 +33,17 @@ sum over the two components as x + x (exact, and bitwise x_P + x_Q), and
 returns a copy of P as Q.
 
 Each iterate is evaluated once: N_P, the numerator of S and the elliptic
-residual come from one pass, and the next sweep reuses them, so a solve of
-m sweeps takes 2 + 4m transforms.
+residual come from one pass, and the next sweep reuses them, so a level of
+m sweeps takes 2 + 4m transforms.  The iterate is real, so these are real
+transforms on the half spectrum.
+
+The solve runs coarse to fine: the ground state decays exponentially, so a
+grid of n/2 nodes per axis on the same box nearly resolves it.  A grid of
+more than 64 nodes per axis is first solved at n/2, recursively, and its
+sweeps start from that solution prolonged (``Grid.prolong``, 2 transforms);
+a grid of at most 64 starts from the Gaussian seed (Pelinovsky &
+Stepanyants, SIAM J. Numer. Anal. 42, 2004).  ``max_iter`` bounds the
+sweeps of all levels together.
 
 At beta = 0 the system decouples and the solution pair found from a symmetric
 seed consists of two copies of the scalar ground state, so the constant is
@@ -62,6 +71,10 @@ __all__ = [
     "critical_threshold",
 ]
 
+# grids of more nodes per axis are first solved at n/2 on the same box
+_COARSEST_N = 64
+
+
 class GroundStateError(RuntimeError):
     """Raised when the elliptic iteration fails to converge."""
 
@@ -74,6 +87,8 @@ class GroundStateError(RuntimeError):
 class GroundStatePair:
     """Converged pair with residual and derived constants.
 
+    ``iterations`` counts the sweeps of every grid level; ``levels`` lists
+    (n, sweeps) per level, coarsest first.
     ``k_opt_pair`` uses ||P||^2 + ||Q||^2 in the constant's formula,
     ``k_opt_single`` uses ||P||^2 alone (the Q = 0 reading, meaningful at
     beta = 0 where the system decouples).
@@ -86,6 +101,7 @@ class GroundStatePair:
     grid: Grid
     residual_inf: float
     iterations: int
+    levels: tuple[tuple[int, int], ...]
     norm_sq_P: float
     norm_sq_Q: float
     k_opt_pair: float
@@ -104,14 +120,6 @@ def _nonlinear_term(f: np.ndarray, a_self: np.ndarray, a_other: np.ndarray,
     return nf
 
 
-def _nonlinear_terms(P: np.ndarray, Q: np.ndarray, sigma: float, beta: float):
-    """Right-hand sides N_P and N_Q of a pair of real fields."""
-    aP = np.abs(P)
-    aQ = np.abs(Q)
-    return (_nonlinear_term(P, aP, aQ, sigma, beta),
-            _nonlinear_term(Q, aQ, aP, sigma, beta))
-
-
 def _k_opt_value(sigma: float, dim: int, norm_sq_sum: float) -> float:
     ns = dim * sigma
     return (
@@ -121,49 +129,34 @@ def _k_opt_value(sigma: float, dim: int, norm_sq_sum: float) -> float:
     )
 
 
-def solve_ground_state(
-    sigma: float,
-    beta: float,
-    grid: Grid,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
-) -> GroundStatePair:
-    """Solve the coupled elliptic system from the symmetric Gaussian seed
-    P = Q = exp(-|x|^2 / 2).
+def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: int,
+                  trace: list[float], levels: list[tuple[int, int]]) -> np.ndarray:
+    """P on ``grid``, iterated from the prolonged solution on the grid of n/2
+    nodes, or from the Gaussian seed at or below the floor.
 
-    Returns a :class:`GroundStatePair` whose elliptic residual max-norm is
-    below ``tol``.  Raises :class:`GroundStateError` on non-convergence
-    (with the residual trace attached) or on collapse to the zero solution.
+    Appends each sweep's residual to ``trace`` and (n, sweeps) to
+    ``levels``; all levels together take at most ``max_iter`` sweeps.
     """
-    dim = grid.dim
-    upper = np.inf if dim <= 2 else 4.0 / (dim - 2)
-    if not (0 < sigma < upper):
-        raise ValueError(f"sigma must lie in (0, {upper}) for dim={dim}, got {sigma}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if 2.0 * sigma + 2.0 - dim * sigma <= 0:
-        warnings.warn(
-            "sigma at or beyond the energy-critical exponent; the constant's "
-            "formula degenerates",
-            stacklevel=2,
-        )
+    if grid.n > _COARSEST_N:
+        coarse = Grid(grid.dim, grid.n // 2, grid.length)
+        P = grid.prolong(_solve_levels(sigma, beta, coarse, tol, max_iter, trace, levels),
+                         coarse)
+        del coarse  # its meshes are not held while this level iterates
+    else:
+        P = np.exp(-grid.r_sq / 2.0)
 
-    symbol = 1.0 + grid.k_sq
+    symbol = 1.0 + grid.k_sq[..., :grid.n // 2 + 1]  # on the real half spectrum
     inv_symbol = 1.0 / symbol
     gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
+    h = grid.spacing**grid.dim
+
+    def _apply_symbol(f, symbol):
+        coeffs = grid.rfft(f)
+        coeffs *= symbol
+        return grid.irfft(coeffs)
 
     # Q stays P's bits (see the module docstring), so only P is iterated;
     # each pair sum over the components is x + x, which is exact
-    P = np.exp(-grid.r_sq / 2.0)
-    h = grid.spacing**dim
-
-    def _apply_symbol(f, symbol):
-        coeffs = grid.fft(f)
-        coeffs *= symbol
-        return grid.ifft(coeffs, out=coeffs).real
-
     def _evaluate(P):
         # N_P, <P,(1-Lap)P> + <Q,(1-Lap)Q> and the residual max-norm of one
         # iterate
@@ -174,9 +167,8 @@ def solve_ground_state(
         return NP, float((inner + inner) * h), float(np.abs(op_P - NP).max())
 
     NP, lhs, _ = _evaluate(P)
-    trace: list[float] = []
-    residual = np.inf
-    for iteration in range(1, max_iter + 1):
+    residual = trace[-1] if trace else np.inf
+    for iteration in range(1, max_iter - len(trace) + 1):
         power = (P * NP).sum()
         rhs = float((power + power) * h)
         if rhs <= 0 or lhs <= 0:
@@ -197,6 +189,43 @@ def solve_ground_state(
             f"(last residual {residual:.3e})",
             trace,
         )
+    levels.append((grid.n, iteration))
+    return P
+
+
+def solve_ground_state(
+    sigma: float,
+    beta: float,
+    grid: Grid,
+    tol: float = 1e-10,
+    max_iter: int = 5000,
+) -> GroundStatePair:
+    """Solve the coupled elliptic system from the symmetric Gaussian seed
+    P = Q = exp(-|x|^2 / 2), coarse to fine (see the module docstring).
+
+    Returns a :class:`GroundStatePair` whose elliptic residual max-norm on
+    ``grid`` is below ``tol``.  Raises :class:`GroundStateError` when the
+    sweeps of all levels together exceed ``max_iter`` (with the residual
+    trace of every sweep attached) or on collapse to the zero solution.
+    """
+    dim = grid.dim
+    upper = np.inf if dim <= 2 else 4.0 / (dim - 2)
+    if not (0 < sigma < upper):
+        raise ValueError(f"sigma must lie in (0, {upper}) for dim={dim}, got {sigma}")
+    if beta < 0:
+        raise ValueError(f"beta must be >= 0, got {beta}")
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if 2.0 * sigma + 2.0 - dim * sigma <= 0:
+        warnings.warn(
+            "sigma at or beyond the energy-critical exponent; the constant's "
+            "formula degenerates",
+            stacklevel=2,
+        )
+
+    trace: list[float] = []
+    levels: list[tuple[int, int]] = []
+    P = _solve_levels(sigma, beta, grid, tol, max_iter, trace, levels)
 
     norm_sq = grid.norm_sq(P)
     if norm_sq + norm_sq < 1e-8:
@@ -208,8 +237,9 @@ def solve_ground_state(
         sigma=sigma,
         beta=beta,
         grid=grid,
-        residual_inf=residual,
-        iterations=iteration,
+        residual_inf=trace[-1],
+        iterations=len(trace),
+        levels=tuple(levels),
         norm_sq_P=norm_sq,
         norm_sq_Q=norm_sq,
         k_opt_pair=_k_opt_value(sigma, dim, norm_sq + norm_sq),

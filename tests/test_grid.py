@@ -178,10 +178,51 @@ class TestQuadrature:
 
 class TestFftSeam:
     def test_numpy_transforms_only_in_grid(self):
-        # every transform in the package goes through Grid.fft/Grid.ifft
+        # every transform in the package goes through Grid.fft/ifft/rfft/irfft
         package = Path(scnls.__file__).parent
         callers = sorted(
             path.name for path in package.glob("*.py")
-            if re.search(r"np\.fft\.i?fftn|numpy\.fft\.i?fftn", path.read_text(encoding="utf-8"))
+            if re.search(r"(np|numpy)\.fft\.i?r?fftn?\(", path.read_text(encoding="utf-8"))
         )
         assert callers == ["grid.py"]
+
+
+class TestProlong:
+    @staticmethod
+    def _trig_polynomial(grid, nc):
+        # modes |m| < nc/2 on every axis, with a shift so that sines appear
+        theta = [2.0 * np.pi * (x + 0.3) / grid.length for x in grid.x]
+        f = 0.7 + np.cos(theta[0]) + 0.4 * np.sin((nc // 2 - 1) * theta[0])
+        if grid.dim == 2:
+            f = f * (1.0 - 0.5 * np.cos(3 * theta[1])) + 0.2 * np.sin(
+                (nc // 2 - 1) * theta[1] - 2 * theta[0])
+        return f
+
+    @pytest.mark.parametrize("dim,nc,n", [(1, 16, 32), (1, 16, 64), (2, 16, 32), (2, 32, 64)])
+    def test_reproduces_resolved_trig_polynomial_and_mass(self, dim, nc, n):
+        coarse, fine = Grid(dim, nc, 7.0), Grid(dim, n, 7.0)
+        values = self._trig_polynomial(coarse, nc)
+        expected = self._trig_polynomial(fine, nc)
+        got = fine.prolong(values, coarse)
+        assert got.dtype == np.float64 and got.shape == fine.shape
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13)
+        assert fine.norm_sq(got) == pytest.approx(coarse.norm_sq(values), rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_nyquist_mode_split_between_both_signs(self, dim):
+        # cos(pi nc x / L) samples as (-1)^j on the coarse nodes; the split
+        # interpolant is that cosine, not a one-sided complex exponential
+        nc = 16
+        coarse, fine = Grid(dim, nc, 5.0), Grid(dim, 2 * nc, 5.0)
+
+        def nyquist(grid):
+            f = np.cos(np.pi * nc * grid.x[0] / grid.length)
+            return f * np.cos(np.pi * nc * grid.x[1] / grid.length) if dim == 2 else f
+
+        np.testing.assert_allclose(fine.prolong(nyquist(coarse), coarse), nyquist(fine),
+                                   rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("coarse", [Grid(1, 16, 7.0), Grid(2, 32, 7.0), Grid(2, 16, 8.0)])
+    def test_rejects_a_grid_that_is_not_coarser_on_the_same_box(self, coarse):
+        with pytest.raises(ValueError):
+            Grid(2, 32, 7.0).prolong(np.zeros(coarse.shape), coarse)

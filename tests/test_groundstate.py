@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,10 +10,70 @@ from scnls import (
     solve_ground_state,
 )
 
+from scnls import load_config
 from scnls.grid import Grid
-from scnls.groundstate import _nonlinear_terms
+from scnls.groundstate import _nonlinear_term
 
 from conftest import random_smooth_field
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _nonlinear_terms(P: np.ndarray, Q: np.ndarray, sigma: float, beta: float):
+    """Right-hand sides N_P and N_Q of a pair of real fields."""
+    aP = np.abs(P)
+    aQ = np.abs(Q)
+    return (_nonlinear_term(P, aP, aQ, sigma, beta),
+            _nonlinear_term(Q, aQ, aP, sigma, beta))
+
+
+def _reference_solve(grid, sigma, beta, tol, level_ns):
+    """The two-component sweep written out plainly, recomputing N and (1-Lap)
+    at both ends of every iteration, on the grids of ``level_ns`` nodes in
+    turn: from the Gaussian seed on the first, and from both components
+    prolonged onto each next one.  Returns P, Q, the residual trace and
+    (n, sweeps) per level."""
+    gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
+    trace, levels = [], []
+    for n in level_ns:
+        g = Grid(grid.dim, n, grid.length)
+        if not levels:
+            P = np.exp(-g.r_sq / 2.0)
+            Q = P.copy()
+        else:
+            P, Q = g.prolong(P, coarse), g.prolong(Q, coarse)
+        h = g.spacing**g.dim
+        half_symbol = 1.0 + g.k_sq[..., :n // 2 + 1]
+
+        def inv(f):
+            return np.fft.irfftn(np.fft.rfftn(f) * (1.0 / half_symbol))
+
+        def op(f):
+            return np.fft.irfftn(np.fft.rfftn(f) * half_symbol)
+
+        for iteration in range(1, 5001):
+            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
+            lhs = float(((P * op(P)).sum() + (Q * op(Q)).sum()) * h)
+            rhs = float(((P * NP).sum() + (Q * NQ).sum()) * h)
+            s_factor = (lhs / rhs) ** gamma
+            P = s_factor * inv(NP)
+            Q = s_factor * inv(NQ)
+            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
+            residual = float(max(np.abs(op(P) - NP).max(), np.abs(op(Q) - NQ).max()))
+            trace.append(residual)
+            if residual < tol:
+                break
+        levels.append((n, iteration))
+        coarse = g
+    return P, Q, trace, levels
+
+
+def _cascade_ns(n):
+    """Nodes per axis of the solver's levels: n halved down to 64, coarsest first."""
+    ns = [n]
+    while ns[0] > 64:
+        ns.insert(0, ns[0] // 2)
+    return ns
 
 
 @pytest.fixture(scope="module")
@@ -86,11 +148,12 @@ class TestSolveGroundState:
             solve_ground_state(sigma, beta, grid_1d, tol=tol)
 
     def test_evaluates_each_iterate_once(self, grid_1d, monkeypatch):
-        # Q stays P's bits, so only P is transformed: the seed's (1-Lap)P takes
-        # 2 transforms; each sweep takes 2 for (1-Lap)^-1 N_P and 2 for the new
-        # iterate's (1-Lap)P
+        # Q stays P's bits, so only P is transformed, with real transforms: on
+        # each level the seed's (1-Lap)P takes 2; each sweep takes 2 for
+        # (1-Lap)^-1 N_P and 2 for the new iterate's (1-Lap)P; each
+        # prolongation onto the next level takes 2
         calls = []
-        for name in ("fft", "ifft"):
+        for name in ("fft", "ifft", "rfft", "irfft"):
             original = getattr(Grid, name)
 
             def counted(self, *args, _original=original, **kwargs):
@@ -99,7 +162,9 @@ class TestSolveGroundState:
 
             monkeypatch.setattr(Grid, name, counted)
         gs = solve_ground_state(1.0, 0.5, grid_1d, tol=1e-10)
-        assert len(calls) == 2 + 4 * gs.iterations
+        assert [n for n, _ in gs.levels] == [64, 128, 256]
+        assert gs.iterations == sum(m for _, m in gs.levels)
+        assert len(calls) == sum(2 + 4 * m for _, m in gs.levels) + 2 * (len(gs.levels) - 1)
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("sigma,beta", [
@@ -108,47 +173,41 @@ class TestSolveGroundState:
         pytest.param(1.0, 0.5, id="0.5"),
         pytest.param(0.75, 0.5, id="0.75-0.5"),
     ])
-    def test_matches_reference_iteration(self, grid_1d, grid_2d, dim, sigma, beta):
-        # oracle: the two-component sweep written out plainly, recomputing N
-        # and (1-Lap) at both ends of every iteration; the solver, which
-        # iterates P alone and passes |P| as both moduli, must agree bitwise
-        # (sigma = 0.75 takes the general power)
-        g = grid_1d if dim == 1 else grid_2d
+    def test_matches_reference_iteration(self, dim, sigma, beta):
+        # at the floor of 64 nodes the solver runs one level from the Gaussian
+        # seed; above it, each level starts from the one below, prolonged.
+        # The solver, which iterates P alone and passes |P| as both moduli,
+        # must agree bitwise with the plain two-component oracle (sigma = 0.75
+        # takes the general power)
         tol = 1e-10
-        h = g.spacing**dim
-        gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
+        for n in (64, 256 if dim == 1 else 128):
+            g = Grid(dim, n, 40.0 if dim == 1 else 16.0)
+            P, Q, trace, levels = _reference_solve(g, sigma, beta, tol, _cascade_ns(n))
 
-        def inv(f):
-            return np.fft.ifftn(np.fft.fftn(f) * (1.0 / (1.0 + g.k_sq))).real
+            gs = solve_ground_state(sigma, beta, g, tol=tol)
+            np.testing.assert_array_equal(gs.P, P)
+            np.testing.assert_array_equal(gs.Q, Q)
+            assert not np.shares_memory(gs.Q, gs.P)
+            assert gs.levels == tuple(levels)
+            assert gs.iterations == len(trace)
+            assert gs.residual_inf == trace[-1]
+            # max_iter bounds the sweeps of all levels together
+            with pytest.raises(GroundStateError) as err:
+                solve_ground_state(sigma, beta, g, tol=tol, max_iter=len(trace) - 1)
+            assert err.value.residual_trace == trace[:-1]
 
-        def op(f):
-            return np.fft.ifftn(np.fft.fftn(f) * (1.0 + g.k_sq)).real
-
-        P = np.exp(-g.r_sq / 2.0)
-        Q = P.copy()
-        trace = []
-        for iteration in range(1, 5001):
-            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
-            lhs = float(((P * op(P)).sum() + (Q * op(Q)).sum()) * h)
-            rhs = float(((P * NP).sum() + (Q * NQ).sum()) * h)
-            s_factor = (lhs / rhs) ** gamma
-            P = s_factor * inv(NP)
-            Q = s_factor * inv(NQ)
-            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
-            residual = float(max(np.abs(op(P) - NP).max(), np.abs(op(Q) - NQ).max()))
-            trace.append(residual)
-            if residual < tol:
-                break
-
-        gs = solve_ground_state(sigma, beta, g, tol=tol)
-        np.testing.assert_array_equal(gs.P, P)
-        np.testing.assert_array_equal(gs.Q, Q)
-        assert not np.shares_memory(gs.Q, gs.P)
-        assert gs.iterations == iteration
-        assert gs.residual_inf == residual
-        with pytest.raises(GroundStateError) as err:
-            solve_ground_state(sigma, beta, g, tol=tol, max_iter=iteration - 1)
-        assert err.value.residual_trace == trace[:-1]
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_cascade_agrees_with_one_level(self, beta):
+        # on collapse_2d's grid the coarse-to-fine solve lands on the one-level
+        # solution from the Gaussian seed, and its residual holds on the full grid
+        g = load_config(CONFIGS / "collapse_2d.ini").build_grid()
+        assert g.n > 64
+        one_level, *_ = _reference_solve(g, 1.0, beta, 1e-10, [g.n])
+        gs = solve_ground_state(1.0, beta, g, tol=1e-10)
+        assert np.max(np.abs(gs.P - one_level)) <= 1e-10
+        lap = np.fft.ifftn(np.fft.fftn(gs.P) * (-g.k_sq)).real
+        residual = -lap + gs.P - (1.0 + beta) * gs.P**3
+        assert np.max(np.abs(residual)) < 1e-10
 
     def test_nonconvergence_reports_trace(self, grid_1d):
         with pytest.raises(GroundStateError) as err:

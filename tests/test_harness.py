@@ -740,6 +740,22 @@ class TestCli:
         assert payload["l2_P"] == pytest.approx(4.0, rel=1e-4)
         assert (tmp_path / "groundstate_profile.csv").exists()
 
+    def test_groundstate_cli_reports_levels_and_reruns_identically(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT + "\n[groundstate]\nbeta = 0.5\n")
+        outputs = []
+        for name in ("a", "b"):
+            assert cli_main(["groundstate", str(cfg_file),
+                             "--output-dir", str(tmp_path / name)]) == 0
+            outputs.append([(tmp_path / name / f).read_bytes()
+                            for f in ("groundstate.json", "groundstate_profile.csv")])
+        assert outputs[0] == outputs[1]
+        payload = json.loads(outputs[0][0])
+        # n = 256 is solved at 64 and 128 first; iterations is the total
+        assert [level["n"] for level in payload["levels"]] == [64, 128, 256]
+        assert sum(level["iterations"] for level in payload["levels"]) == payload["iterations"]
+        assert payload["residual_inf"] < 1e-10
+
     def test_criterion_cli(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.ini"
         cfg_file.write_text(CONFIG_TEXT)
