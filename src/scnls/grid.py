@@ -116,19 +116,20 @@ class Grid:
     def irfft(self, coeffs: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(coeffs, s=self.shape, axes=self._axes)
 
-    def prolong(self, values: np.ndarray, coarse: Grid) -> np.ndarray:
-        """Trigonometric interpolation of the real ``values``, sampled on
-        ``coarse`` (the same box at fewer nodes), onto this grid.
+    def prolong(self, values: np.ndarray) -> np.ndarray:
+        """Trigonometric interpolation onto this grid of the real ``values``,
+        sampled on the same box at fewer nodes per axis (a power of two).
 
         The centred spectrum is zero-padded, and the Nyquist mode of each
         axis is split evenly between +n_c/2 and -n_c/2, so the result is
         real and every mode the coarse grid resolves is reproduced.
         """
-        if (coarse.dim, coarse.length) != (self.dim, self.length) or coarse.n >= self.n:
-            raise ValueError(f"cannot prolong from {coarse!r} onto {self!r}")
-        m = coarse.n // 2
-        spec = coarse.rfft(values)
-        spec *= (self.n // coarse.n) ** self.dim  # numpy's inverse divides by the node count
+        nc = values.shape[-1]
+        if values.shape != (nc,) * self.dim or not 2 <= nc < self.n or nc & (nc - 1):
+            raise ValueError(f"cannot prolong a field of shape {values.shape} onto {self!r}")
+        m = nc // 2
+        spec = np.fft.rfftn(values, axes=self._axes)
+        spec *= (self.n // nc) ** self.dim  # numpy's inverse divides by the node count
         spec[..., m] *= 0.5  # its mirror at -n_c/2 is implicit in the half spectrum
         padded = np.zeros(self.shape[:-1] + (self.n // 2 + 1,), dtype=complex)
         if self.dim == 1:

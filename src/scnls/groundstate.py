@@ -138,10 +138,10 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
     ``levels``; all levels together take at most ``max_iter`` sweeps.
     """
     if grid.n > _COARSEST_N:
-        coarse = Grid(grid.dim, grid.n // 2, grid.length)
-        P = grid.prolong(_solve_levels(sigma, beta, coarse, tol, max_iter, trace, levels),
-                         coarse)
-        del coarse  # its meshes are not held while this level iterates
+        # the coarse grid is a temporary, freed before the prolongation
+        # allocates this level's fields
+        P = grid.prolong(_solve_levels(sigma, beta, Grid(grid.dim, grid.n // 2, grid.length),
+                                       tol, max_iter, trace, levels))
     else:
         P = np.exp(-grid.r_sq / 2.0)
 
