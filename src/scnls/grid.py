@@ -70,10 +70,16 @@ class Grid:
             self._k_deriv = (axis_k_deriv,)
             m_inf = np.abs(axis_m)
         else:
-            xa, xb = np.meshgrid(axis_x, axis_x, indexing="ij")
-            ka, kb = np.meshgrid(axis_k, axis_k, indexing="ij")
-            da, db = np.meshgrid(axis_k_deriv, axis_k_deriv, indexing="ij")
-            ma, mb = np.meshgrid(np.abs(axis_m), np.abs(axis_m), indexing="ij")
+            # the "ij" meshes of each axis table, built with np.repeat: grids
+            # built per call (the ground state's coarse levels) through
+            # np.meshgrid grew the process by about 130 kB of small objects
+            def mesh(axis):
+                return np.repeat(axis[:, None], n, axis=1), np.repeat(axis[None, :], n, axis=0)
+
+            xa, xb = mesh(axis_x)
+            ka, kb = mesh(axis_k)
+            da, db = mesh(axis_k_deriv)
+            ma, mb = mesh(np.abs(axis_m))
             self.x = (xa, xb)
             self.k = (ka, kb)
             self._k_deriv = (da, db)

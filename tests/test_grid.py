@@ -24,6 +24,12 @@ class TestMakeGrid:
         assert g.spacing == pytest.approx(0.625)
         assert g.shape == (16, 16)
 
+    def test_2d_meshes_match_meshgrid(self):
+        g, h = Grid(2, 16, 10.0), Grid(1, 16, 10.0)
+        for got, axis in ((g.x, h.x[0]), (g.k, h.k[0])):
+            for a, b in zip(got, np.meshgrid(axis, axis, indexing="ij")):
+                np.testing.assert_array_equal(a, b)
+
     def test_spacing_times_n_is_length(self):
         g = Grid(1, 64, 17.0)
         assert g.spacing * g.n == pytest.approx(g.length)
