@@ -39,10 +39,13 @@ transforms on the half spectrum.
 
 The solve runs coarse to fine: the ground state decays exponentially, so a
 grid of n/2 nodes per axis on the same box nearly resolves it.  A grid of
-more than 64 nodes per axis is first solved at n/2, recursively, and its
-sweeps start from that solution prolonged (``Grid.prolong``, 2 transforms);
-a grid of at most 64 starts from the Gaussian seed (Pelinovsky &
-Stepanyants, SIAM J. Numer. Anal. 42, 2004).  ``max_iter`` bounds the
+more than 64^2 nodes in all is first solved at n/2 per axis, recursively, and
+its sweeps start from that solution prolonged (``Grid.prolong``, 2
+transforms); a grid of at most 64^2 nodes starts from the Gaussian seed
+(Pelinovsky & Stepanyants, SIAM J. Numer. Anal. 42, 2004).  The floor counts
+nodes, not nodes per axis: a 1D sweep costs little more than its calls, so
+1D grids up to n = 4096 are solved on one level, where coarse levels would
+only add sweeps.  ``max_iter`` bounds the
 sweeps of all levels together.
 
 At beta = 0 the system decouples and the solution pair found from a symmetric
@@ -71,8 +74,8 @@ __all__ = [
     "critical_threshold",
 ]
 
-# grids of more nodes per axis are first solved at n/2 on the same box
-_COARSEST_N = 64
+# grids of more nodes are first solved at n/2 per axis on the same box
+_COARSEST_NODES = 64**2
 
 
 class GroundStateError(RuntimeError):
@@ -132,12 +135,12 @@ def _k_opt_value(sigma: float, dim: int, norm_sq_sum: float) -> float:
 def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: int,
                   trace: list[float], levels: list[tuple[int, int]]) -> np.ndarray:
     """P on ``grid``, iterated from the prolonged solution on the grid of n/2
-    nodes, or from the Gaussian seed at or below the floor.
+    nodes per axis, or from the Gaussian seed at or below the floor.
 
     Appends each sweep's residual to ``trace`` and (n, sweeps) to
     ``levels``; all levels together take at most ``max_iter`` sweeps.
     """
-    if grid.n > _COARSEST_N:
+    if grid.node_count > _COARSEST_NODES:
         # the coarse grid is a temporary, freed before the prolongation
         # allocates this level's fields
         P = grid.prolong(_solve_levels(sigma, beta, Grid(grid.dim, grid.n // 2, grid.length),

@@ -67,10 +67,11 @@ def _reference_solve(grid, sigma, beta, tol, level_ns):
     return P, Q, trace, levels
 
 
-def _cascade_ns(n):
-    """Nodes per axis of the solver's levels: n halved down to 64, coarsest first."""
+def _cascade_ns(n, dim):
+    """Nodes per axis of the solver's levels: n halved while a level has more
+    than 64^2 nodes, coarsest first."""
     ns = [n]
-    while ns[0] > 64:
+    while ns[0] ** dim > 64**2:
         ns.insert(0, ns[0] // 2)
     return ns
 
@@ -146,11 +147,12 @@ class TestSolveGroundState:
         with pytest.raises(ValueError):
             solve_ground_state(sigma, beta, grid_1d, tol=tol)
 
-    def test_evaluates_each_iterate_once(self, grid_1d, monkeypatch):
+    def test_evaluates_each_iterate_once(self, monkeypatch):
         # Q stays P's bits, so only P is transformed, with real transforms: on
         # each level the seed's (1-Lap)P takes 2; each sweep takes 2 for
         # (1-Lap)^-1 N_P and 2 for the new iterate's (1-Lap)P; each
         # prolongation onto the next level takes 2
+        g = Grid(2, 256, 16.0)
         calls = []
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
             original = getattr(np.fft, name)
@@ -160,7 +162,7 @@ class TestSolveGroundState:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(np.fft, name, counted)
-        gs = solve_ground_state(1.0, 0.5, grid_1d, tol=1e-10)
+        gs = solve_ground_state(1.0, 0.5, g, tol=1e-10)
         assert [n for n, _ in gs.levels] == [64, 128, 256]
         assert gs.iterations == sum(m for _, m in gs.levels)
         assert len(calls) == sum(2 + 4 * m for _, m in gs.levels) + 2 * (len(gs.levels) - 1)
@@ -173,15 +175,16 @@ class TestSolveGroundState:
         pytest.param(0.75, 0.5, id="0.75-0.5"),
     ])
     def test_matches_reference_iteration(self, dim, sigma, beta):
-        # at the floor of 64 nodes the solver runs one level from the Gaussian
-        # seed; above it, each level starts from the one below, prolonged.
+        # at or below the floor of 64^2 nodes the solver runs one level from
+        # the Gaussian seed (1D n = 256 too); above it, each level starts from
+        # the one below, prolonged.
         # The solver, which iterates P alone and passes |P| as both moduli,
         # must agree bitwise with the plain two-component oracle (sigma = 0.75
         # takes the general power)
         tol = 1e-10
-        for n in (64, 256 if dim == 1 else 128):
+        for n in ((256, 8192) if dim == 1 else (64, 128)):
             g = Grid(dim, n, 40.0 if dim == 1 else 16.0)
-            P, Q, trace, levels = _reference_solve(g, sigma, beta, tol, _cascade_ns(n))
+            P, Q, trace, levels = _reference_solve(g, sigma, beta, tol, _cascade_ns(n, dim))
 
             gs = solve_ground_state(sigma, beta, g, tol=tol)
             np.testing.assert_array_equal(gs.P, P)

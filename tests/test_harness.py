@@ -742,7 +742,9 @@ class TestCli:
 
     def test_groundstate_cli_reports_levels_and_reruns_identically(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.ini"
-        cfg_file.write_text(CONFIG_TEXT + "\n[groundstate]\nbeta = 0.5\n")
+        cfg_file.write_text(CONFIG_TEXT.replace("dim = 1\nn = 256\nL = 40.0",
+                                                "dim = 2\nn = 256\nL = 16.0")
+                            + "\n[groundstate]\nbeta = 0.5\n")
         outputs = []
         for name in ("a", "b"):
             assert cli_main(["groundstate", str(cfg_file),
@@ -751,7 +753,7 @@ class TestCli:
                             for f in ("groundstate.json", "groundstate_profile.csv")])
         assert outputs[0] == outputs[1]
         payload = json.loads(outputs[0][0])
-        # n = 256 is solved at 64 and 128 first; iterations is the total
+        # 256^2 is solved at 64^2 and 128^2 first; iterations is the total
         assert [level["n"] for level in payload["levels"]] == [64, 128, 256]
         assert sum(level["iterations"] for level in payload["levels"]) == payload["iterations"]
         assert payload["residual_inf"] < 1e-10
