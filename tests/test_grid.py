@@ -188,7 +188,7 @@ class TestFftSeam:
         package = Path(scnls.__file__).parent
         callers = sorted(
             path.name for path in package.glob("*.py")
-            if re.search(r"(np|numpy)\.fft\.i?r?fftn?\(", path.read_text(encoding="utf-8"))
+            if re.search(r"(np|numpy)\.fft\.i?r?fftn?\b", path.read_text(encoding="utf-8"))
         )
         assert callers == ["grid.py"]
 
