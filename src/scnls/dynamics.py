@@ -40,6 +40,10 @@ A step and the diagnostics are written once, as phases over chunks of the
 grid (see :func:`strang_step` and :mod:`scnls.phases`).  :func:`evolve` runs
 a large 2D state's phases over two halves of the grid on two threads, and
 any other state's as one chunk, with bitwise the same results.
+
+The step and the diagnostics allocate no field: they reuse the buffers of one
+:class:`Workspace` (56 bytes per node and path), whose complex pair holds the
+diagnostics' transforms and, while a step runs, N's unimodular factor.
 """
 
 from __future__ import annotations
@@ -188,26 +192,25 @@ class Workspace:
 
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
     the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask (as
-    1.0/0.0), and scratch fields for a state of pair ``shape`` (default: one
-    path on ``grid``): a real and a complex field of the pair's shape, and a
-    complex and a real field of one component's shape.  The N step keeps the two
-    moduli in the real pair and the phase angle in the real component field,
-    and uses the real and imaginary parts of the complex component field as
-    temporaries before it writes the unimodular factor there; the
-    diagnostics sum powers in the real fields.  With ``spectra`` (as
-    :func:`evolve` builds it, for its recorder) it also holds a complex
-    field of the pair's shape, ``spectra``, that the diagnostics transform
-    the pair into; without it they transform one row at a time through the
-    complex component field.  One workspace serves one state (a path or a
-    batch) at a time.  ``rows`` names the rows N, L and the diagnostics
-    compute: both, unless :func:`evolve` marks one dead; a dead row's moduli
-    stay zero, and its spectra are never written.  ``runner`` runs each
-    phase of a step: as one chunk, unless :func:`evolve` gives it a split
-    runner.
+    1.0/0.0), and three fields for a state of pair ``shape`` (default: one
+    path on ``grid``), 56 bytes per node and path: a complex and a real
+    field of the pair's shape, ``spectra`` and ``moduli``, and a real field
+    of one component's shape, ``real``.  The diagnostics transform the live
+    rows into ``spectra`` (which :func:`evolve` hands to its recorder) and
+    sum powers in the real fields.  The N step keeps the two moduli in the
+    real pair and the phase angle in the real component field, and uses the
+    real and imaginary parts of ``spectra``'s row 0 as temporaries before it
+    writes the unimodular factor there: during a step ``spectra`` is stale,
+    and the next diagnostics rewrite every live row.  One workspace serves
+    one state (a path or a batch) at a time.  ``rows`` names the rows N, L
+    and the diagnostics compute: both, unless :func:`evolve` marks one dead;
+    a dead row's moduli stay zero, and its spectra are never read.
+    ``runner`` runs each phase of a step: as one chunk, unless
+    :func:`evolve` gives it a split runner.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
-                 shape: tuple[int, ...] | None = None, spectra: bool = False):
+                 shape: tuple[int, ...] | None = None):
         shape = (2,) + grid.shape if shape is None else shape
         # the multipliers carry one component's number of axes, so that one
         # path (P = 1) multiplies without broadcasting
@@ -221,14 +224,13 @@ class Workspace:
         self.tail_mask = grid.tail_mask.reshape(axes).astype(float)
         self.rows = (0, 1)
         self.runner = _OneChunk()
-        self.scratch = np.empty(shape[1:], dtype=complex)
-        self.spectra = np.empty(shape, dtype=complex) if spectra else None
+        self.spectra = np.empty(shape, dtype=complex)
         self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
-        # the same buffers with each component on one axis, for an N step on
-        # the whole grid: numpy runs a loop over one strided axis faster than
+        # N's buffers with each component on one axis, for an N step on the
+        # whole grid: numpy runs a loop over one strided axis faster than
         # over several
-        self.flat_scratch = self.scratch.reshape(-1)
+        self.flat_factor = self.spectra[0].reshape(-1)
         self.flat_moduli = self.moduli.reshape(2, -1)
         self.flat_real = self.real.reshape(-1)
 
@@ -276,10 +278,11 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
     nodes: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f| * |f| at
     sigma = 1), which is NaN where that power of the live row is not finite.
     """
+    factor = work.spectra[0][index]
     if index is Ellipsis:
-        moduli, theta, e = work.flat_moduli, work.flat_real, work.flat_scratch
+        moduli, theta, e = work.flat_moduli, work.flat_real, work.flat_factor
     else:
-        moduli, theta, e = work.moduli[index], work.real[index], work.scratch[index]
+        moduli, theta, e = work.moduli[index], work.real[index], factor
     pairs = ((coupling.l11, coupling.l12), (coupling.l22, coupling.l21))
     rows = work.rows
     if len(rows) == 2:
@@ -301,7 +304,7 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
         np.cos(theta, out=e.real)
         np.sin(theta, out=e.imag)
         f = fields[i][index]
-        f *= work.scratch[index]
+        f *= factor
     return rows
 
 
@@ -430,41 +433,32 @@ def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
     ratio and the detector's initial value all come from here).  The tail
     fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
     top third of the resolvable frequency range (resolution-loss gauge, in
-    [0, 1]).  The powers go into the real pair of ``work``, or of a fresh
+    [0, 1]).  The work runs in the buffers of ``work``, or of a fresh
     :class:`Workspace` when none is given, in three phases of its runner
-    (rows, columns, rows) over the live rows, as L transforms them.  The
-    transforms go into ``work.spectra``, or, in a workspace without it, one
-    row at a time into its complex component field.  A dead row's power is
-    the zeros its transform would give.  The node sums run on the whole
-    batch.  Returns two lists of floats with one entry per path (one entry
-    for a single path).
+    (rows, columns, rows) over the live rows, as L transforms them: the
+    transforms go into ``work.spectra`` and the powers into its real pair.
+    A dead row's power is the zeros its transform would give.  The node
+    sums run on the whole batch.  Returns two lists of floats with one entry
+    per path (one entry for a single path).
     """
     grid = state.grid
     if work is None:
         work = Workspace(grid, shape=state.fields.shape)
-    power, runner, total = work.moduli, work.runner, work.real
-    term = power[work.rows[0]]  # never a dead row, whose zeros N reads
-    # (rows, where their transforms go) for each pass of the three phases
-    if work.spectra is not None:
-        passes = [(work.rows, work.spectra)]
-    else:
-        passes = [((i,), {i: work.scratch}) for i in work.rows]
+    power, spectra, runner, total = work.moduli, work.spectra, work.runner, work.real
+    rows = work.rows
+    term = power[rows[0]]  # never a dead row, whose zeros N reads
 
-    def powers(rows, spectra, last):
-        def phase(index, axis):
-            for i in rows:
-                p = power[i][index]
-                np.abs(spectra[i][index], out=p)
-                np.square(p, out=p)
-            if last:
-                np.add(power[0][index], power[1][index], out=total[index])
-                np.multiply(work.k_sq[index], total[index], out=term[index])
-        return phase
+    def powers(index, axis):
+        for i in rows:
+            p = power[i][index]
+            np.abs(spectra[i][index], out=p)
+            np.square(p, out=p)
+        np.add(power[0][index], power[1][index], out=total[index])
+        np.multiply(work.k_sq[index], total[index], out=term[index])
 
-    for n, (rows, spectra) in enumerate(passes, 1):
-        runner.run(_transform(grid.fft, state.fields, rows, spectra), runner.rows)
-        runner.run(_transform(grid.fft, spectra, rows), runner.cols)
-        runner.run(powers(rows, spectra, n == len(passes)), runner.rows)
+    runner.run(_transform(grid.fft, state.fields, rows, spectra), runner.rows)
+    runner.run(_transform(grid.fft, spectra, rows), runner.cols)
+    runner.run(powers, runner.rows)
     scale = grid.spacing**grid.dim / grid.node_count
     grad_norm_sq = [part * scale for part in _node_sums(term, grid).tolist()]
     whole = _node_sums(total, grid).tolist()
@@ -569,7 +563,7 @@ def evolve(
     if not batched:
         state = SystemState.of_pair(state.fields[:, None], state.t, grid)
     live = list(range(n_paths))
-    work = Workspace(grid, dt, state.fields.shape, spectra=True)
+    work = Workspace(grid, dt, state.fields.shape)
     # a row zero in every path is dead, unless non-finite coefficients NaN it
     rows = tuple(i for i, f in enumerate(state.fields) if f.any())
     if len(rows) == 1 and np.isfinite(coupling.lam).all():
@@ -611,7 +605,7 @@ def evolve(
             spectra = spectra[:, keep]
         if live:
             rows, runner = work.rows, work.runner
-            work = Workspace(grid, dt, state.fields.shape, spectra=True)
+            work = Workspace(grid, dt, state.fields.shape)
             work.rows, work.runner = rows, runner
 
     # the helper thread of a split runner lives only inside this block

@@ -616,6 +616,8 @@ def criterion_sweep(cfg: RunConfig, t_bar_max: float, points: int = 200) -> dict
     """
     if t_bar_max <= 0:
         raise ConfigError(f"t_bar must be positive, got {t_bar_max}")
+    if points < 1:
+        raise ConfigError(f"points must be at least 1, got {points}")
     grid = cfg.build_grid()
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)

@@ -375,23 +375,37 @@ class TestKernel:
         assert tail == pytest.approx(power[grid_2d.tail_mask].sum() / power.sum(), rel=1e-13)
         assert 0.4 < tail < 0.7  # white noise fills the top third of the spectrum
 
-    @pytest.mark.parametrize("rows", [(0, 1), (0,)])
-    def test_diagnostics_equal_with_and_without_the_spectra_pair(self, grid_2d, rows):
-        # without the pair the transforms go one row at a time through the
-        # complex component field; the bits are the same either way
+    @pytest.mark.parametrize("rows", [(0, 1), (1,)])
+    @pytest.mark.parametrize("split", [False, True])
+    def test_diagnostics_rewrite_the_pair_that_holds_the_factor(self, grid_2d, rows, split):
+        # N writes its unimodular factor into row 0 of the workspace's
+        # spectra; the diagnostics that follow rewrite every live row, also
+        # when row 0 is dead and its slot keeps the factor
         from scnls.dynamics import Workspace, _spectral_diagnostics
+        from scnls.phases import _OneChunk, _Split
 
         rng = np.random.default_rng(16)
         fields = rng.standard_normal((2, 2) + grid_2d.shape) + 0j
-        fields[1:] *= len(rows) - 1  # a dead row is zero in every path
+        fields[0] *= len(rows) - 1  # a dead row is zero in every path
         state = SystemState.of_pair(fields, 0.0, grid_2d)
-        works = [Workspace(grid_2d, shape=fields.shape, spectra=s) for s in (False, True)]
-        for work in works:
-            work.rows = rows
-        alone, paired = (_spectral_diagnostics(state, work) for work in works)
-        assert alone == paired
+        model = build_noise_model(NoiseSpec(K=0), grid_2d)
+        dt = 1e-3
+        work = Workspace(grid_2d, dt, fields.shape)
+        work.rows = rows
+        work.runner = _Split(grid_2d) if split else _OneChunk()
+        try:
+            strang_step(state, dt, model, np.zeros((2, 0)),
+                        Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]])), work=work)
+            factor = work.spectra[0].copy()
+            assert np.allclose(np.abs(factor), 1.0)
+            grad, tail = _spectral_diagnostics(state, work)
+        finally:
+            work.runner.close()
         for i in rows:
-            assert works[1].spectra[i].tobytes() == grid_2d.fft(fields[i]).tobytes()
+            assert work.spectra[i].tobytes() == grid_2d.fft(fields[i]).tobytes()
+        if rows == (1,):
+            assert work.spectra[0].tobytes() == factor.tobytes()
+        assert (grad, tail) == _spectral_diagnostics(state)
 
     def test_integer_sigma_mixed_term_matches_power_formula(self):
         from scnls.dynamics import _TINY_MODULUS, _phase_multiplier

@@ -767,6 +767,13 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert "lhs_min" in report
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_criterion_cli_rejects_no_points(self, tmp_path, capsys, points):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT)
+        assert cli_main(["criterion", str(cfg_file), "--tbar", "0.5", "--points", points]) == 1
+        assert f"points must be at least 1, got {points}" in capsys.readouterr().err
+
     def test_ensemble_cli(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.ini"
         cfg_file.write_text(CONFIG_TEXT.replace("T = 0.1", "T = 0.05"))

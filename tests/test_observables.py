@@ -507,7 +507,7 @@ class TestRecordRow:
         # G takes dim inverse transforms per component from the diagnostics'
         # spectra; the gradient norm and H come from the diagnostics passed in
         st = make_state(grid_2d, np.exp(-grid_2d.r_sq), 0.5 * np.exp(-grid_2d.r_sq))
-        work = Workspace(grid_2d, spectra=True)
+        work = Workspace(grid_2d)
         (grad,), (tail,) = _spectral_diagnostics(st, work)
         calls = []
         for name in ("fft", "ifft"):
