@@ -375,8 +375,8 @@ class TestKernel:
         assert tail == pytest.approx(power[grid_2d.tail_mask].sum() / power.sum(), rel=1e-13)
         assert 0.4 < tail < 0.7  # white noise fills the top third of the spectrum
 
-    @pytest.mark.parametrize("rows", [(0, 1), (1,)])
-    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("rows", [(0, 1), (1,)], ids=["both_live", "row0_dead"])
+    @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
     def test_diagnostics_rewrite_the_pair_that_holds_the_factor(self, grid_2d, rows, split):
         # N writes its unimodular factor into row 0 of the workspace's
         # spectra; the diagnostics that follow rewrite every live row, also
