@@ -12,13 +12,14 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .config import ConfigError, load_config
 from .groundstate import GroundStateError, solve_ground_state
 from .harness import (
     HarnessError,
     _resolve_output_dir,
+    _write_csv,
+    _write_json,
     criterion_sweep,
     run_ensemble,
     run_single,
@@ -79,7 +80,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_ensemble(args) -> int:
     cfg = load_config(args.config)
     if args.threshold_study is not None:
-        masses = [float(tok) for tok in args.threshold_study.split(",") if tok.strip()]
+        try:
+            masses = [float(tok) for tok in args.threshold_study.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise ConfigError(f"--threshold-study takes comma-separated numbers: {exc}") from exc
         rows = threshold_study(cfg, masses, args.paths, workers=args.workers,
                                output_dir=args.output_dir)
         print(json.dumps(rows, indent=2, sort_keys=True))
@@ -109,23 +113,13 @@ def _cmd_groundstate(args) -> int:
         "levels": [{"n": n, "iterations": m} for n, m in gs.levels],
         "grid": {"dim": grid.dim, "n": grid.n, "L": grid.length},
     }
-    (out / "groundstate.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out / "groundstate.json", payload)
 
     # radial profile along the positive x-axis through the box center
     half = grid.n // 2
-    if grid.dim == 1:
-        r = grid.x[0][half:]
-        p_line = gs.P[half:]
-        q_line = gs.Q[half:]
-    else:
-        r = grid.x[0][half:, half]
-        p_line = gs.P[half:, half]
-        q_line = gs.Q[half:, half]
-    lines = ["r,P,Q"]
-    for i in range(len(r)):
-        lines.append(f"{float(r[i])!r},{float(p_line[i])!r},{float(q_line[i])!r}")
-    (out / "groundstate_profile.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    line = (slice(half, None),) + (half,) * (grid.dim - 1)
+    _write_csv(out / "groundstate_profile.csv", ["r", "P", "Q"],
+               zip(grid.x[0][line], gs.P[line], gs.Q[line]))
 
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -142,10 +136,7 @@ def _cmd_criterion(args) -> int:
     cfg = load_config(args.config)
     report = criterion_sweep(cfg, args.tbar, points=args.points)
     if args.output_dir is not None:
-        out = Path(args.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "criterion.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _write_json(_resolve_output_dir(cfg, args.output_dir) / "criterion.json", report)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 

@@ -108,6 +108,8 @@ class InitialSpec:
                 f"unknown initial-data family {self.family!r}; "
                 f"choose from {sorted(_FAMILY_KEYS)}"
             )
+        if not np.isfinite([self.amplitude, self.width, self.center, self.chirp]).all():
+            raise ConfigError(f"initial-data parameters must be finite, got {self}")
         if self.family in ("gaussian", "sech") and self.width <= 0:
             raise ConfigError(f"initial width must be positive, got {self.width}")
 
@@ -117,8 +119,6 @@ class InitialSpec:
         if self.family == "file":
             try:
                 snap_grid, values = load_field_snapshot(self.path)
-            except ConfigError:
-                raise
             except (OSError, ValueError, KeyError) as exc:
                 raise ConfigError(
                     f"cannot load initial-data snapshot {self.path}: {exc}"
@@ -169,14 +169,15 @@ class RunConfig:
             Grid(self.dim, self.n, self.L)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.T <= 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        # written so that NaN and inf fail too
+        if not 0 < self.T < np.inf:
+            raise ConfigError(f"T must be positive and finite, got {self.T}")
+        if not 0 < self.dt < np.inf:
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.record_every < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if self.theta_grad is not None and self.theta_grad <= 0:
-            raise ConfigError("theta_grad must be positive")
+        if self.theta_grad is not None and not 0 < self.theta_grad < np.inf:
+            raise ConfigError(f"theta_grad must be positive and finite, got {self.theta_grad}")
         if not (0 < self.theta_tail <= 1):
             raise ConfigError("theta_tail must lie in (0, 1]")
         self.coupling.check_dimension(self.dim)

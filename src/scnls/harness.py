@@ -100,8 +100,10 @@ class BlowupDetector:
     """
 
     def __init__(self, theta_grad: float, theta_tail: float = 0.1):
-        if theta_grad <= 0 or theta_tail <= 0:
-            raise ValueError("detector thresholds must be positive")
+        # written so that NaN fails: it would switch its trigger off unnoticed
+        if not (theta_grad > 0 and theta_tail > 0):
+            raise ValueError(f"detector thresholds must be positive, got "
+                             f"theta_grad={theta_grad}, theta_tail={theta_tail}")
         self.theta_grad = theta_grad
         self.theta_tail = theta_tail
 
@@ -110,7 +112,9 @@ class BlowupDetector:
                     theta_grad: float | None = None,
                     theta_tail: float = 0.1) -> "BlowupDetector":
         if theta_grad is None:
-            theta_grad = 1e6 * (initial_grad_norm_sq + 1.0)
+            # non-finite initial data gets no gradient trigger; its run ends "invalid"
+            finite = np.isfinite(initial_grad_norm_sq)
+            theta_grad = 1e6 * (initial_grad_norm_sq + 1.0) if finite else np.inf
         return cls(theta_grad, theta_tail)
 
     def __call__(self, grad_norm_sq: float, tail_fraction: float) -> bool:
@@ -121,8 +125,16 @@ class BlowupDetector:
 # -- formatting and persistence -----------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    return repr(float(x)) if isinstance(x, float) else str(x)
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """CSV with floats in shortest round-trip form and None as an empty cell."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
@@ -139,10 +151,7 @@ def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
         record.grad_norm_sq, record.spectral_tail_fraction,
         res_paper, res_gradient, res_v, res_g,
     ]
-    lines = [",".join(CSV_COLUMNS)]
-    for i in range(len(record)):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, CSV_COLUMNS, zip(*(col.tolist() for col in columns)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -176,12 +185,13 @@ class SingleRunResult:
     result: TrajectoryResult
 
 
-def _run_trajectory(cfg: RunConfig, seeds) -> list[TrajectoryResult]:
+def _run_trajectory(cfg: RunConfig, seeds, increments=None) -> list[TrajectoryResult]:
     """Integrate a batch of configured paths, one per seed, as one ``evolve``.
 
-    Every path starts from the configured state and draws its increments from
-    its own PCG64 generator seeded with its seed.  The grid, noise model and
-    detector are built once for the batch.  Returns the results in seed order.
+    Every path starts from the configured state.  Path p takes its increments
+    from ``increments[p]`` when given, else from its own PCG64 generator
+    seeded with its seed.  The grid, noise model and detector are built once
+    for the batch.  Returns the results in seed order.
     """
     grid = cfg.build_grid()
     state = cfg.build_state(grid)
@@ -193,7 +203,7 @@ def _run_trajectory(cfg: RunConfig, seeds) -> list[TrajectoryResult]:
     batch = (2, len(seeds)) + grid.shape
     state = SystemState.of_pair(np.broadcast_to(state.fields[:, None], batch), state.t, grid)
     return evolve(
-        state, cfg.T, cfg.dt, model, cfg.coupling, seed=seeds,
+        state, cfg.T, cfg.dt, model, cfg.coupling, seed=seeds, increments=increments,
         record_every=cfg.record_every, detector=detector,
         track_identities=cfg.track_identities, dealias=cfg.dealias,
     )
@@ -401,14 +411,10 @@ def run_ensemble(
         criterion_verdict=crit.verdict,
     )
     _write_json(out / "ensemble.json", ens.to_dict())
-    index_lines = ["path,seed,outcome,t_star,final_t,H_final"]
-    for s in summaries:
-        index_lines.append(
-            f"{s['path']},{s['seed']},{s['outcome']},"
-            f"{'' if s['t_star'] is None else _fmt(s['t_star'])},"
-            f"{_fmt(s['final']['t'])},{_fmt(s['final']['H'])}"
-        )
-    (out / "paths_index.csv").write_text("\n".join(index_lines) + "\n", encoding="utf-8")
+    _write_csv(out / "paths_index.csv",
+               ["path", "seed", "outcome", "t_star", "final_t", "H_final"],
+               ([s["path"], s["seed"], s["outcome"], s["t_star"], s["final"]["t"],
+                 s["final"]["H"]] for s in summaries))
     return ens
 
 
@@ -437,6 +443,8 @@ def threshold_study(
         )
     if c.l11 <= 0 or c.l22 <= 0:
         raise ConfigError("threshold_study requires positive diagonal coefficients")
+    if not all(0 <= target < np.inf for target in mass_grid):
+        raise ConfigError(f"mass targets must be finite and non-negative, got {mass_grid}")
 
     out = _resolve_output_dir(cfg, output_dir)
     rows: list[dict] = []
@@ -465,13 +473,9 @@ def threshold_study(
                 "threshold": float(threshold),
             })
 
-    lines = ["mass_combination,blowup_fraction,criterion_lhs,regime"]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row['mass_combination'])},{_fmt(row['blowup_fraction'])},"
-            f"{_fmt(row['criterion_lhs'])},{row['regime']}"
-        )
-    (out / "threshold_study.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ["mass_combination", "blowup_fraction", "criterion_lhs", "regime"]
+    _write_csv(out / "threshold_study.csv", columns,
+               ([row[key] for key in columns] for row in rows))
     return rows
 
 
@@ -503,61 +507,54 @@ def convergence_order(dts, errors) -> float | None:
     return float(slope)
 
 
+def _identity_metrics(rec: TrajectoryRecord) -> dict:
+    """One verify level's mass drifts, H drift and final identity residuals."""
+    budget = energy_budget(rec)
+    res_v, res_g = virial_residuals(rec)
+    return {
+        "mass_drift": {key: float(np.max(np.abs(m - m[0])) / max(m[0], 1e-30))
+                       for key, m in (("u", rec.mass_u), ("v", rec.mass_v))},
+        "h_drift": float(abs(rec.H[-1] - rec.H[0])),
+        "energy_residuals": {"paper": float(abs(budget.paper[-1])),
+                             "gradient": float(abs(budget.gradient[-1]))},
+        "virial_residuals": {"V": float(abs(res_v[-1])), "G": float(abs(res_g[-1]))},
+    }
+
+
 def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
     """Identity report: mass drift, energy/virial residuals, measured orders.
 
-    Runs the configured trajectory at dt and dt/2 on the same Brownian path
-    (fine increments are drawn once and pair-summed for the coarse run) and
-    reports per-identity values, convergence orders, and pass flags.
+    Runs the configured trajectory with identities tracked at each step size
+    of ``[dt, dt/2]`` on one Brownian path (the finest increments are drawn
+    once and pair-summed for each coarser level) and reports the values at
+    dt, the convergence orders over the levels, and pass flags.
     Requires record_every = 1.
     """
     if cfg.record_every != 1:
         raise ConfigError("verify requires record_every = 1")
     out = _resolve_output_dir(cfg, output_dir)
 
-    n_steps = int(np.floor(cfg.T / cfg.dt + 1e-9))
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    dts = [cfg.dt, cfg.dt / 2]
     K = cfg.noise.K
-    fine = (
-        sample_increments(2 * n_steps * K, cfg.dt / 2, rng).reshape(2 * n_steps, K)
-        if K else np.zeros((2 * n_steps, 0))
-    )
-    coarse = fine[0::2] + fine[1::2]
+    n_fine = int(np.floor(cfg.T / cfg.dt + 1e-9)) * 2 ** (len(dts) - 1)
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    increments = [sample_increments(n_fine * K, dts[-1], rng).reshape(n_fine, K)]
+    while len(increments) < len(dts):
+        increments.insert(0, increments[0][0::2] + increments[0][1::2])
+    results = [_run_verify_trajectory(dataclasses.replace(cfg, dt=dt, track_identities=True), dw)
+               for dt, dw in zip(dts, increments)]
+    levels = [_identity_metrics(result.record) for result in results]
 
-    cfg_fine = dataclasses.replace(cfg, dt=cfg.dt / 2)
-    res_coarse = _run_verify_trajectory(cfg, coarse)
-    res_fine = _run_verify_trajectory(cfg_fine, fine)
-
-    def _final_metrics(result):
-        rec = result.record
-        budget = energy_budget(rec)
-        res_v, res_g = virial_residuals(rec)
-        drift_u = np.max(np.abs(rec.mass_u - rec.mass_u[0])) / max(rec.mass_u[0], 1e-30)
-        drift_v = np.max(np.abs(rec.mass_v - rec.mass_v[0])) / max(rec.mass_v[0], 1e-30)
-        return {
-            "mass_drift_u": float(drift_u),
-            "mass_drift_v": float(drift_v),
-            "h_drift": float(abs(rec.H[-1] - rec.H[0])),
-            "energy_residual_paper": float(abs(budget.paper[-1])),
-            "energy_residual_gradient": float(abs(budget.gradient[-1])),
-            "virial_residual_V": float(abs(res_v[-1])),
-            "virial_residual_G": float(abs(res_g[-1])),
-        }
-
-    m_coarse = _final_metrics(res_coarse)
-    m_fine = _final_metrics(res_fine)
-
-    def _order(key):
-        return convergence_order(
-            [cfg.dt, cfg.dt / 2], [m_coarse[key], m_fine[key]]
-        )
+    def _order(section, key):
+        return convergence_order(dts, [level[section][key] for level in levels])
 
     deterministic = K == 0 or cfg.noise.a0 == 0.0
     orders = {
-        "energy_residual_gradient": _order("energy_residual_gradient"),
-        "virial_residual_V": _order("virial_residual_V"),
-        "virial_residual_G": _order("virial_residual_G"),
-        "h_drift": _order("h_drift") if deterministic else None,
+        "energy_residual_gradient": _order("energy_residuals", "gradient"),
+        "virial_residual_V": _order("virial_residuals", "V"),
+        "virial_residual_G": _order("virial_residuals", "G"),
+        "h_drift": (convergence_order(dts, [level["h_drift"] for level in levels])
+                    if deterministic else None),
     }
 
     min_order = 1.8 if deterministic else 0.9
@@ -565,43 +562,29 @@ def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
     def _order_pass(value):
         return True if value is None else value >= min_order
 
+    top = levels[0]
     report = {
         "deterministic": deterministic,
         "dt": cfg.dt,
-        "mass_drift": {"u": m_coarse["mass_drift_u"], "v": m_coarse["mass_drift_v"]},
-        "energy_residuals": {
-            "paper": m_coarse["energy_residual_paper"],
-            "gradient": m_coarse["energy_residual_gradient"],
-        },
-        "virial_residuals": {
-            "V": m_coarse["virial_residual_V"],
-            "G": m_coarse["virial_residual_G"],
-        },
+        "mass_drift": top["mass_drift"],
+        "energy_residuals": top["energy_residuals"],
+        "virial_residuals": top["virial_residuals"],
         "orders": orders,
         "passes": {
-            "mass": max(m_coarse["mass_drift_u"], m_coarse["mass_drift_v"]) <= 1e-11,
+            "mass": max(top["mass_drift"].values()) <= 1e-11,
             "energy_gradient_order": _order_pass(orders["energy_residual_gradient"]),
             "virial_V_order": _order_pass(orders["virial_residual_V"]),
             "virial_G_order": _order_pass(orders["virial_residual_G"]),
         },
-        "outcome": res_coarse.outcome,
+        "outcome": results[0].outcome,
     }
     _write_json(out / "verify.json", report)
     return report
 
 
 def _run_verify_trajectory(cfg: RunConfig, increments: np.ndarray) -> TrajectoryResult:
-    grid = cfg.build_grid()
-    state = cfg.build_state(grid)
-    model = cfg.build_noise_model(grid)
-    detector = BlowupDetector.for_initial(
-        _spectral_diagnostics(state)[0][0], cfg.theta_grad, cfg.theta_tail
-    )
-    return evolve(
-        state, cfg.T, cfg.dt, model, cfg.coupling,
-        increments=increments, record_every=1, detector=detector,
-        track_identities=True, dealias=cfg.dealias,
-    )
+    """One verify level: the configured run as a batch of one on ``increments``."""
+    return _run_trajectory(cfg, [cfg.seed], increments[None])[0]
 
 
 # -- criterion sweep -----------------------------------------------------------------
@@ -614,8 +597,8 @@ def criterion_sweep(cfg: RunConfig, t_bar_max: float, points: int = 200) -> dict
     when none does the tool reports the positive minimum and asserts nothing.
     Also returns the negative-energy-set bound at the minimizing horizon.
     """
-    if t_bar_max <= 0:
-        raise ConfigError(f"t_bar must be positive, got {t_bar_max}")
+    if not 0 < t_bar_max < np.inf:
+        raise ConfigError(f"t_bar must be positive and finite, got {t_bar_max}")
     if points < 1:
         raise ConfigError(f"points must be at least 1, got {points}")
     grid = cfg.build_grid()

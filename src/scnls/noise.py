@@ -64,10 +64,13 @@ class NoiseSpec:
             raise ValueError(f"K must be >= 0, got {self.K}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown noise family {self.family!r}; choose from {_FAMILIES}")
-        if self.a0 < 0:
-            raise ValueError(f"mode amplitude a0 must be >= 0, got {self.a0}")
-        if self.decay_p < 0:
-            raise ValueError(f"decay exponent must be >= 0, got {self.decay_p}")
+        # written so that NaN and inf fail too
+        if not 0 <= self.a0 < np.inf:
+            raise ValueError(f"mode amplitude a0 must be finite and >= 0, got {self.a0}")
+        if not 0 <= self.decay_p < np.inf:
+            raise ValueError(f"decay exponent must be finite and >= 0, got {self.decay_p}")
+        if not np.isfinite([self.scale_u, self.scale_v]).all():
+            raise ValueError(f"mode scales must be finite, got {self.scale_u}, {self.scale_v}")
 
     def amplitudes(self) -> np.ndarray:
         k = np.arange(self.K, dtype=float)

@@ -451,8 +451,8 @@ class CriterionResult:
 def criterion_lhs(V0: float, G0: float, H0: float, M0: float,
                   min_sup_F: float, t_bar: float) -> float:
     """V0 + 4 G0 tbar + 8 H0 tbar^2 + (4/3) tbar^3 min_i sup F_i M0."""
-    if t_bar <= 0:
-        raise ValueError(f"t_bar must be positive, got {t_bar}")
+    if not 0 < t_bar < np.inf:
+        raise ValueError(f"t_bar must be positive and finite, got {t_bar}")
     return (
         V0
         + 4.0 * G0 * t_bar
@@ -478,8 +478,8 @@ def blowup_criterion(
     potential integrand of the virial identity nonnegative; outside them a
     warning is emitted and the arithmetic is still returned.
     """
-    if t_bar <= 0:
-        raise ValueError(f"t_bar must be positive, got {t_bar}")
+    if not 0 < t_bar < np.inf:
+        raise ValueError(f"t_bar must be positive and finite, got {t_bar}")
     if isinstance(states, SystemState):
         ensemble = [states]
     else:

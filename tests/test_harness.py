@@ -410,6 +410,15 @@ class TestRunSingle:
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outcome"]["t_star"] == result.t_star
 
+    def test_non_finite_initial_data_ends_invalid(self, tmp_path, grid_1d):
+        poisoned = np.exp(-grid_1d.x[0] ** 2).astype(complex)
+        poisoned[7] = np.nan
+        save_field_snapshot(tmp_path / "bad.bin", grid_1d, poisoned)
+        cfg = base_config(initial_u=InitialSpec("file", path=str(tmp_path / "bad.bin")))
+        result = run_single(cfg, tmp_path / "out")
+        assert (result.outcome, result.exit_code) == ("invalid", 3)
+        assert (tmp_path / "out" / "manifest.json").exists()
+
     def test_snapshot_final(self, tmp_path):
         cfg = base_config(snapshot_final=True)
         run_single(cfg, tmp_path)
@@ -658,6 +667,14 @@ class TestVerify:
         assert report["passes"]["energy_gradient_order"]
         assert report["orders"]["h_drift"] is None
 
+    def test_tracks_identities_whatever_the_config_says(self, tmp_path):
+        kwargs = dict(noise=NoiseSpec(K=2, a0=0.05), T=0.1, dt=2e-3, record_every=1)
+        tracked = verify(base_config(**kwargs), tmp_path / "on")
+        untracked = verify(base_config(track_identities=False, **kwargs), tmp_path / "off")
+        assert untracked == tracked
+        assert ((tmp_path / "off" / "verify.json").read_bytes()
+                == (tmp_path / "on" / "verify.json").read_bytes())
+
 
 class TestCriterionSweep:
     def test_negative_for_collapse_data(self):
@@ -773,6 +790,33 @@ class TestCli:
         cfg_file.write_text(CONFIG_TEXT)
         assert cli_main(["criterion", str(cfg_file), "--tbar", "0.5", "--points", points]) == 1
         assert f"points must be at least 1, got {points}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, edits", [
+        pytest.param(["criterion", "--tbar", "nan"], [], id="tbar_nan"),
+        pytest.param(["simulate"], [("T = 0.1", "T = nan")], id="T_nan"),
+        pytest.param(["simulate"], [("dt = 1e-3", "dt = inf")], id="dt_inf"),
+        pytest.param(["simulate"], [("[run]", "[detector]\ntheta_grad = nan\n\n[run]")],
+                     id="theta_grad_nan"),
+        pytest.param(["simulate"], [("width = 1.0", "width = nan")], id="width_nan"),
+        pytest.param(["simulate"], [("amplitude = 1.0", "amplitude = inf")], id="amplitude_inf"),
+        pytest.param(["simulate"], [("a0 = 0.05", "a0 = nan")], id="a0_nan"),
+        pytest.param(["ensemble", "--paths", "2", "--threshold-study", "abc"], [],
+                     id="targets_abc"),
+        pytest.param(["ensemble", "--paths", "2", "--threshold-study", "1,nan"],
+                     [("sigma = 1.0", "sigma = 2.0"), ("lambda22 = 0.0", "lambda22 = 1.0")],
+                     id="target_nan"),
+    ])
+    def test_non_finite_inputs_are_config_errors(self, tmp_path, capsys, args, edits):
+        text = CONFIG_TEXT
+        for old, new in edits:
+            text = text.replace(old, new)
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(text)
+        argv = args[:1] + [str(cfg_file)] + args[1:] + ["--output-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert "config error" in captured.err
+        assert "NaN" not in captured.out
 
     def test_ensemble_cli(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.ini"
