@@ -42,8 +42,12 @@ a large 2D state's phases over two halves of the grid on two threads, and
 any other state's as one chunk, with bitwise the same results.
 
 The step and the diagnostics allocate no field: they reuse the buffers of one
-:class:`Workspace` (56 bytes per node and path), whose complex pair holds the
-diagnostics' transforms and, while a step runs, N's unimodular factor.
+:class:`Workspace` (88 bytes per node and path).  One complex pair holds the
+diagnostics' transforms, the other N's unimodular factor.  N leaves every
+modulus unchanged, and only read-only work runs between the trailing N of one
+step and the leading N of the next, so that leading N multiplies by the
+factor the trailing N built instead of computing it again (the adjacent
+half-flows of the composition merged).
 """
 
 from __future__ import annotations
@@ -192,21 +196,28 @@ class Workspace:
 
     Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
     the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask (as
-    1.0/0.0), and three fields for a state of pair ``shape`` (default: one
-    path on ``grid``), 56 bytes per node and path: a complex and a real
-    field of the pair's shape, ``spectra`` and ``moduli``, and a real field
-    of one component's shape, ``real``.  The diagnostics transform the live
-    rows into ``spectra`` (which :func:`evolve` hands to its recorder) and
-    sum powers in the real fields.  The N step keeps the two moduli in the
-    real pair and the phase angle in the real component field, and uses the
-    real and imaginary parts of ``spectra``'s row 0 as temporaries before it
-    writes the unimodular factor there: during a step ``spectra`` is stale,
-    and the next diagnostics rewrite every live row.  One workspace serves
-    one state (a path or a batch) at a time.  ``rows`` names the rows N, L
-    and the diagnostics compute: both, unless :func:`evolve` marks one dead;
-    a dead row's moduli stay zero, and its spectra are never read.
-    ``runner`` runs each phase of a step: as one chunk, unless
-    :func:`evolve` gives it a split runner.
+    1.0/0.0), and four fields for a state of pair ``shape`` (default: one
+    path on ``grid``), 88 bytes per node and path: two complex and a real
+    field of the pair's shape, ``spectra``, ``factor`` and ``moduli``, and a
+    real field of one component's shape, ``real``.  The diagnostics
+    transform the live rows into ``spectra`` (which :func:`evolve` hands to
+    its recorder) and sum powers in the real fields.  The N step keeps the
+    two moduli in the real pair and the phase angle in the real component
+    field, and writes each rotated row's unimodular factor into that row of
+    ``factor``, using its real and imaginary parts as temporaries first.
+    ``factor_of`` names the (fields, coupling) the factor serves: a
+    :func:`strang_step` that revived no row sets it, and the next step of
+    the same fields and coupling multiplies by the factor in its leading N.
+    A fresh workspace, :func:`nonlinear_phase` with this workspace and a
+    step that revived a row leave it unset (in a split step the chunk that
+    did not revive never wrote the revived row's factor), and the leading N
+    computes.  Between steps only the step may write the fields.  One
+    workspace serves one state (a path or a batch) at a time.  ``rows``
+    names the rows N, L and the diagnostics compute: both, unless
+    :func:`evolve` marks one dead; a dead row's moduli stay zero, and its
+    spectra and factor are never read (nor, being allocated empty, their
+    pages touched).  ``runner`` runs each phase of a step: as one chunk,
+    unless :func:`evolve` gives it a split runner.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
@@ -225,12 +236,14 @@ class Workspace:
         self.rows = (0, 1)
         self.runner = _OneChunk()
         self.spectra = np.empty(shape, dtype=complex)
+        self.factor = np.empty(shape, dtype=complex)
+        self.factor_of = (None, None)
         self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
         # N's buffers with each component on one axis, for an N step on the
         # whole grid: numpy runs a loop over one strided axis faster than
         # over several
-        self.flat_factor = self.spectra[0].reshape(-1)
+        self.flat_factor = self.factor.reshape(2, -1)
         self.flat_moduli = self.moduli.reshape(2, -1)
         self.flat_real = self.real.reshape(-1)
 
@@ -277,8 +290,10 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
     Those are ``work.rows``, or both rows when the revive rule fires on these
     nodes: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f| * |f| at
     sigma = 1), which is NaN where that power of the live row is not finite.
+    Each rotated row's unimodular factor is left in that row of
+    ``work.factor`` on these nodes.
     """
-    factor = work.spectra[0][index]
+    factor = work.factor[index]
     if index is Ellipsis:
         moduli, theta, e = work.flat_moduli, work.flat_real, work.flat_factor
     else:
@@ -299,12 +314,12 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
     for i in rows:
         l_self, l_mixed = pairs[i]
         _phase_multiplier(moduli[i], moduli[1 - i], l_self, l_mixed, coupling.sigma,
-                          theta, e.real, e.imag)
+                          theta, e[i].real, e[i].imag)
         theta *= dt
-        np.cos(theta, out=e.real)
-        np.sin(theta, out=e.imag)
+        np.cos(theta, out=e[i].real)
+        np.sin(theta, out=e[i].imag)
         f = fields[i][index]
-        f *= factor
+        f *= factor[i]
     return rows
 
 
@@ -322,6 +337,7 @@ def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
     """
     if work is None:
         state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
+    work.factor_of = (None, None)
     work.rows = _rotate_rows(state.fields, dt, coupling, work, Ellipsis)
     return state
 
@@ -350,13 +366,16 @@ def strang_step(
     dealiasing mask, the inverse transform along the last axis), columns
     (the inverse transform along the first axis), then W as one call on
     the calling thread, then rows (N, the finite check).  One chunk
-    transforms every axis in its row phases.
+    transforms every axis in its row phases.  The leading N multiplies by
+    the previous trailing N's factor when the workspace holds it (see
+    :class:`Workspace`).
     """
     if work is None:
         state, work = state.copy(), Workspace(state.grid, dt, state.fields.shape)
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
     grid, fields, runner = state.grid, state.fields, work.runner
+    reuse = work.factor_of[0] is fields and work.factor_of[1] is coupling
     revived, finite = [], []
 
     def rotate(index):
@@ -366,8 +385,10 @@ def strang_step(
         return rows
 
     def leading(index, axis):
-        for i in rotate(index):
+        for i in work.rows if reuse else rotate(index):
             f = fields[i][index]
+            if reuse:
+                f *= work.factor[i][index]
             grid.fft(f, out=f, axis=axis)
 
     def free_flow(index, axis):
@@ -393,6 +414,7 @@ def strang_step(
     runner.run(trailing, runner.rows)
     if revived:
         work.rows = (0, 1)
+    work.factor_of = (None, None) if revived else (fields, coupling)
     state.t = state.t + dt
     if not all(finite):
         state.blown_up = True
@@ -604,9 +626,15 @@ def evolve(
         if spectra is not None:
             spectra = spectra[:, keep]
         if live:
-            rows, runner = work.rows, work.runner
+            old = work
             work = Workspace(grid, dt, state.fields.shape)
-            work.rows, work.runner = rows, runner
+            work.rows, work.runner = old.rows, old.runner
+            # the staying paths keep their factor, so that their next leading
+            # N multiplies by it, as each path alone does
+            if old.factor_of[0] is not None:
+                for i in work.rows:
+                    work.factor[i] = old.factor[i][keep]
+                work.factor_of = (state.fields, coupling)
 
     # the helper thread of a split runner lives only inside this block
     with _runner(grid) as runner:

@@ -378,9 +378,10 @@ class TestKernel:
     @pytest.mark.parametrize("rows", [(0, 1), (1,)], ids=["both_live", "row0_dead"])
     @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
     def test_diagnostics_rewrite_the_pair_that_holds_the_factor(self, grid_2d, rows, split):
-        # N writes its unimodular factor into row 0 of the workspace's
-        # spectra; the diagnostics that follow rewrite every live row, also
-        # when row 0 is dead and its slot keeps the factor
+        # N writes each live row's unimodular factor into that row of the
+        # workspace's factor pair, which the next step's leading N reuses;
+        # the diagnostics that run between the steps rewrite every live row
+        # of spectra and leave the factor pair's bytes alone
         from scnls.dynamics import Workspace, _spectral_diagnostics
         from scnls.phases import _OneChunk, _Split
 
@@ -396,16 +397,81 @@ class TestKernel:
         try:
             strang_step(state, dt, model, np.zeros((2, 0)),
                         Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]])), work=work)
-            factor = work.spectra[0].copy()
-            assert np.allclose(np.abs(factor), 1.0)
+            factor = work.factor.tobytes()
+            for i in rows:
+                np.testing.assert_allclose(np.abs(work.factor[i]), 1.0, rtol=1e-15)
             grad, tail = _spectral_diagnostics(state, work)
         finally:
             work.runner.close()
+        assert work.factor.tobytes() == factor
         for i in rows:
             assert work.spectra[i].tobytes() == grid_2d.fft(fields[i]).tobytes()
-        if rows == (1,):
-            assert work.spectra[0].tobytes() == factor.tobytes()
         assert (grad, tail) == _spectral_diagnostics(state)
+
+    @staticmethod
+    def _fresh_steps(state, dt, model, increments, c, dealias=False):
+        """One standalone strang_step per row of ``increments``, each on a fresh workspace."""
+        for inc in increments:
+            state = strang_step(state, dt, model, inc, c, dealias=dealias)
+        return state
+
+    @staticmethod
+    def _assert_round_off(got, ref):
+        for g, r in zip(got.fields, ref.fields):
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+    def test_reused_factor_is_a_round_off_change_1d(self, grid_1d, monkeypatch):
+        # evolve's leading N multiplies by the factor of the previous
+        # trailing N: after the first step, N computes each row once a step
+        from scnls import dynamics
+
+        model = build_noise_model(NoiseSpec(K=2, a0=0.3), grid_1d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        st_ = self._pair(grid_1d, 17)
+        dt, n = 1e-3, 50
+        inc = np.random.default_rng(18).standard_normal((n, 2)) * np.sqrt(dt)
+        calls = []
+        multiplier = dynamics._phase_multiplier
+        monkeypatch.setattr(dynamics, "_phase_multiplier",
+                            lambda *args: calls.append(1) or multiplier(*args))
+        res = evolve(st_, n * dt, dt, model, c, increments=inc, record_every=10,
+                     track_identities=True)
+        assert res.outcome == "completed" and res.steps == n
+        assert len(calls) == 2 * (n + 1)
+        self._assert_round_off(res.state, self._fresh_steps(st_, dt, model, inc, c))
+
+    @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
+    def test_reused_factor_is_a_round_off_change_2d(self, grid_2d, split, monkeypatch):
+        from scnls import phases
+
+        monkeypatch.setattr(phases, "_SPLIT_NODES", 0 if split else np.inf)
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_2d)
+        c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        st_ = self._pair(grid_2d, 19)
+        dt, n = 1e-3, 50
+        inc = np.random.default_rng(20).standard_normal((n, 2)) * np.sqrt(dt)
+        res = evolve(st_, n * dt, dt, model, c, increments=inc, record_every=25,
+                     track_identities=False, dealias=True)
+        assert res.outcome == "completed" and res.steps == n
+        self._assert_round_off(res.state, self._fresh_steps(st_, dt, model, inc, c, True))
+
+    def test_phase_between_steps_makes_the_next_step_compute(self, grid_2d):
+        from scnls.dynamics import Workspace
+
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_2d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        dt, inc = 2e-3, np.array([0.01, -0.02])
+        stepped, rotated = self._pair(grid_2d, 21), self._pair(grid_2d, 21)
+        for state, phase in ((stepped, False), (rotated, True)):
+            work = Workspace(grid_2d, dt, state.fields.shape)
+            strang_step(state, dt, model, inc, c, work=work)
+            if phase:
+                nonlinear_phase(state, 0.3 * dt, c, work=work)
+            fresh = strang_step(state, dt, model, inc, c)
+            strang_step(state, dt, model, inc, c, work=work)
+            # a reused factor moves bits at round-off; a computed one moves none
+            assert (state.fields.tobytes() == fresh.fields.tobytes()) == phase
+            self._assert_round_off(state, fresh)
 
     def test_integer_sigma_mixed_term_matches_power_formula(self):
         from scnls.dynamics import _TINY_MODULUS, _phase_multiplier
@@ -684,6 +750,47 @@ class TestSplitStep:
         self._assert_bitwise(split[1:], one[1:])
         # equal with NaN at the same nodes; NaN sign bits may differ
         TestBatch._assert_same(split[0], one[0])
+
+    def test_no_factor_reused_after_one_half_revived(self, grid_2d):
+        # the first path's |u|^(s+1) is finite at the leading N and, once
+        # the chirped peak has focused under L, overflows at the trailing N
+        # in the second half of the rows only.  That half revives the dead
+        # v and writes its factor; the first half never writes v's, so the
+        # next leading N must compute it rather than read the NaN left there
+        from scnls.dynamics import Workspace
+        from scnls.phases import _OneChunk, _Split
+
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(K=0), g)
+        c = Coupling(0.5, np.array([[0.0, 0.5], [0.5, 1.0]]))  # u never rotates
+        dt = 1e-3
+        below = np.finfo(float).max ** (1.0 / 1.5) / 1.006
+        chirped = below * np.exp(-(1.0 + 3.0j) * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
+        assert np.isfinite(np.abs(chirped).max() ** 1.5)
+        pair = make_state(g, np.stack([chirped, 0.5 * np.exp(-g.r_sq)]),
+                          np.zeros((2,) + g.shape)).fields
+        steps = []
+        for split in (False, True):
+            state = SystemState.of_pair(pair.copy(), 0.0, g)
+            work = Workspace(g, dt, pair.shape)
+            work.factor.fill(np.nan)
+            # the helper thread takes the error state its runner is made in
+            with np.errstate(over="ignore", invalid="ignore"):
+                work.rows, work.runner = (0,), _Split(g) if split else _OneChunk()
+                try:
+                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
+                    assert work.rows == (0, 1)
+                    dead = np.isnan(state.v[0])
+                    assert dead.any() and not dead[: g.n // 2].any()
+                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
+                finally:
+                    work.runner.close()
+            assert np.isfinite(state.fields[:, 1]).all()
+            steps.append(state.fields)
+        one, split = steps
+        assert split[:, 1].tobytes() == one[:, 1].tobytes()
+        # equal with NaN at the same nodes; NaN sign bits may differ
+        np.testing.assert_array_equal(split[:, 0], one[:, 0])
 
     def test_helper_ends_when_evolve_raises(self, grid_2d, monkeypatch):
         import threading
