@@ -63,11 +63,14 @@ class Grid:
         # information for real data; drop it from first-derivative multipliers
         axis_k_deriv = axis_k.copy()
         axis_k_deriv[n // 2] = 0.0
+        # the first-derivative multipliers i*k, built once; in 2D each is an
+        # axis vector that broadcasts over the other axis, not a mesh
+        axis_ik = 1j * axis_k_deriv
 
         if dim == 1:
             self.x = (axis_x,)
             self.k = (axis_k,)
-            self._k_deriv = (axis_k_deriv,)
+            self._ik = (axis_ik,)
             m_inf = np.abs(axis_m)
         else:
             # the "ij" meshes of each axis table, built with np.repeat: grids
@@ -78,11 +81,10 @@ class Grid:
 
             xa, xb = mesh(axis_x)
             ka, kb = mesh(axis_k)
-            da, db = mesh(axis_k_deriv)
             ma, mb = mesh(np.abs(axis_m))
             self.x = (xa, xb)
             self.k = (ka, kb)
-            self._k_deriv = (da, db)
+            self._ik = (axis_ik[:, None], axis_ik[None, :])
             m_inf = np.maximum(ma, mb)
 
         self.r_sq = sum(c**2 for c in self.x)
@@ -166,7 +168,17 @@ class Grid:
         """
         if coeffs is None:
             coeffs = self.fft(values)
-        return [self.ifft(1j * ka * coeffs) for ka in self._k_deriv]
+        return [self._derivative(coeffs, axis) for axis in range(self.dim)]
+
+    def _derivative(self, coeffs: np.ndarray, axis: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """The derivative along grid ``axis`` of the field whose transform is
+        ``coeffs``, written into ``out`` when given (allocated otherwise).
+
+        The product (i*k)*coeffs is the one Python evaluates for
+        ``1j * k * coeffs``, so the bits are those of that expression.
+        """
+        return self.ifft(np.multiply(self._ik[axis], coeffs, out=out), out=out)
 
     # -- quadrature ---------------------------------------------------------
 

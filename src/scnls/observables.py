@@ -24,6 +24,23 @@ Ito terms of :meth:`TrajectoryRecorder.on_step` take their forward
 transforms from the diagnostics' spectra of the same state when ``evolve``
 has them, so they transform only back.
 
+A recorded row allocates one block of six real fields of one path per
+call, in which ``record`` first runs G's derivatives and products as
+``dim`` complex fields and then takes the moduli, densities and their
+products.  The Ito terms take one complex and one real field pair of the
+batch per call, reused over the rows, modes and axes.  Neither scratch is
+kept between calls: kept by the recorder, it stayed resident through the
+step and the writes and raised the run's peak memory.  Model constants
+such as sqrt(F_u F_v) are taken once per recorder.  What is exactly zero
+is skipped.  A dead component's modulus, mass and |f|^(2s+2) integral are
+0, and each of its other terms is 0, or 0 times a finite factor of the live
+component (|f|^2, 2|f|, |f|^(s+1)) as long as the live component's
+integral of |f|^(2s+2) is finite: that integral is a sum of nonnegative
+terms, so then every term is finite.  When it is not, the row is computed
+from both components, as the formulas read, so that a NaN still
+propagates.  With K = 0 and one live component, each drift-kernel term is
+0 times its |f|^2, so both kernels are 0.0 under the same condition.
+
 Along a path, M is exactly conserved by the scheme.  H evolves by an Ito
 martingale plus a drift; two candidate drift kernels are computed side by
 side, one built from the noise intensity fields F_i (the "paper" kernel) and
@@ -52,6 +69,7 @@ use the trapezoid rule on the recorded cadence.
 
 from __future__ import annotations
 
+import math
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -93,24 +111,35 @@ def mass(state: SystemState) -> tuple[float, float, float]:
 def hamiltonian(state: SystemState, coupling: Coupling) -> float:
     """Energy functional; kinetic part from the spectral diagnostics."""
     grad_norm_sq = _spectral_diagnostics(state)[0][0]
-    potential = _potential_integrals(*np.abs(state.fields), coupling.sigma, state.grid)
-    return _energy(grad_norm_sq, potential, coupling)
+    powers = _powers(np.abs(state.fields), coupling.sigma)
+    return _energy(grad_norm_sq, _potential_integrals(*powers, state.grid), coupling)
 
 
-def _potential_integrals(au: np.ndarray, av: np.ndarray, sigma: float,
-                         grid: Grid) -> tuple[float, float, float]:
+def _powers(moduli: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|f|^(s+1) from the moduli |f|; sigma = 1 squares instead of calling the general power."""
+    if sigma == 1.0:
+        return np.square(moduli, out=out)
+    return np.power(moduli, sigma + 1.0, out=out)
+
+
+def _potential_integrals(pu: np.ndarray | None, pv: np.ndarray | None, grid: Grid,
+                         tmp: np.ndarray | None = None) -> tuple[float, float, float]:
     """(integral |u|^(2s+2), integral |v|^(2s+2), integral (|u||v|)^(s+1)).
 
-    The package's one potential integrand, from the moduli ``au``, ``av``:
-    H weighs the three integrals with (l11, l22, 2 l12), the virial quartic
-    with (l11, l22, 2 l21) and the interpolation ratio with (1, 1, 2 beta).
-    sigma = 1 squares instead of calling the general power.
+    The package's one potential integrand, from the powers ``pu`` =
+    |u|^(s+1) and ``pv`` = |v|^(s+1) of :func:`_powers`, which it squares
+    in place (``tmp``, when given, takes their product): H weighs the three
+    integrals with (l11, l22, 2 l12), the virial quartic with
+    (l11, l22, 2 l21) and the interpolation ratio with (1, 1, 2 beta).  A
+    row given as None is zero: its integral and the mixed one are 0.0,
+    which is exact while the other row's integral is finite (the caller
+    checks that).
     """
-    if sigma == 1.0:
-        pu, pv = np.square(au), np.square(av)
-    else:
-        pu, pv = np.power(au, sigma + 1.0), np.power(av, sigma + 1.0)
-    mixed = float(grid.quadrature(pu * pv))
+    if pu is None or pv is None:
+        p = pu if pv is None else pv
+        own = float(grid.quadrature(np.square(p, out=p)))
+        return (own, 0.0, 0.0) if pv is None else (0.0, own, 0.0)
+    mixed = float(grid.quadrature(np.multiply(pu, pv, out=tmp)))
     return (float(grid.quadrature(np.square(pu, out=pu))),
             float(grid.quadrature(np.square(pv, out=pv))), mixed)
 
@@ -151,18 +180,31 @@ def momentum_G(state: SystemState) -> float:
     return _momentum(state.grid, state.fields)
 
 
-def _momentum(grid: Grid, fields, rows=(0, 1), spectra=None) -> float:
+def _momentum(grid: Grid, fields, rows=(0, 1), spectra=None, out=None) -> float:
     """G summed over the given rows of the pair; a zero field adds exactly 0.
 
     ``spectra``, when given, holds the pair's forward transforms, so the
-    gradients take only their inverse transforms.
+    gradients take only their inverse transforms.  The derivatives and
+    products run in ``out``, ``dim`` complex fields of one component's shape
+    (allocated when not given).
     """
+    if out is None:
+        out = np.empty((grid.dim,) + fields.shape[1:], dtype=complex)
+    xdot = out[0]
     total = 0.0j
     for i in rows:
         f = fields[i]
-        grads = grid.gradient(f, None if spectra is None else spectra[i])
-        xdot = sum(xa * np.conj(da) for xa, da in zip(grid.x, grads))
-        total += grid.quadrature(f * xdot)
+        coeffs = grid.fft(f) if spectra is None else spectra[i]
+        # x . grad(conj f) starts from the first axis's term, not from 0:
+        # the two differ only in the sign of a zero, which cannot reach G,
+        # since the total starts at 0j
+        for axis, (xa, term) in enumerate(zip(grid.x, out)):
+            grid._derivative(coeffs, axis, out=term)
+            np.conj(term, out=term)
+            np.multiply(xa, term, out=term)
+            if axis:
+                xdot += term
+        total += grid.quadrature(np.multiply(f, xdot, out=xdot))
     return float(np.imag(total))
 
 
@@ -223,30 +265,45 @@ def _ito_terms(fields: np.ndarray, model: NoiseModel, rows=(0, 1),
     pair ``fields`` (shape ``(2, P, *grid.shape)``) in ``rows``, with that
     component's own modes; a row not in ``rows`` is zero in every path and
     its terms are 0.  The rows are taken one at a time, as the L step takes
-    them: the gradient's temporaries of one component cost less than those
-    of the pair (measured on the ``ensemble_1d`` batches of 8 and 16 paths).
-    ``spectra``, when given, holds the pair's forward transforms.
+    them, in one scratch per call: a complex pair of one component's batch
+    shape (conj(f) and one derivative) and a real pair (the density and a
+    product).  A scratch kept by the recorder stays resident and raised a
+    batched ensemble's peak memory (ensemble_1d), while a call's two
+    allocations cost nothing measurable.  ``spectra``, when given, holds
+    the pair's forward transforms.
     """
     grid = model.grid
     h = grid.spacing**grid.dim
+    conj_f, derivative = np.empty((2,) + fields.shape[1:], dtype=complex)
+    density, product = np.empty((2,) + fields.shape[1:])
     energy = np.zeros(fields.shape[:2] + (model.K,))
     moment = np.zeros_like(energy)
     for i in rows:
         f, f_energy, f_moment = fields[i], energy[i], moment[i]
         grad_modes = (model.grad_modes_u, model.grad_modes_v)[i]
         xdot = (model.xdot_grad_u, model.xdot_grad_v)[i]
-        density = np.abs(f)
+        np.abs(f, out=density)
         np.square(density, out=density)
         for k, field in enumerate(xdot):
-            f_moment[:, k] = _node_sums(density * field, grid) * h
-        del density  # freed before the gradient's transforms allocate
-        conj_f = np.conj(f)
-        coeffs = None if spectra is None else spectra[i]
-        for axis, derivative in enumerate(grid.gradient(f, coeffs)):
+            f_moment[:, k] = _node_sums(np.multiply(density, field, out=product), grid) * h
+        np.conj(f, out=conj_f)
+        coeffs = grid.fft(f) if spectra is None else spectra[i]
+        for axis in range(grid.dim):
+            grid._derivative(coeffs, axis, out=derivative)
             derivative *= conj_f
             for k, mode_gradient in enumerate(grad_modes):
-                f_energy[:, k] += _node_sums(derivative.imag * mode_gradient[axis], grid)
+                np.multiply(derivative.imag, mode_gradient[axis], out=product)
+                f_energy[:, k] += _node_sums(product, grid)
     return energy * h, moment
+
+
+def _weighted(parts, weights, rows, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """The sum over ``rows`` of parts[i] * weights[i], row 0's term first, into ``out``."""
+    for i, product in zip(rows, (out, tmp)):
+        np.multiply(parts[i], weights[i], out=product)
+    if len(rows) == 2:
+        out += tmp
+    return out
 
 
 def _mode_dot(terms: np.ndarray, increments: np.ndarray) -> np.ndarray:
@@ -271,11 +328,12 @@ class TrajectoryRecorder:
     path's own state; ``finalize(row)`` returns the path's record.  When
     paths leave the batch, ``keep(mask)`` drops their rows so that the rest
     close up as the batch's rows do.  ``evolve`` sets ``rows``, the live
-    components, to its workspace's; the Ito terms and G are taken over them
-    only.  Both calls take an optional ``spectra``: the forward transforms
-    of the pair the diagnostics have just taken of the same state, so that
-    the gradients only transform back.  Without it they transform the state
-    themselves.
+    components, to its workspace's; the Ito terms, G and the moduli are
+    taken over them only.  Both calls take an optional ``spectra``: the
+    forward transforms of the pair the diagnostics have just taken of the
+    same state, so that the gradients only transform back.  Without it they
+    transform the state themselves.  ``record`` works in one block per call
+    (see the module docstring).
     """
 
     def __init__(self, model: NoiseModel, coupling: Coupling,
@@ -288,6 +346,8 @@ class TrajectoryRecorder:
         self._stoch_G = np.zeros(paths)
         # columns of raw doubles: a row costs 8 bytes per value, not a float object
         self._rows = [{name: array("d") for name in _ROW_NAMES} for _ in range(paths)]
+        # F is 0 without noise, and so is sqrt(F_u F_v): no field is added
+        self._sqrt_F = np.sqrt(model.F_u * model.F_v) if model.K else model.F_u
 
     def on_step(self, state: SystemState, increments: np.ndarray,
                 spectra: np.ndarray | None = None) -> None:
@@ -315,34 +375,30 @@ class TrajectoryRecorder:
         ``grad_norm_sq`` and ``tail`` are the spectral diagnostics of this
         state (``evolve`` has just computed them); H takes its kinetic part
         from them, and G its forward transforms from ``spectra`` (this path's
-        pair of them) when given.  |u| and |v| are taken once, and the
-        masses, V, both drift kernels and the potential integrals all come
-        from them, so only G transforms, and only for the components in
-        ``rows``.  G goes first, so that its complex temporaries are freed
-        before the moduli are taken.
+        pair of them) when given.  Only G transforms, and only the rows in
+        ``rows``; the rest comes from the moduli (see :meth:`_integrals`).
         """
         grid = state.grid
-        model = self.model
         c = self.coupling
-        G = _momentum(grid, state.fields, self.rows, spectra)
-        moduli = np.abs(state.fields)
-        au, av = moduli
-        iu, iv, iuv = potential = _potential_integrals(au, av, c.sigma, grid)
-        dens_u, dens_v = np.square(moduli)
-        paper = 0.5 * grid.quadrature(
-            dens_u * model.F_u
-            + dens_v * model.F_v
-            + 2.0 * au * av * np.sqrt(model.F_u * model.F_v)
-        )
-        gradient = 0.5 * grid.quadrature(
-            dens_u * model.grad_sq_sum_u + dens_v * model.grad_sq_sum_v
-        )
+        # the call's scratch: G's derivatives and products in its first dim
+        # complex fields, then the moduli, densities and products (_integrals)
+        block = np.empty(6 * grid.node_count)
+        G = _momentum(grid, state.fields, self.rows, spectra,
+                      block.view(complex).reshape((3,) + grid.shape))
+        block = block.reshape((6,) + grid.shape)
+        sums = self._integrals(state.fields, self.rows, block)
+        if sums is None:
+            # a live row's integral is not finite: the dead row's zeros may
+            # meet an inf there and give NaN, so it is taken as well
+            sums = self._integrals(state.fields, (0, 1), block)
+        (mass_u, mass_v), V, paper, gradient, potential = sums
+        iu, iv, iuv = potential
         rows = self._rows[row]
         rows["t"].append(state.t)
-        rows["mass_u"].append(float(grid.quadrature(dens_u)))
-        rows["mass_v"].append(float(grid.quadrature(dens_v)))
+        rows["mass_u"].append(mass_u)
+        rows["mass_v"].append(mass_v)
         rows["H"].append(_energy(grad_norm_sq, potential, c))
-        rows["V"].append(float(grid.quadrature(grid.r_sq * (dens_u + dens_v))))
+        rows["V"].append(V)
         rows["G"].append(G)
         rows["grad_norm_sq"].append(grad_norm_sq)
         rows["spectral_tail_fraction"].append(tail)
@@ -351,6 +407,51 @@ class TrajectoryRecorder:
         rows["coupling_quartic"].append(c.l11 * iu + c.l22 * iv + 2.0 * c.l21 * iuv)
         rows["stoch_energy"].append(float(self._stoch_energy[row]))
         rows["stoch_G"].append(float(self._stoch_G[row]))
+
+    def _integrals(self, fields: np.ndarray, rows, block: np.ndarray):
+        """((mass_u, mass_v), V, paper kernel, gradient kernel, potential integrals) of one path.
+
+        All come from |f| and |f|^2, taken once for each row in ``rows`` into
+        ``block``, six real fields; the terms of a row left out, and with it
+        both kernels when K = 0, are skipped as the module docstring says.
+        Returns None when that skip might not be exact (the live row's
+        |f|^(2s+2) integral is not finite).
+        """
+        model, c = self.model, self.coupling
+        grid = model.grid
+        pair = len(rows) == 2
+        moduli, dens = block[0:4:2], block[1:4:2]
+        # one live row takes the dead row's modulus field as its scratch, so
+        # that in 2D it touches no more of the block than G's complex fields
+        tmp, tmp2 = block[4:6] if pair else (moduli[1 - rows[0]], None)
+        masses = [0.0, 0.0]
+        for i in rows:
+            np.abs(fields[i], out=moduli[i])
+            masses[i] = float(grid.quadrature(np.square(moduli[i], out=dens[i])))
+
+        total = np.add(dens[0], dens[1], out=tmp) if pair else dens[rows[0]]
+        V = float(grid.quadrature(np.multiply(grid.r_sq, total, out=tmp)))
+        if model.K == 0 and not pair:
+            paper = gradient = 0.0
+        else:
+            gradient = 0.5 * grid.quadrature(_weighted(
+                dens, (model.grad_sq_sum_u, model.grad_sq_sum_v), rows, tmp, tmp2))
+            paper_terms = _weighted(dens, (model.F_u, model.F_v), rows, tmp, tmp2)
+            if pair:
+                mixed = np.multiply(2.0, moduli[0], out=tmp2)
+                mixed *= moduli[1]
+                mixed *= self._sqrt_F
+                paper_terms += mixed
+            paper = 0.5 * grid.quadrature(paper_terms)
+
+        if c.sigma != 1.0:  # at sigma = 1 the densities are the powers
+            for i in rows:
+                _powers(moduli[i], c.sigma, out=dens[i])
+        potential = _potential_integrals(*(dens[i] if i in rows else None for i in (0, 1)),
+                                         grid, tmp)
+        if not (pair or math.isfinite(potential[rows[0]])):
+            return None
+        return masses, V, paper, gradient, potential
 
     def finalize(self, row: int = 0) -> TrajectoryRecord:
         arrays = {name: np.array(col) for name, col in self._rows[row].items()}

@@ -152,6 +152,24 @@ class TestGradient:
         (dh,) = grid_1d.gradient(h)
         np.testing.assert_allclose(d_combo, a * df + b * dh, atol=1e-10)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_bits_of_the_mesh_multiplier(self, dim):
+        # the stored i*k axis vectors, and the derivative written into a
+        # buffer, give the bits of 1j * k_mesh * coeffs with the Nyquist
+        # mode zeroed, batch axis included
+        g = Grid(dim, 64, 16.0)
+        rng = np.random.default_rng(dim)
+        f = rng.standard_normal((3,) + g.shape) + 1j * rng.standard_normal((3,) + g.shape)
+        coeffs = np.fft.fftn(f, axes=g._axes)
+        out = np.empty_like(f)
+        for axis, d in enumerate(g.gradient(f)):
+            k = g.k[axis].copy()
+            k[(slice(None),) * axis + (g.n // 2,)] = 0.0
+            expected = np.fft.ifftn(1j * k * coeffs, axes=g._axes)
+            assert d.tobytes() == expected.tobytes()
+            assert g._derivative(coeffs, axis, out=out) is out
+            assert out.tobytes() == expected.tobytes()
+
 
 class TestQuadrature:
     def test_constant_on_periodic_box(self):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,9 +21,9 @@ from scnls import (
     virial_residuals,
 )
 
-from scnls.dynamics import Workspace, _spectral_diagnostics
+from scnls.dynamics import SystemState, Workspace, _spectral_diagnostics
 from scnls.grid import Grid
-from scnls.observables import TrajectoryRecorder
+from scnls.observables import _ROW_NAMES, TrajectoryRecorder
 
 from conftest import make_state, random_smooth_field, scalar_coupling
 
@@ -593,3 +594,119 @@ class TestRecordRow:
         assert counts["live"] == (2 * (2 + 2 * g.dim) + 4, [2 * g.dim] * 2)
         assert counts["dead"][0] * 2 == counts["live"][0]
         assert counts["dead"][1] == [g.dim] * 2
+
+    @staticmethod
+    def _plain(st, c, model):
+        """The plain-numpy formulas of a row; the mixed integrand is
+        |u|^(s+1) |v|^(s+1), as the package takes it, so inf * 0 is NaN."""
+        grid, s = st.grid, c.sigma
+        au, av = np.abs(st.u), np.abs(st.v)
+        q = grid.quadrature
+        pu, pv = au ** (s + 1), av ** (s + 1)
+        kin = sum(np.sum(grid.k_sq * np.abs(np.fft.fftn(f)) ** 2) for f in (st.u, st.v))
+        F_u, F_v = model.F_u, model.F_v
+        return {
+            "mass_u": q(au**2), "mass_v": q(av**2), "V": q(grid.r_sq * (au**2 + av**2)),
+            "H": 0.5 * kin * grid.spacing**grid.dim / grid.node_count
+            - q(c.l11 * pu**2 + c.l22 * pv**2 + 2 * c.l12 * pu * pv) / (2 + 2 * s),
+            "coupling_quartic": q(c.l11 * pu**2 + c.l22 * pv**2 + 2 * c.l21 * pu * pv),
+            "paper_kernel": 0.5 * q(au**2 * F_u + av**2 * F_v + 2 * au * av * np.sqrt(F_u * F_v)),
+            "gradient_kernel": 0.5 * q(au**2 * model.grad_sq_sum_u + av**2 * model.grad_sq_sum_v),
+        }
+
+    @staticmethod
+    def _recorded(st, c, model, rows, spectra_fill=None, increments=None):
+        """One path's record after an optional on_step and one record(), with
+        the recorder and the diagnostics over ``rows``; ``spectra_fill``
+        overwrites the spectra of the rows not in ``rows`` first."""
+        work = Workspace(st.grid)
+        work.rows = rows
+        (grad,), (tail,) = _spectral_diagnostics(st, work)
+        for i in {0, 1} - set(rows):
+            work.spectra[i] = spectra_fill
+        recorder = TrajectoryRecorder(model, c)
+        recorder.rows = rows
+        if increments is not None:
+            batch = SystemState.of_pair(st.fields[:, None], st.t, st.grid)
+            recorder.on_step(batch, increments, work.spectra[:, None])
+        recorder.record(st, grad, tail, spectra=work.spectra)
+        return recorder.finalize()
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.5])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dead_row_without_noise_records_exact_zeros(self, dim, sigma):
+        # a dead v and K = 0: v's mass and both drift kernels are skipped
+        # and read exactly 0.0; every other column matches the formulas
+        grid = Grid(1, 256, 40.0) if dim == 1 else Grid(2, 64, 16.0)
+        c = Coupling(sigma, np.array([[1.3, 0.6], [0.6, 0.7]]))
+        u = random_smooth_field(grid, np.random.default_rng(5), n_modes=6, scale=1.5)
+        st = make_state(grid, u)
+        model = build_noise_model(NoiseSpec(), grid)
+        rec = self._recorded(st, c, model, (0,))
+        plain = self._plain(st, c, model)
+        for name in ("mass_v", "paper_kernel", "gradient_kernel"):
+            value = getattr(rec, name)[0]
+            assert value == 0.0 and not np.signbit(value), name
+            assert plain[name] == 0.0
+        assert rec.H[0] == pytest.approx(hamiltonian(st, c), rel=1e-13)
+        for name in ("H", "coupling_quartic", "mass_u", "V"):
+            assert getattr(rec, name)[0] == pytest.approx(plain[name], rel=1e-12), name
+        assert rec.V[0] == pytest.approx(variance(st, warn_boundary=False), rel=1e-13)
+        assert rec.G[0] == momentum_G(st)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dead_row_skip_reads_no_dead_spectra(self, dim):
+        # with the dead row's spectra NaN, on_step and record() give the row
+        # that taking both rows gives, bit for bit (sigma = 0.5 and a mixed
+        # coefficient, so the skipped mixed terms are 0 * finite)
+        grid = Grid(1, 256, 40.0) if dim == 1 else Grid(2, 64, 16.0)
+        c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 0.8]]))
+        u = random_smooth_field(grid, np.random.default_rng(9), n_modes=6, scale=1.2)
+        st = make_state(grid, u)
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid)
+        increments = np.array([[0.03, -0.02]])
+        skipped = self._recorded(st, c, model, (0,), np.nan, increments)
+        both = self._recorded(st, c, model, (0, 1), None, increments)
+        for name in _ROW_NAMES:
+            a, b = getattr(skipped, name), getattr(both, name)
+            assert a.tobytes() == b.tobytes(), name
+        assert skipped.stoch_energy[0] != 0.0
+
+    def test_dead_row_overflow_falls_back_to_the_formula(self, grid_1d):
+        # |u|^(s+1) overflows while |u|^2 does not, and the mixed coefficient
+        # is 0: the skip would give H = -inf, the formula gives NaN (0 * NaN)
+        c = Coupling(2.0, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        st = make_state(grid_1d, 1e110 * np.exp(-grid_1d.x[0] ** 2))
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = self._recorded(st, c, model, (0,))
+            plain = self._plain(st, c, model)
+        assert np.isfinite(rec.mass_u[0]) and np.isnan(plain["H"])
+        for name, value in plain.items():
+            recorded = getattr(rec, name)[0]
+            if np.isnan(value):
+                assert np.isnan(recorded), name
+            else:
+                assert recorded == pytest.approx(value, rel=1e-12), name
+
+    def test_record_allocates_one_block(self, grid_2d):
+        # one record() of a live pair with K = 2, given the diagnostics'
+        # spectra as evolve gives them.  The traced peak, in complex fields
+        # of one component (64 KiB at 64^2): 7.05 with a temporary per
+        # product, 4.03 with one block of six real fields per call (3.00)
+        # plus numpy's buffered loops for broadcast and mixed-type operands
+        # (up to 8192 elements each)
+        g = grid_2d
+        st = make_state(g, np.exp(-g.r_sq) * (1 + 0.3j * g.x[0]), 0.5 * np.exp(-g.r_sq / 2))
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        work = Workspace(g)
+        (grad,), (tail,) = _spectral_diagnostics(st, work)
+        recorder = TrajectoryRecorder(build_noise_model(NoiseSpec(K=2, a0=0.1), g), c)
+        recorder.record(st, grad, tail, spectra=work.spectra)
+        tracemalloc.start()
+        try:
+            recorder.record(st, grad, tail, spectra=work.spectra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 16 * g.node_count
