@@ -5,49 +5,43 @@ The system integrated pathwise is
     i du + (Lap u + (l11 |u|^(2s) + l12 |v|^(s+1) |u|^(s-1)) u) dt = u o phi_1 dW
     i dv + (Lap v + (l22 |v|^(2s) + l21 |u|^(s+1) |v|^(s-1)) v) dt = v o phi_2 dW
 
-with s = sigma and a real 2x2 coefficient matrix.  One step of size dt is the
-composition
+with s = sigma and a real 2x2 coefficient matrix.  One step of size dt is,
+from left to right, L(dt/2) . W(dB) . N(dt) . L(dt/2): L is the exact unitary
+free flow on the grid, W the exact pathwise noise phase and N the exact
+nonlinear phase rotation (its multipliers are real, so |u| and |v| are
+pointwise invariant, and N commutes with W).  Every sub-step preserves the
+discrete mass of each component to round-off, and the deterministic part is
+Strang splitting (second order).
 
-    N(dt/2) . L(dt) . W(dB) . N(dt/2)
-
-where N is the exact nonlinear phase rotation (the bracketed multipliers are
-real, so |u| and |v| are pointwise invariant), L is the exact unitary free
-flow on the grid, and W is the exact pathwise noise phase.  Every sub-step
-preserves the discrete mass of each component to round-off, and the
-deterministic part is Strang splitting (second order).
+Between steps the state is held in Fourier space (Weideman & Herbst 1986;
+Bao, Jin & Markowich 2002) as w_hat, its transform before the trailing
+L(dt/2), which merges with the next step's leading one.  The diagnostics
+read |w_hat| = |u_hat| and take no transform.  The physical state is
+materialised only for a record, for the Ito terms of a tracked noisy step
+and for a path that leaves, into other buffers than w_hat, so a path's bits
+do not depend on how often it is recorded or diagnosed.
 
 A :class:`SystemState` holds the pair as one array, component axis first:
 shape ``(2, *grid.shape)``, or ``(2, P, *grid.shape)`` for a batch of P
-paths; :func:`evolve` advances such a batch, and a single run is the batch
-P = 1.  Each sub-step is written once for (u, v): N is one loop over the
-live rows with the coefficient pairs (l11, l12) and (l22, l21), L and the
-detector diagnostics loop their transforms over the live rows (on a 2D grid
-one transform of the pair runs slower than two of one component), W is one
-numpy call over the whole pair, and the finite check one per chunk (below).
-Every operation is elementwise, a transform of the trailing grid axes or a
-sum over one component's nodes in one path, so each path's bits do not
-depend on the batch it was run in.
+paths that :func:`evolve` advances (a single run is P = 1).  N and the
+transforms loop over the live rows (on a 2D grid one transform of the pair
+runs slower than two of one component), and W is one numpy call over the
+pair.  Every operation is elementwise, a transform of the trailing grid
+axes or a sum over one component's nodes in one path, so each path's bits
+do not depend on the batch it was run in.
 
 A row that is zero in every path of the initial batch stays zero in every
 bit (each term of its equation carries it), so :func:`evolve` marks it dead
-on the :class:`Workspace` and N, L, the diagnostics and the recorder's G and
-Ito terms skip it.  Its zeros stay in the pair and in the workspace's moduli,
-so every output is bitwise what computing on them gives.  Revive rule: when
-its mixed coefficient is nonzero and the live row's |f|^(s+1) is not all
-finite, 0 * inf turns it NaN, so N computes it from then on.
+on the :class:`Workspace` and the step, the diagnostics and the recorder
+skip it; every output is bitwise what computing on its zeros gives.  Revive
+rule: when its mixed coefficient is nonzero and the live row's |f|^(s+1) is
+not all finite, 0 * inf turns it NaN, so N computes it from then on.
 
 A step and the diagnostics are written once, as phases over chunks of the
 grid (see :func:`strang_step` and :mod:`scnls.phases`).  :func:`evolve` runs
 a large 2D state's phases over two halves of the grid on two threads, and
-any other state's as one chunk, with bitwise the same results.
-
-The step and the diagnostics allocate no field: they reuse the buffers of one
-:class:`Workspace` (88 bytes per node and path).  One complex pair holds the
-diagnostics' transforms, the other N's unimodular factor.  N leaves every
-modulus unchanged, and only read-only work runs between the trailing N of one
-step and the leading N of the next, so that leading N multiplies by the
-factor the trailing N built instead of computing it again (the adjacent
-half-flows of the composition merged).
+any other state's as one chunk, with bitwise the same results.  They
+allocate no field: they reuse the buffers of one :class:`Workspace`.
 """
 
 from __future__ import annotations
@@ -192,32 +186,22 @@ class SystemState:
 
 
 class Workspace:
-    """Buffers a state reuses every step, so that N, L and the diagnostics allocate no field.
+    """Buffers a state reuses every step, so that the step and the diagnostics allocate no field.
 
-    Holds the free-flow multiplier exp(-1j*|k|^2*dt) (when ``dt`` is given),
-    the 2/3-rule mask of kept modes, |k|^2 and the spectral-tail mask (as
-    1.0/0.0), and four fields for a state of pair ``shape`` (default: one
-    path on ``grid``), 88 bytes per node and path: two complex and a real
-    field of the pair's shape, ``spectra``, ``factor`` and ``moduli``, and a
-    real field of one component's shape, ``real``.  The diagnostics
-    transform the live rows into ``spectra`` (which :func:`evolve` hands to
-    its recorder) and sum powers in the real fields.  The N step keeps the
-    two moduli in the real pair and the phase angle in the real component
-    field, and writes each rotated row's unimodular factor into that row of
-    ``factor``, using its real and imaginary parts as temporaries first.
-    ``factor_of`` names the (fields, coupling) the factor serves: a
-    :func:`strang_step` that revived no row sets it, and the next step of
-    the same fields and coupling multiplies by the factor in its leading N.
-    A fresh workspace, :func:`nonlinear_phase` with this workspace and a
-    step that revived a row leave it unset (in a split step the chunk that
-    did not revive never wrote the revived row's factor), and the leading N
-    computes.  Between steps only the step may write the fields.  One
-    workspace serves one state (a path or a batch) at a time.  ``rows``
-    names the rows N, L and the diagnostics compute: both, unless
-    :func:`evolve` marks one dead; a dead row's moduli stay zero, and its
-    spectra and factor are never read (nor, being allocated empty, their
-    pages touched).  ``runner`` runs each phase of a step: as one chunk,
-    unless :func:`evolve` gives it a split runner.
+    Holds the free-flow multipliers of ``dt`` and ``dt/2`` (``lin``,
+    ``half``; None without ``dt``), the 2/3-rule mask, |k|^2 and the
+    spectral-tail mask (as 1.0/0.0), and, for a state of pair ``shape``
+    (default: one path on ``grid``), 88 bytes per node and path: the complex
+    pairs ``held`` (the state's w_hat, written only by :func:`_enter` and the
+    step; without ``dt``, ``spectra`` itself) and ``spectra`` (the state's
+    transforms after :func:`_materialise`; in a step, N's unimodular factor
+    of each rotated row, its parts first temporaries), the real pair
+    ``moduli`` and a real component field ``real``.  One workspace serves
+    one state (a path or a batch) at a time.  ``rows`` names the rows
+    computed: both, unless :func:`evolve` marks one dead; a dead row's
+    moduli stay zero, and its held and spectra rows are never read (nor,
+    allocated empty, their pages touched).  ``runner`` runs each phase: as
+    one chunk, unless :func:`evolve` gives it a split runner.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
@@ -227,7 +211,9 @@ class Workspace:
         # path (P = 1) multiplies without broadcasting
         axes = (1,) * (len(shape) - 1 - grid.dim) + grid.shape
         self.dt = dt
-        self.lin = None if dt is None else np.exp(-1j * grid.k_sq * dt).reshape(axes)
+        self.lin, self.half = (None, None) if dt is None else (
+            np.exp(-1j * grid.k_sq * dt).reshape(axes),
+            np.exp(-0.5j * grid.k_sq * dt).reshape(axes))
         self.keep = grid.dealias_mask().reshape(axes)
         self.k_sq = grid.k_sq.reshape(axes)
         # float, so that the diagnostics' product runs numpy's float loop
@@ -236,14 +222,13 @@ class Workspace:
         self.rows = (0, 1)
         self.runner = _OneChunk()
         self.spectra = np.empty(shape, dtype=complex)
-        self.factor = np.empty(shape, dtype=complex)
-        self.factor_of = (None, None)
+        self.held = self.spectra if dt is None else np.empty(shape, dtype=complex)
         self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
         # N's buffers with each component on one axis, for an N step on the
         # whole grid: numpy runs a loop over one strided axis faster than
         # over several
-        self.flat_factor = self.factor.reshape(2, -1)
+        self.flat_spectra = self.spectra.reshape(2, -1)
         self.flat_moduli = self.moduli.reshape(2, -1)
         self.flat_real = self.real.reshape(-1)
 
@@ -291,11 +276,11 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
     nodes: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f| * |f| at
     sigma = 1), which is NaN where that power of the live row is not finite.
     Each rotated row's unimodular factor is left in that row of
-    ``work.factor`` on these nodes.
+    ``work.spectra`` on these nodes.
     """
-    factor = work.factor[index]
+    factor = work.spectra[index]
     if index is Ellipsis:
-        moduli, theta, e = work.flat_moduli, work.flat_real, work.flat_factor
+        moduli, theta, e = work.flat_moduli, work.flat_real, work.flat_spectra
     else:
         moduli, theta, e = work.moduli[index], work.real[index], factor
     pairs = ((coupling.l11, coupling.l12), (coupling.l22, coupling.l21))
@@ -337,9 +322,36 @@ def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
     """
     if work is None:
         state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
-    work.factor_of = (None, None)
     work.rows = _rotate_rows(state.fields, dt, coupling, work, Ellipsis)
     return state
+
+
+def _enter(state: SystemState, work: Workspace) -> None:
+    """Enter the held form: the live rows' transforms into ``work.spectra``, w_hat = them / half."""
+    grid, runner, rows, spectra, half = (state.grid, work.runner, work.rows,
+                                         work.spectra, work.half)
+
+    def unwind(index, axis):
+        for i in rows:
+            np.divide(spectra[i][index], half[index], out=work.held[i][index])
+
+    runner.run(_transform(grid.fft, state.fields, rows, spectra), runner.rows)
+    runner.run(_transform(grid.fft, spectra, rows), runner.cols)
+    if half is not None:
+        runner.run(unwind, runner.rows)
+
+
+def _materialise(state: SystemState, work: Workspace) -> None:
+    """The state from w_hat, which it only reads: spectra = half * w_hat, fields their inverse."""
+    grid, runner, rows, fields = state.grid, work.runner, work.rows, state.fields
+
+    def unfold(index, axis):
+        for i in rows:
+            s = np.multiply(work.held[i][index], work.half[index], out=work.spectra[i][index])
+            grid.ifft(s, out=fields[i][index], axis=axis)
+
+    runner.run(unfold, runner.rows)
+    runner.run(_transform(grid.ifft, fields, rows), runner.cols)
 
 
 def strang_step(
@@ -351,73 +363,64 @@ def strang_step(
     work: Workspace | None = None,
     dealias: bool = False,
 ) -> SystemState:
-    """One full step N(dt/2) . L(dt) . W(dB) . N(dt/2); advances t by dt.
+    """One full step L(dt/2) . W(dB) . N(dt) . L(dt/2); advances t by dt.
 
     ``state`` may be a batch, with ``increments`` of shape (P, K).  Without
-    ``work`` the input is left untouched and a new state is returned.  With
-    a :class:`Workspace` built for this ``dt`` and the state's shape (as
-    ``evolve`` passes) ``state`` itself is advanced and returned.
-    Non-finite output is flagged on the returned state instead of being
-    raised.
+    ``work`` a copy of the input is held (:func:`_enter`), stepped,
+    materialised and returned.  A :class:`Workspace` for this ``dt`` and
+    shape that holds the state (as ``evolve``'s) has its w_hat advanced, and
+    ``state.fields`` is left before the trailing L(dt/2).  Non-finite output
+    is flagged on the returned state instead of being raised.
 
-    The step runs as five phases of the workspace's runner: rows (N, then
-    the forward transform along the last axis), columns (the forward
-    transform along the first axis), rows (the free-flow multiplier, the
-    dealiasing mask, the inverse transform along the last axis), columns
-    (the inverse transform along the first axis), then W as one call on
-    the calling thread, then rows (N, the finite check).  One chunk
-    transforms every axis in its row phases.  The leading N multiplies by
-    the previous trailing N's factor when the workspace holds it (see
-    :class:`Workspace`).
+    Four phases of the workspace's runner: rows (w_hat times the multiplier
+    of dt and the dealiasing mask, the inverse transform along the last axis
+    into the fields), columns (along the first axis), W on the calling
+    thread, rows (N, the finite check, the forward transform along the last
+    axis into w_hat) and columns.  One chunk transforms every axis in rows.
     """
-    if work is None:
+    standalone = work is None
+    if standalone:
         state, work = state.copy(), Workspace(state.grid, dt, state.fields.shape)
+        _enter(state, work)
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
-    grid, fields, runner = state.grid, state.fields, work.runner
-    reuse = work.factor_of[0] is fields and work.factor_of[1] is coupling
+    grid, fields, held, runner, rows = state.grid, state.fields, work.held, work.runner, work.rows
     revived, finite = [], []
 
-    def rotate(index):
-        rows = _rotate_rows(fields, 0.5 * dt, coupling, work, index)
-        if rows != work.rows:
-            revived.append(index)
-        return rows
-
-    def leading(index, axis):
-        for i in work.rows if reuse else rotate(index):
-            f = fields[i][index]
-            if reuse:
-                f *= work.factor[i][index]
-            grid.fft(f, out=f, axis=axis)
-
     def free_flow(index, axis):
-        for i in work.rows:
-            f = fields[i][index]
-            f *= work.lin[index]
+        for i in rows:
+            f = np.multiply(held[i][index], work.lin[index], out=fields[i][index])
             if dealias:
                 f *= work.keep[index]
             grid.ifft(f, out=f, axis=axis)
 
-    def trailing(index, axis):
-        rotate(index)
-        finite.append(bool(np.isfinite(fields[index]).all()))
+    def rotate(index, axis):
+        turned = _rotate_rows(fields, dt, coupling, work, index)
+        if turned != rows:
+            revived.append((index, axis))
+        # a row N skips is dead: finite unless W's increments are not (then no row is)
+        for i in turned:
+            f = fields[i][index]
+            finite.append(bool(np.isfinite(f).all()))
+            grid.fft(f, out=held[i][index], axis=axis)
 
-    runner.run(leading, runner.rows)
-    if revived:
-        work.rows = (0, 1)
-    runner.run(_transform(grid.fft, fields, work.rows), runner.cols)
     runner.run(free_flow, runner.rows)
-    runner.run(_transform(grid.ifft, fields, work.rows), runner.cols)
+    runner.run(_transform(grid.ifft, fields, rows), runner.cols)
     if model.K > 0:
         stratonovich_phase(fields, model, increments, out=fields)
-    runner.run(trailing, runner.rows)
+    runner.run(rotate, runner.rows)
     if revived:
-        work.rows = (0, 1)
-    work.factor_of = (None, None) if revived else (fields, coupling)
+        # a chunk that did not revive the dead row has yet to transform its zeros
+        rest = [chunk for chunk in runner.rows if chunk not in revived]
+        if rest:
+            runner.run(_transform(grid.fft, fields, (1 - rows[0],), held), rest)
+        work.rows = rows = (0, 1)
+    runner.run(_transform(grid.fft, held, rows), runner.cols)
     state.t = state.t + dt
     if not all(finite):
         state.blown_up = True
+    if standalone:
+        _materialise(state, work)
     return state
 
 
@@ -448,38 +451,38 @@ def _node_sums(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _spectral_diagnostics(state: SystemState, work: Workspace | None = None):
-    """(grad_norm_sq, spectral_tail_fraction) of each path, from one FFT per component.
+    """(grad_norm_sq, spectral_tail_fraction) of each path, from the powers of its spectrum.
 
     grad_norm_sq is ||grad u||^2 + ||grad v||^2 by Parseval; this is the one
     place the package computes it (the kinetic part of H, the interpolation
     ratio and the detector's initial value all come from here).  The tail
     fraction is the share of |u_hat|^2 + |v_hat|^2 carried by modes in the
     top third of the resolvable frequency range (resolution-loss gauge, in
-    [0, 1]).  The work runs in the buffers of ``work``, or of a fresh
-    :class:`Workspace` when none is given, in three phases of its runner
-    (rows, columns, rows) over the live rows, as L transforms them: the
-    transforms go into ``work.spectra`` and the powers into its real pair.
-    A dead row's power is the zeros its transform would give.  The node
-    sums run on the whole batch.  Returns two lists of floats with one entry
-    per path (one entry for a single path).
+    [0, 1]).  The powers are |w_hat|^2 = |u_hat|^2 of ``work.held``, so a
+    held state (as in ``evolve``) takes no transform; a workspace without
+    ``dt``, or a fresh one, first takes the state's (:func:`_enter`).  The
+    live rows' powers go into its real pair in one row phase (a dead row's
+    are zeros), and the node sums run on the whole batch.  Returns two lists
+    of floats with one entry per path.
     """
     grid = state.grid
     if work is None:
         work = Workspace(grid, shape=state.fields.shape)
-    power, spectra, runner, total = work.moduli, work.spectra, work.runner, work.real
+    if work.dt is None:
+        _enter(state, work)
+    power, held, runner, total = work.moduli, work.held, work.runner, work.real
     rows = work.rows
     term = power[rows[0]]  # never a dead row, whose zeros N reads
 
     def powers(index, axis):
+        t = total[index]
         for i in rows:
-            p = power[i][index]
-            np.abs(spectra[i][index], out=p)
-            np.square(p, out=p)
-        np.add(power[0][index], power[1][index], out=total[index])
-        np.multiply(work.k_sq[index], total[index], out=term[index])
+            h, p = held[i][index], power[i][index]
+            np.square(h.real, out=p)
+            p += np.square(h.imag, out=t)
+        np.add(power[0][index], power[1][index], out=t)
+        np.multiply(work.k_sq[index], t, out=term[index])
 
-    runner.run(_transform(grid.fft, state.fields, rows, spectra), runner.rows)
-    runner.run(_transform(grid.fft, spectra, rows), runner.cols)
     runner.run(powers, runner.rows)
     scale = grid.spacing**grid.dim / grid.node_count
     grad_norm_sq = [part * scale for part in _node_sums(term, grid).tolist()]
@@ -528,14 +531,13 @@ def evolve(
     callable for every path or a sequence of P.  The batch advances as one
     array; a path that reaches blowup or invalid leaves it with its record.
     One path returns a :class:`TrajectoryResult`, a batch a list of P in path
-    order, each bitwise equal to the result of that path evolved alone.
-    That promise does not cover the sign bits of NaN in the final state of
-    an "invalid" path: a transform of a batch row can propagate NaN signs
-    differently, so alone and batched they may differ at some nodes.  Its
-    record and outcome do match.
+    order, each bitwise equal to the result of that path evolved alone (but
+    for the sign bits of NaN in the final state of an "invalid" path, which
+    a transform of a batch row can propagate differently).
 
-    Identical (seed, config) pairs reproduce bit-identical records, whether
-    or not the step is split over two threads (see the module docstring).
+    The batch is held in Fourier space between steps (module docstring), so
+    a path's bits depend neither on ``record_every``, nor on a detector that
+    does not fire, nor on whether the step is split over two threads.
     """
     if T < 0 or dt <= 0:
         raise ValueError("need T >= 0 and dt > 0")
@@ -595,9 +597,13 @@ def evolve(
     # a revived row is NaN only in paths that leave unrecorded, as invalid
     recorder.rows = work.rows
     results: list[TrajectoryResult | None] = [None] * n_paths
-    # the diagnostics' spectra of the current state, for the recorder's
-    # gradients; None once a step has moved the state on
-    spectra = None
+    current = True  # the fields and work.spectra hold the state, not only w_hat
+
+    def materialise():
+        nonlocal current
+        if not current:
+            _materialise(state, work)
+            current = True
 
     def path_state(r):
         """A state that views batch row ``r`` of the fields, at the batch's time."""
@@ -605,7 +611,8 @@ def evolve(
 
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
-        nonlocal state, live, work, increments, rngs, detectors, spectra
+        nonlocal state, live, work, increments, rngs, detectors
+        materialise()
         for r in rows:
             final = SystemState.of_pair(state.fields[:, r].copy(), state.t, grid,
                                         blown_up=outcome == "invalid")
@@ -623,26 +630,22 @@ def evolve(
         live = [p for p, kept in zip(live, keep) if kept]
         detectors = [d for d, kept in zip(detectors, keep) if kept]
         recorder.keep(keep)
-        if spectra is not None:
-            spectra = spectra[:, keep]
         if live:
             old = work
             work = Workspace(grid, dt, state.fields.shape)
             work.rows, work.runner = old.rows, old.runner
-            # the staying paths keep their factor, so that their next leading
-            # N multiplies by it, as each path alone does
-            if old.factor_of[0] is not None:
-                for i in work.rows:
-                    work.factor[i] = old.factor[i][keep]
-                work.factor_of = (state.fields, coupling)
+            for i in work.rows:  # the staying paths keep their state
+                work.held[i] = old.held[i][keep]
+                work.spectra[i] = old.spectra[i][keep]
 
     # the helper thread of a split runner lives only inside this block
     with _runner(grid) as runner:
         work.runner = runner
+        _enter(state, work)
         grad, tail = _spectral_diagnostics(state, work)
-        spectra = work.spectra
         for r in range(n_paths):
-            recorder.record(path_state(r), grad[r], tail[r], row=r, spectra=spectra[:, r])
+            recorder.record(path_state(r), grad[r], tail[r], row=r,
+                            spectra=work.spectra[:, r])
 
         for j in range(n_steps):
             if increments is not None:
@@ -651,9 +654,11 @@ def evolve(
                 inc = np.empty((len(rngs), model.K))
                 for r, gen in enumerate(rngs):
                     inc[r] = sample_increments(model.K, dt, gen)
-            recorder.on_step(state, inc, spectra)
+            if recorder.track and model.K:
+                materialise()
+                recorder.on_step(state, inc, work.spectra)
             strang_step(state, dt, model, inc, coupling, work=work, dealias=dealias)
-            spectra = None
+            current = False
 
             if state.blown_up:
                 leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
@@ -664,13 +669,13 @@ def evolve(
             if not (detecting or due):
                 continue
             grad, tail = _spectral_diagnostics(state, work)
-            spectra = work.spectra
             fired = []
             for r, detect in enumerate(detectors):
                 hit = detect is not None and bool(detect(grad[r], tail[r]))
                 if hit or due:
+                    materialise()
                     recorder.record(path_state(r), grad[r], tail[r], row=r,
-                                    spectra=spectra[:, r])
+                                    spectra=work.spectra[:, r])
                 if hit:
                     fired.append(r)
             if fired:

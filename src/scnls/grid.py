@@ -148,15 +148,6 @@ class Grid:
             padded[-m:, :m + 1] = spec[m:]
         return self.irfft(padded)
 
-    def free_propagate(self, values: np.ndarray, dt: float) -> np.ndarray:
-        """Apply the free flow ``exp(i*dt*Lap)``: multiply mode k by exp(-i|k|^2 dt).
-
-        Exactly unitary on the grid; dt may be negative (time reversal).
-        """
-        if not np.all(np.isfinite(values)):
-            raise ValueError("free_propagate requires a finite field")
-        return self.ifft(self.fft(values) * np.exp(-1j * self.k_sq * dt))
-
     def gradient(self, values: np.ndarray,
                  coeffs: np.ndarray | None = None) -> list[np.ndarray]:
         """Spectral gradient: Fourier multiplier ``i*k`` per axis.

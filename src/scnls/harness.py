@@ -497,11 +497,15 @@ def _rescaled_config(cfg: RunConfig, alpha: float) -> RunConfig:
 # -- verification -------------------------------------------------------------------
 
 
-def convergence_order(dts, errors) -> float | None:
-    """Least-squares slope of log|error| against log dt; None in round-off."""
+def convergence_order(dts, errors, scale: float = 0.0) -> float | None:
+    """Least-squares slope of log|error| against log dt; None in round-off.
+
+    Round-off is below 1e-14, or below 1e-11 (the mass gate's relative
+    drift) of ``scale``, the size of the quantity the error is a drift of.
+    """
     dts = np.asarray(dts, dtype=float)
     errors = np.abs(np.asarray(errors, dtype=float))
-    if np.any(errors < 1e-14):
+    if np.any(errors < max(1e-14, 1e-11 * abs(scale))):
         return None
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     return float(slope)
@@ -518,6 +522,7 @@ def _identity_metrics(rec: TrajectoryRecord) -> dict:
         "energy_residuals": {"paper": float(abs(budget.paper[-1])),
                              "gradient": float(abs(budget.gradient[-1]))},
         "virial_residuals": {"V": float(abs(res_v[-1])), "G": float(abs(res_g[-1]))},
+        "sizes": {name: float(np.max(np.abs(getattr(rec, name)))) for name in "HVG"},
     }
 
 
@@ -545,16 +550,16 @@ def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
                for dt, dw in zip(dts, increments)]
     levels = [_identity_metrics(result.record) for result in results]
 
-    def _order(section, key):
-        return convergence_order(dts, [level[section][key] for level in levels])
+    def _order(section, key, size):
+        errors = [level[section][key] if key else level[section] for level in levels]
+        return convergence_order(dts, errors, levels[0]["sizes"][size])
 
     deterministic = K == 0 or cfg.noise.a0 == 0.0
     orders = {
-        "energy_residual_gradient": _order("energy_residuals", "gradient"),
-        "virial_residual_V": _order("virial_residuals", "V"),
-        "virial_residual_G": _order("virial_residuals", "G"),
-        "h_drift": (convergence_order(dts, [level["h_drift"] for level in levels])
-                    if deterministic else None),
+        "energy_residual_gradient": _order("energy_residuals", "gradient", "H"),
+        "virial_residual_V": _order("virial_residuals", "V", "V"),
+        "virial_residual_G": _order("virial_residuals", "G", "G"),
+        "h_drift": _order("h_drift", None, "H") if deterministic else None,
     }
 
     min_order = 1.8 if deterministic else 0.9

@@ -9,10 +9,9 @@ Four functionals of the field pair are tracked:
     G = Im integral u x.grad(conj u) + v x.grad(conj v)
 
 Each ingredient is computed in one place.  ||grad u||^2 + ||grad v||^2
-comes only from :func:`scnls.dynamics._spectral_diagnostics` (one FFT per
-component, Parseval).  The potential integrals integral |u|^(2s+2),
-integral |v|^(2s+2) and integral (|u||v|)^(s+1) come only from
-:func:`_potential_integrals`; H, the virial quartic below and
+comes only from :func:`scnls.dynamics._spectral_diagnostics` (Parseval).
+The potential integrals of |u|^(2s+2), |v|^(2s+2) and (|u||v|)^(s+1) come
+only from :func:`_potential_integrals`; H, the virial quartic below and
 :func:`scnls.groundstate.gn_ratio` weigh them with their own coefficients.
 The masked mixed-term factor |f|^(s-1) lives only in
 ``scnls.dynamics._phase_multiplier``, shared by the N step and the
@@ -21,8 +20,8 @@ once per row and reuses the diagnostics ``evolve`` has just computed, so of
 a row only G transforms, and only the live components (a component that is
 zero in every path ``evolve`` started from adds exactly 0 to G).  G and the
 Ito terms of :meth:`TrajectoryRecorder.on_step` take their forward
-transforms from the diagnostics' spectra of the same state when ``evolve``
-has them, so they transform only back.
+transforms from the spectra ``evolve`` materialises with the state, so they
+transform only back.
 
 A recorded row allocates one block of six real fields of one path per
 call, in which ``record`` first runs G's derivatives and products as
@@ -330,8 +329,8 @@ class TrajectoryRecorder:
     close up as the batch's rows do.  ``evolve`` sets ``rows``, the live
     components, to its workspace's; the Ito terms, G and the moduli are
     taken over them only.  Both calls take an optional ``spectra``: the
-    forward transforms of the pair the diagnostics have just taken of the
-    same state, so that the gradients only transform back.  Without it they
+    forward transforms of the pair, which ``evolve`` has with the state, so
+    that the gradients only transform back.  Without it they
     transform the state themselves.  ``record`` works in one block per call
     (see the module docstring).
     """

@@ -36,6 +36,17 @@ def make_state(grid, u, v=None):
     return SystemState(u, np.asarray(v, dtype=complex), 0.0, grid)
 
 
+def free_propagate(grid, values, dt):
+    """The free flow exp(i*dt*Lap) of ``values``: mode k times exp(-i|k|^2 dt).
+
+    Exactly unitary on the grid; dt may be negative (time reversal).  An
+    oracle for the step's free flow, which multiplies the held spectrum.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("free_propagate requires a finite field")
+    return grid.ifft(grid.fft(values) * np.exp(-1j * grid.k_sq * dt))
+
+
 def scalar_coupling(l11=1.0, sigma=1.0):
     lam = np.zeros((2, 2))
     lam[0, 0] = l11

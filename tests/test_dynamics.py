@@ -14,7 +14,7 @@ from scnls import (
     strang_step,
 )
 
-from conftest import make_state, random_smooth_field, scalar_coupling
+from conftest import free_propagate, make_state, random_smooth_field, scalar_coupling
 
 
 class TestCoupling:
@@ -102,8 +102,8 @@ class TestStrangStep:
         v = random_smooth_field(grid_1d, rng)
         st_ = make_state(grid_1d, u, v)
         out = strang_step(st_, 0.01, no_noise_1d, np.zeros(0), Coupling(1.0, np.zeros((2, 2))))
-        np.testing.assert_allclose(out.u, grid_1d.free_propagate(u, 0.01), atol=1e-13)
-        np.testing.assert_allclose(out.v, grid_1d.free_propagate(v, 0.01), atol=1e-13)
+        np.testing.assert_allclose(out.u, free_propagate(grid_1d, u, 0.01), atol=1e-13)
+        np.testing.assert_allclose(out.v, free_propagate(grid_1d, v, 0.01), atol=1e-13)
         assert out.t == pytest.approx(0.01)
 
     def test_mass_conserved_per_step(self, grid_1d):
@@ -274,7 +274,11 @@ class TestEvolve:
 
 
 def reference_strang_step(st_, dt, model, inc, c, dealias=False):
-    """N(dt/2) L(dt) W(dB) N(dt/2) from fresh numpy temporaries, as printed."""
+    """L(dt/2) W(dB) N(dt) L(dt/2) from fresh numpy temporaries, as printed.
+
+    The dealiasing mask goes with the leading half-flow, which a held state
+    merges with the trailing half-flow of the step before.
+    """
     g = st_.grid
     s = c.sigma
 
@@ -284,20 +288,20 @@ def reference_strang_step(st_, dt, model, inc, c, dealias=False):
         mixed[keep] = b[keep] ** (s + 1.0) * a[keep] ** (s - 1.0)
         return l_self * a ** (2.0 * s) + l_mixed * mixed
 
-    def half_phase(u, v):
+    def phase(u, v):
         au, av = np.abs(u), np.abs(v)
-        return (u * np.exp(0.5j * dt * multiplier(au, av, c.l11, c.l12)),
-                v * np.exp(0.5j * dt * multiplier(av, au, c.l22, c.l21)))
+        return (u * np.exp(1j * dt * multiplier(au, av, c.l11, c.l12)),
+                v * np.exp(1j * dt * multiplier(av, au, c.l22, c.l21)))
 
-    u, v = half_phase(st_.u, st_.v)
-    lin = np.exp(-1j * g.k_sq * dt)
+    half = np.exp(-0.5j * g.k_sq * dt)
     keep = g.dealias_mask() if dealias else 1.0
-    u = np.fft.ifftn(np.fft.fftn(u) * lin * keep)
-    v = np.fft.ifftn(np.fft.fftn(v) * lin * keep)
+    u = np.fft.ifftn(np.fft.fftn(st_.u) * half * keep)
+    v = np.fft.ifftn(np.fft.fftn(st_.v) * half * keep)
     if model.K:
         u = u * np.exp(-1j * np.tensordot(inc, model.modes_u, axes=(0, 0)))
         v = v * np.exp(-1j * np.tensordot(inc, model.modes_v, axes=(0, 0)))
-    return half_phase(u, v)
+    u, v = phase(u, v)
+    return np.fft.ifftn(np.fft.fftn(u) * half), np.fft.ifftn(np.fft.fftn(v) * half)
 
 
 class TestKernel:
@@ -375,38 +379,58 @@ class TestKernel:
         assert tail == pytest.approx(power[grid_2d.tail_mask].sum() / power.sum(), rel=1e-13)
         assert 0.4 < tail < 0.7  # white noise fills the top third of the spectrum
 
-    @pytest.mark.parametrize("rows", [(0, 1), (1,)], ids=["both_live", "row0_dead"])
-    @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
-    def test_diagnostics_rewrite_the_pair_that_holds_the_factor(self, grid_2d, rows, split):
-        # N writes each live row's unimodular factor into that row of the
-        # workspace's factor pair, which the next step's leading N reuses;
-        # the diagnostics that run between the steps rewrite every live row
-        # of spectra and leave the factor pair's bytes alone
-        from scnls.dynamics import Workspace, _spectral_diagnostics
-        from scnls.phases import _OneChunk, _Split
+    @staticmethod
+    def _held_diagnostics(grid, rows, runner, dt=1e-3):
+        """Diagnostics of a held batch after two steps, and of its materialised state.
+
+        Also checks that the diagnostics and the materialisation leave the
+        live rows of the held spectrum as they were.
+        """
+        from scnls.dynamics import Workspace, _enter, _materialise, _spectral_diagnostics
 
         rng = np.random.default_rng(16)
-        fields = rng.standard_normal((2, 2) + grid_2d.shape) + 0j
+        fields = rng.standard_normal((2, 2) + grid.shape) + 0j
         fields[0] *= len(rows) - 1  # a dead row is zero in every path
-        state = SystemState.of_pair(fields, 0.0, grid_2d)
-        model = build_noise_model(NoiseSpec(K=0), grid_2d)
-        dt = 1e-3
-        work = Workspace(grid_2d, dt, fields.shape)
-        work.rows = rows
-        work.runner = _Split(grid_2d) if split else _OneChunk()
+        state = SystemState.of_pair(fields, 0.0, grid)
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid)
+        work = Workspace(grid, dt, fields.shape)
+        work.rows, work.runner = rows, runner
         try:
-            strang_step(state, dt, model, np.zeros((2, 0)),
-                        Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]])), work=work)
-            factor = work.factor.tobytes()
-            for i in rows:
-                np.testing.assert_allclose(np.abs(work.factor[i]), 1.0, rtol=1e-15)
-            grad, tail = _spectral_diagnostics(state, work)
+            _enter(state, work)
+            for inc in ([[0.01, -0.02], [0.03, 0.0]], [[-0.01, 0.02], [0.0, 0.01]]):
+                strang_step(state, dt, model, np.array(inc),
+                            Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]])), work=work)
+            held = work.held[list(rows)].tobytes()
+            got = _spectral_diagnostics(state, work)
+            _materialise(state, work)
         finally:
             work.runner.close()
-        assert work.factor.tobytes() == factor
-        for i in rows:
-            assert work.spectra[i].tobytes() == grid_2d.fft(fields[i]).tobytes()
-        assert (grad, tail) == _spectral_diagnostics(state)
+        assert work.held[list(rows)].tobytes() == held
+        for i in rows:  # the spectra the recorder gets are those of the fields
+            ref = grid.fft(fields[i])
+            assert np.max(np.abs(work.spectra[i] - ref)) <= 1e-13 * np.max(np.abs(ref))
+        return got, _spectral_diagnostics(state)
+
+    @pytest.mark.parametrize("rows", [(0, 1), (1,)], ids=["both_live", "row0_dead"])
+    @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
+    def test_diagnostics_read_the_held_spectrum(self, grid_2d, rows, split):
+        # |w_hat| is |u_hat|, so the diagnostics of a held state take no
+        # transform; they and the materialisation leave w_hat alone
+        from scnls.phases import _OneChunk, _Split
+
+        runner = _Split(grid_2d) if split else _OneChunk()
+        (grad, tail), (ref_grad, ref_tail) = self._held_diagnostics(grid_2d, rows, runner)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(tail, ref_tail, rtol=1e-12, atol=0.0)
+
+    def test_diagnostics_read_the_held_spectrum_1d(self, grid_1d):
+        from scnls.phases import _OneChunk
+
+        for rows in ((0, 1), (1,)):
+            (grad, tail), (ref_grad, ref_tail) = self._held_diagnostics(grid_1d, rows,
+                                                                        _OneChunk())
+            np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(tail, ref_tail, rtol=1e-12, atol=0.0)
 
     @staticmethod
     def _fresh_steps(state, dt, model, increments, c, dealias=False):
@@ -420,9 +444,10 @@ class TestKernel:
         for g, r in zip(got.fields, ref.fields):
             assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
 
-    def test_reused_factor_is_a_round_off_change_1d(self, grid_1d, monkeypatch):
-        # evolve's leading N multiplies by the factor of the previous
-        # trailing N: after the first step, N computes each row once a step
+    def test_held_state_is_a_round_off_change_1d(self, grid_1d, monkeypatch):
+        # evolve holds w_hat from step to step, where each standalone step
+        # holds and materialises its state: N computes each live row once a
+        # step either way
         from scnls import dynamics
 
         model = build_noise_model(NoiseSpec(K=2, a0=0.3), grid_1d)
@@ -437,11 +462,11 @@ class TestKernel:
         res = evolve(st_, n * dt, dt, model, c, increments=inc, record_every=10,
                      track_identities=True)
         assert res.outcome == "completed" and res.steps == n
-        assert len(calls) == 2 * (n + 1)
+        assert len(calls) == 2 * n
         self._assert_round_off(res.state, self._fresh_steps(st_, dt, model, inc, c))
 
     @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
-    def test_reused_factor_is_a_round_off_change_2d(self, grid_2d, split, monkeypatch):
+    def test_held_state_is_a_round_off_change_2d(self, grid_2d, split, monkeypatch):
         from scnls import phases
 
         monkeypatch.setattr(phases, "_SPLIT_NODES", 0 if split else np.inf)
@@ -455,23 +480,34 @@ class TestKernel:
         assert res.outcome == "completed" and res.steps == n
         self._assert_round_off(res.state, self._fresh_steps(st_, dt, model, inc, c, True))
 
-    def test_phase_between_steps_makes_the_next_step_compute(self, grid_2d):
-        from scnls.dynamics import Workspace
+    @pytest.mark.parametrize("split", [False, True], ids=["one_chunk", "split"])
+    def test_records_and_detector_leave_the_path_bitwise(self, grid_1d, grid_2d, split,
+                                                         monkeypatch):
+        # materialising reads w_hat and writes other buffers, so how often a
+        # path is recorded or diagnosed moves none of its bits
+        from scnls import BlowupDetector, phases
+        from scnls.dynamics import _spectral_diagnostics
 
-        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_2d)
+        monkeypatch.setattr(phases, "_SPLIT_NODES", 0 if split else np.inf)
         c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
-        dt, inc = 2e-3, np.array([0.01, -0.02])
-        stepped, rotated = self._pair(grid_2d, 21), self._pair(grid_2d, 21)
-        for state, phase in ((stepped, False), (rotated, True)):
-            work = Workspace(grid_2d, dt, state.fields.shape)
-            strang_step(state, dt, model, inc, c, work=work)
-            if phase:
-                nonlinear_phase(state, 0.3 * dt, c, work=work)
-            fresh = strang_step(state, dt, model, inc, c)
-            strang_step(state, dt, model, inc, c, work=work)
-            # a reused factor moves bits at round-off; a computed one moves none
-            assert (state.fields.tobytes() == fresh.fields.tobytes()) == phase
-            self._assert_round_off(state, fresh)
+        noisy = build_noise_model(NoiseSpec(K=2, a0=0.3), grid_1d)
+        never = BlowupDetector(np.inf, np.inf)
+        st_ = self._pair(grid_1d, 22)
+        paths = [evolve(st_, 0.05, 1e-3, noisy, c, seed=3, record_every=every, detector=d,
+                        track_identities=False)
+                 for every, d in ((1, None), (7, None), (7, never))]
+        g = grid_2d
+        collapse = make_state(g, 4.5 * np.exp(-g.r_sq), 0.5 * np.exp(-g.r_sq))
+        fires = BlowupDetector.for_initial(_spectral_diagnostics(collapse)[0][0])
+        collapses = [evolve(collapse, 0.2, 1e-3, build_noise_model(NoiseSpec(), g), c,
+                            record_every=every, detector=fires, track_identities=False)
+                     for every in (1, 7)]
+        assert collapses[0].outcome == "blowup" and paths[0].outcome == "completed"
+        for first, *others in (paths, collapses):
+            for other in others:
+                assert (other.outcome, other.t_star, other.steps) == (
+                    first.outcome, first.t_star, first.steps)
+                assert other.state.fields.tobytes() == first.state.fields.tobytes()
 
     def test_integer_sigma_mixed_term_matches_power_formula(self):
         from scnls.dynamics import _TINY_MODULUS, _phase_multiplier
@@ -617,10 +653,11 @@ class TestBatch:
     @pytest.mark.parametrize("sigma, amplitude", [(2.0, 1e100), (0.5, 1e250)])
     def test_dead_row_revives_when_its_mixed_term_overflows(self, grid_1d, sigma,
                                                              amplitude):
-        # sigma = 2: |u|^(2 sigma) overflows in the first N, u turns NaN, and
-        # the second N computes 0 * NaN into v.  sigma = 0.5: u stays finite,
-        # but v's mixed term 0 * |u|^(s+1) is 0 * inf in the first N.  Either
-        # way v must not be left at 0
+        # sigma = 0.5: u stays finite, but v's mixed term 0 * |u|^(s+1) is
+        # 0 * inf in N, so v must not be left at 0.  sigma = 2: |u|^(2 sigma)
+        # overflows in N and u turns NaN, but v's multiplier comes from the
+        # moduli before N, and the path leaves at that step: v is 0, as
+        # computing it in the batch gives
         x = grid_1d.x[0]
         model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
         c = Coupling(sigma, np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -631,7 +668,10 @@ class TestBatch:
             batch = evolve(self._batch([huge, companion]), 0.01, 1e-3, model, c,
                            seed=[4, 5], record_every=2)
         assert alone.outcome == "invalid" and alone.steps == 1
-        assert np.isnan(alone.state.v).any()
+        if sigma == 0.5:
+            assert np.isnan(alone.state.v).any()
+        else:
+            assert not alone.state.v.any()
         assert batch[1].outcome == "completed"
         # equal with NaN at the same nodes; the sign bit of a NaN that went
         # through a transform of the batch may differ, with or without a dead row
@@ -731,16 +771,27 @@ class TestSplitStep:
         assert not one[0].state.v.any()
         self._assert_bitwise(split, one)
 
+    @staticmethod
+    def _overflowing_in_one_half(g, dt):
+        """A field whose |u|^1.5 overflows in the second half of the rows only at the first N.
+
+        That N sees the field after the free flow of half a step, which
+        spreads its tail into the first half.
+        """
+        huge = 1e210 * np.exp(-4.0 * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
+        first = np.abs(free_propagate(g, huge, 0.5 * dt))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(first[g.n // 2:] ** 1.5).all()
+        assert np.isfinite(first[: g.n // 2] ** 1.5).all()
+        return huge
+
     def test_dead_row_revived_in_one_half(self, grid_2d, monkeypatch):
         # the first path's |u|^(s+1) overflows in the second half of the rows
         # only, so only that half revives the dead row in the first N
         g = grid_2d
         model = build_noise_model(NoiseSpec(K=2, a0=0.2), g)
         c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
-        huge = 1e220 * np.exp(-4.0 * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(huge[g.n // 2:] ** 1.5).all()
-        assert np.isfinite(huge[: g.n // 2] ** 1.5).all()
+        huge = self._overflowing_in_one_half(g, 1e-3)
         batch = make_state(g, np.stack([huge, 0.5 * np.exp(-g.r_sq)]),
                            np.zeros((2,) + g.shape))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -751,38 +802,38 @@ class TestSplitStep:
         # equal with NaN at the same nodes; NaN sign bits may differ
         TestBatch._assert_same(split[0], one[0])
 
-    def test_no_factor_reused_after_one_half_revived(self, grid_2d):
-        # the first path's |u|^(s+1) is finite at the leading N and, once
-        # the chirped peak has focused under L, overflows at the trailing N
-        # in the second half of the rows only.  That half revives the dead
-        # v and writes its factor; the first half never writes v's, so the
-        # next leading N must compute it rather than read the NaN left there
-        from scnls.dynamics import Workspace
+    def test_held_dead_row_after_one_half_revived(self, grid_2d):
+        # the first path's |u|^(s+1) overflows at N in the second half of
+        # the rows only.  That half revives the dead v and transforms it into
+        # the held spectrum; the first half must transform v's zeros as well
+        # rather than leave the NaN put there, or the column transform
+        # spreads it into the second path
+        from scnls.dynamics import Workspace, _enter, _materialise
         from scnls.phases import _OneChunk, _Split
 
         g = grid_2d
         model = build_noise_model(NoiseSpec(K=0), g)
         c = Coupling(0.5, np.array([[0.0, 0.5], [0.5, 1.0]]))  # u never rotates
         dt = 1e-3
-        below = np.finfo(float).max ** (1.0 / 1.5) / 1.006
-        chirped = below * np.exp(-(1.0 + 3.0j) * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
-        assert np.isfinite(np.abs(chirped).max() ** 1.5)
-        pair = make_state(g, np.stack([chirped, 0.5 * np.exp(-g.r_sq)]),
+        huge = self._overflowing_in_one_half(g, dt)
+        pair = make_state(g, np.stack([huge, 0.5 * np.exp(-g.r_sq)]),
                           np.zeros((2,) + g.shape)).fields
         steps = []
         for split in (False, True):
             state = SystemState.of_pair(pair.copy(), 0.0, g)
             work = Workspace(g, dt, pair.shape)
-            work.factor.fill(np.nan)
+            work.held.fill(np.nan)
             # the helper thread takes the error state its runner is made in
             with np.errstate(over="ignore", invalid="ignore"):
                 work.rows, work.runner = (0,), _Split(g) if split else _OneChunk()
                 try:
+                    _enter(state, work)
                     strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
                     assert work.rows == (0, 1)
                     dead = np.isnan(state.v[0])
                     assert dead.any() and not dead[: g.n // 2].any()
                     strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
+                    _materialise(state, work)
                 finally:
                     work.runner.close()
             assert np.isfinite(state.fields[:, 1]).all()

@@ -1,6 +1,7 @@
 import configparser
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,6 +411,18 @@ class TestRunSingle:
         manifest = json.loads(result.manifest_path.read_text())
         assert manifest["outcome"]["t_star"] == result.t_star
 
+    def test_shipped_collapse_2d(self, tmp_path):
+        # the shipped blow-up run: the detector stops it at t* = 0.143, 286
+        # steps of dt = 5e-4, and the scheme keeps the mass to round-off
+        from scnls import load_config
+
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "collapse_2d.ini")
+        result = run_single(cfg, tmp_path)
+        assert (result.outcome, result.exit_code) == ("blowup", 2)
+        assert abs(result.t_star - 0.143) <= 2 * cfg.dt
+        mass = result.record.mass_u
+        assert np.max(np.abs(mass - mass[0])) <= 1e-11 * mass[0]
+
     def test_non_finite_initial_data_ends_invalid(self, tmp_path, grid_1d):
         poisoned = np.exp(-grid_1d.x[0] ** 2).astype(complex)
         poisoned[7] = np.nan
@@ -646,6 +659,24 @@ class TestVerify:
         assert report["passes"]["virial_V_order"]
         assert report["passes"]["energy_gradient_order"]
         assert (tmp_path / "verify.json").exists()
+
+    def test_shipped_soliton_passes_every_flag(self, tmp_path):
+        # the soliton keeps H to round-off at both step sizes, so no energy
+        # order is fitted to it; the virial G residual shows Strang's order
+        from scnls import load_config
+
+        cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "soliton.ini")
+        report = verify(cfg, tmp_path)
+        assert report["passes"] and all(report["passes"].values()), report["passes"]
+        assert report["orders"]["virial_residual_G"] >= 1.8
+
+    def test_order_is_none_for_drifts_in_round_off(self):
+        from scnls.harness import convergence_order
+
+        dts, drifts = [2e-3, 1e-3], [5.6e-14, 3.3e-13]  # grow with the step count
+        assert convergence_order(dts, drifts, scale=2 / 3) is None
+        assert convergence_order(dts, drifts) == pytest.approx(-2.56, abs=0.01)
+        assert convergence_order(dts, [4e-6, 1e-6], scale=2 / 3) == pytest.approx(2.0)
 
     def test_deterministic_accumulators_zero(self, tmp_path):
         cfg = base_config(T=0.1, record_every=1)

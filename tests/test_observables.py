@@ -325,7 +325,9 @@ class TestIdentitiesAcrossRegimes:
             res = evolve(st, 1.0, 1.0 / n, model, c,
                          increments=coarsen(fine, factor), record_every=1)
             dts.append(1.0 / n)
-            e_res.append(abs(energy_budget(res.record).gradient[-1]))
+            # the largest residual along the path: its final value can sit
+            # near a zero crossing at one step size and not at the next
+            e_res.append(np.max(np.abs(energy_budget(res.record).gradient)))
         assert np.polyfit(np.log(dts), np.log(e_res), 1)[0] >= 0.9
 
     def test_chirped_data_nonzero_g0(self):
@@ -526,9 +528,9 @@ class TestRecordRow:
         assert recorder.finalize().G[0] == momentum_G(st)
 
     def test_on_step_transforms_only_the_live_rows(self, grid_1d, monkeypatch):
-        # on_step's gradients take the diagnostics' spectra when the step
-        # before was diagnosed, else transform forward themselves; a dead
-        # component adds exactly 0 and is not transformed
+        # on_step's gradients take the spectra evolve materialises before
+        # every tracked step, so they only transform back; a dead component
+        # adds exactly 0 and is not transformed
         calls, in_step = [], []
         for name in ("fft", "ifft"):
             original = getattr(Grid, name)
@@ -556,10 +558,8 @@ class TestRecordRow:
                          seed=1, record_every=2, track_identities=True)
             assert np.all(res.record.stoch_energy[1:] != 0)
             counts[label] = list(in_step)
-        # the first step follows the initial diagnostics, the second an
-        # undiagnosed step, the third the record after the second
-        assert counts["live"] == [2, 4, 2]
-        assert counts["dead"] == [1, 2, 1]
+        assert counts["live"] == [2, 2, 2]
+        assert counts["dead"] == [1, 1, 1]
 
     def test_dead_component_halves_the_transforms(self, grid_2d, monkeypatch):
         # evolve skips a component that is zero in every path: its L step,
