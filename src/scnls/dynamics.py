@@ -193,15 +193,15 @@ class Workspace:
     spectral-tail mask (as 1.0/0.0), and, for a state of pair ``shape``
     (default: one path on ``grid``), 88 bytes per node and path: the complex
     pairs ``held`` (the state's w_hat, written only by :func:`_enter` and the
-    step; without ``dt``, ``spectra`` itself) and ``spectra`` (the state's
-    transforms after :func:`_materialise`; in a step, N's unimodular factor
-    of each rotated row, its parts first temporaries), the real pair
-    ``moduli`` and a real component field ``real``.  One workspace serves
-    one state (a path or a batch) at a time.  ``rows`` names the rows
-    computed: both, unless :func:`evolve` marks one dead; a dead row's
-    moduli stay zero, and its held and spectra rows are never read (nor,
-    allocated empty, their pages touched).  ``runner`` runs each phase: as
-    one chunk, unless :func:`evolve` gives it a split runner.
+    step, which works in it in place; without ``dt``, ``spectra`` itself)
+    and ``spectra`` (the state's transforms after :func:`_materialise`; in a
+    step, N's unimodular factor of each rotated row, its parts first
+    temporaries), the real pair ``moduli`` and a real component field
+    ``real``.  One workspace serves one state (a path or a batch) at a time.
+    ``rows`` names the rows computed: both, unless :func:`evolve` marks one
+    dead; a dead row's moduli and held values stay zero, and its spectra are
+    never read (nor, allocated empty, their pages touched).  ``runner`` runs
+    each phase: as one chunk, unless :func:`evolve` gives it a split runner.
     """
 
     def __init__(self, grid: Grid, dt: float | None = None,
@@ -222,7 +222,8 @@ class Workspace:
         self.rows = (0, 1)
         self.runner = _OneChunk()
         self.spectra = np.empty(shape, dtype=complex)
-        self.held = self.spectra if dt is None else np.empty(shape, dtype=complex)
+        # zeros, which a dead row keeps through every step
+        self.held = self.spectra if dt is None else np.zeros(shape, dtype=complex)
         self.moduli = np.zeros(shape)
         self.real = np.empty(shape[1:])
         # N's buffers with each component on one axis, for an N step on the
@@ -368,15 +369,15 @@ def strang_step(
     ``state`` may be a batch, with ``increments`` of shape (P, K).  Without
     ``work`` a copy of the input is held (:func:`_enter`), stepped,
     materialised and returned.  A :class:`Workspace` for this ``dt`` and
-    shape that holds the state (as ``evolve``'s) has its w_hat advanced, and
-    ``state.fields`` is left before the trailing L(dt/2).  Non-finite output
-    is flagged on the returned state instead of being raised.
+    shape that holds the state (as ``evolve``'s) has its w_hat advanced in
+    place; ``state.fields`` stay as they were until :func:`_materialise`.
+    Non-finite output is flagged on the returned state instead of raised.
 
-    Four phases of the workspace's runner: rows (w_hat times the multiplier
-    of dt and the dealiasing mask, the inverse transform along the last axis
-    into the fields), columns (along the first axis), W on the calling
-    thread, rows (N, the finite check, the forward transform along the last
-    axis into w_hat) and columns.  One chunk transforms every axis in rows.
+    Four phases of the workspace's runner, all in place in w_hat: rows (the
+    multiplier of dt and the dealiasing mask, the inverse transform along
+    the last axis), columns (along the first axis), W on the calling thread,
+    rows (N, the finite check, the forward transform along the last axis)
+    and columns.  One chunk transforms every axis in its row phases.
     """
     standalone = work is None
     if standalone:
@@ -384,36 +385,34 @@ def strang_step(
         _enter(state, work)
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
-    grid, fields, held, runner, rows = state.grid, state.fields, work.held, work.runner, work.rows
+    grid, held, runner, rows = state.grid, work.held, work.runner, work.rows
     revived, finite = [], []
 
     def free_flow(index, axis):
         for i in rows:
-            f = np.multiply(held[i][index], work.lin[index], out=fields[i][index])
+            h = held[i][index]
+            h *= work.lin[index]
             if dealias:
-                f *= work.keep[index]
-            grid.ifft(f, out=f, axis=axis)
+                h *= work.keep[index]
+            grid.ifft(h, out=h, axis=axis)
 
     def rotate(index, axis):
-        turned = _rotate_rows(fields, dt, coupling, work, index)
+        turned = _rotate_rows(held, dt, coupling, work, index)
         if turned != rows:
-            revived.append((index, axis))
+            revived.append(index)
         # a row N skips is dead: finite unless W's increments are not (then no row is)
         for i in turned:
-            f = fields[i][index]
-            finite.append(bool(np.isfinite(f).all()))
-            grid.fft(f, out=held[i][index], axis=axis)
+            h = held[i][index]
+            finite.append(bool(np.isfinite(h).all()))
+            grid.fft(h, out=h, axis=axis)
 
     runner.run(free_flow, runner.rows)
-    runner.run(_transform(grid.ifft, fields, rows), runner.cols)
+    runner.run(_transform(grid.ifft, held, rows), runner.cols)
     if model.K > 0:
-        stratonovich_phase(fields, model, increments, out=fields)
+        stratonovich_phase(held, model, increments, out=held)
     runner.run(rotate, runner.rows)
     if revived:
-        # a chunk that did not revive the dead row has yet to transform its zeros
-        rest = [chunk for chunk in runner.rows if chunk not in revived]
-        if rest:
-            runner.run(_transform(grid.fft, fields, (1 - rows[0],), held), rest)
+        # a chunk that did not revive it left the dead row's zeros: their own transform
         work.rows = rows = (0, 1)
     runner.run(_transform(grid.fft, held, rows), runner.cols)
     state.t = state.t + dt
@@ -661,6 +660,7 @@ def evolve(
             current = False
 
             if state.blown_up:
+                materialise()
                 leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
                 if not live:
                     break

@@ -771,27 +771,18 @@ class TestSplitStep:
         assert not one[0].state.v.any()
         self._assert_bitwise(split, one)
 
-    @staticmethod
-    def _overflowing_in_one_half(g, dt):
-        """A field whose |u|^1.5 overflows in the second half of the rows only at the first N.
-
-        That N sees the field after the free flow of half a step, which
-        spreads its tail into the first half.
-        """
-        huge = 1e210 * np.exp(-4.0 * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
-        first = np.abs(free_propagate(g, huge, 0.5 * dt))
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(first[g.n // 2:] ** 1.5).all()
-        assert np.isfinite(first[: g.n // 2] ** 1.5).all()
-        return huge
-
     def test_dead_row_revived_in_one_half(self, grid_2d, monkeypatch):
         # the first path's |u|^(s+1) overflows in the second half of the rows
-        # only, so only that half revives the dead row in the first N
+        # only, so only that half revives the dead row in the first N, which
+        # sees the field after the free flow of half a step
         g = grid_2d
         model = build_noise_model(NoiseSpec(K=2, a0=0.2), g)
         c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
-        huge = self._overflowing_in_one_half(g, 1e-3)
+        huge = 1e210 * np.exp(-4.0 * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
+        first = np.abs(free_propagate(g, huge, 0.5e-3))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(first[g.n // 2:] ** 1.5).all()
+        assert np.isfinite(first[: g.n // 2] ** 1.5).all()
         batch = make_state(g, np.stack([huge, 0.5 * np.exp(-g.r_sq)]),
                            np.zeros((2,) + g.shape))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -801,47 +792,6 @@ class TestSplitStep:
         self._assert_bitwise(split[1:], one[1:])
         # equal with NaN at the same nodes; NaN sign bits may differ
         TestBatch._assert_same(split[0], one[0])
-
-    def test_held_dead_row_after_one_half_revived(self, grid_2d):
-        # the first path's |u|^(s+1) overflows at N in the second half of
-        # the rows only.  That half revives the dead v and transforms it into
-        # the held spectrum; the first half must transform v's zeros as well
-        # rather than leave the NaN put there, or the column transform
-        # spreads it into the second path
-        from scnls.dynamics import Workspace, _enter, _materialise
-        from scnls.phases import _OneChunk, _Split
-
-        g = grid_2d
-        model = build_noise_model(NoiseSpec(K=0), g)
-        c = Coupling(0.5, np.array([[0.0, 0.5], [0.5, 1.0]]))  # u never rotates
-        dt = 1e-3
-        huge = self._overflowing_in_one_half(g, dt)
-        pair = make_state(g, np.stack([huge, 0.5 * np.exp(-g.r_sq)]),
-                          np.zeros((2,) + g.shape)).fields
-        steps = []
-        for split in (False, True):
-            state = SystemState.of_pair(pair.copy(), 0.0, g)
-            work = Workspace(g, dt, pair.shape)
-            work.held.fill(np.nan)
-            # the helper thread takes the error state its runner is made in
-            with np.errstate(over="ignore", invalid="ignore"):
-                work.rows, work.runner = (0,), _Split(g) if split else _OneChunk()
-                try:
-                    _enter(state, work)
-                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
-                    assert work.rows == (0, 1)
-                    dead = np.isnan(state.v[0])
-                    assert dead.any() and not dead[: g.n // 2].any()
-                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
-                    _materialise(state, work)
-                finally:
-                    work.runner.close()
-            assert np.isfinite(state.fields[:, 1]).all()
-            steps.append(state.fields)
-        one, split = steps
-        assert split[:, 1].tobytes() == one[:, 1].tobytes()
-        # equal with NaN at the same nodes; NaN sign bits may differ
-        np.testing.assert_array_equal(split[:, 0], one[:, 0])
 
     def test_helper_ends_when_evolve_raises(self, grid_2d, monkeypatch):
         import threading
