@@ -793,6 +793,56 @@ class TestSplitStep:
         # equal with NaN at the same nodes; NaN sign bits may differ
         TestBatch._assert_same(split[0], one[0])
 
+    def test_no_factor_reused_after_one_half_revived(self, grid_2d):
+        # the first path's |u|^(s+1) is finite at the first step's N and,
+        # once the chirped peak has focused under L, overflows at the second
+        # step's N in the second half of the rows only.  That half revives
+        # the dead v and writes its factor into spectra; the first half never
+        # writes v's there, so the third step's N must compute it rather than
+        # read the NaN left there
+        from scnls.dynamics import Workspace, _enter, _materialise
+        from scnls.phases import _OneChunk, _Split
+
+        g = grid_2d
+        model = build_noise_model(NoiseSpec(K=0), g)
+        c = Coupling(0.5, np.array([[0.0, 0.5], [0.5, 1.0]]))  # u never rotates
+        dt = 1e-3
+        below = np.finfo(float).max ** (1.0 / 1.5) / 1.006
+        chirped = below * np.exp(-(1.0 + 3.0j) * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
+        assert np.isfinite(np.abs(chirped).max() ** 1.5)
+        assert np.isfinite(np.abs(free_propagate(g, chirped, 0.5 * dt)) ** 1.5).all()
+        focused = np.abs(free_propagate(g, chirped, 1.5 * dt))
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(focused[g.n // 2:] ** 1.5).all()
+        assert np.isfinite(focused[: g.n // 2] ** 1.5).all()
+        pair = make_state(g, np.stack([chirped, 0.5 * np.exp(-g.r_sq)]),
+                          np.zeros((2,) + g.shape)).fields
+        steps = []
+        for split in (False, True):
+            state = SystemState.of_pair(pair.copy(), 0.0, g)
+            work = Workspace(g, dt, pair.shape)
+            # the helper thread takes the error state its runner is made in
+            with np.errstate(over="ignore", invalid="ignore"):
+                work.rows, work.runner = (0,), _Split(g) if split else _OneChunk()
+                try:
+                    _enter(state, work)
+                    work.spectra.fill(np.nan)
+                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
+                    assert work.rows == (0,)
+                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
+                    assert work.rows == (0, 1)
+                    assert np.isnan(work.held[1, 0]).any()
+                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
+                    _materialise(state, work)
+                finally:
+                    work.runner.close()
+            assert np.isfinite(state.fields[:, 1]).all()
+            steps.append(state.fields)
+        one, split = steps
+        assert split[:, 1].tobytes() == one[:, 1].tobytes()
+        # equal with NaN at the same nodes; NaN sign bits may differ
+        np.testing.assert_array_equal(split[:, 0], one[:, 0])
+
     def test_helper_ends_when_evolve_raises(self, grid_2d, monkeypatch):
         import threading
 
