@@ -185,14 +185,12 @@ class RunConfig:
     def build_grid(self) -> Grid:
         return Grid(self.dim, self.n, self.L)
 
-    def build_state(self, grid: Grid | None = None) -> SystemState:
-        grid = grid or self.build_grid()
+    def build_state(self, grid: Grid) -> SystemState:
         return SystemState(
             self.initial_u.build(grid), self.initial_v.build(grid), 0.0, grid
         )
 
-    def build_noise_model(self, grid: Grid | None = None) -> NoiseModel:
-        grid = grid or self.build_grid()
+    def build_noise_model(self, grid: Grid) -> NoiseModel:
         return build_noise_model(self.noise, grid)
 
     def ground_state_beta(self) -> float:

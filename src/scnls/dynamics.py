@@ -515,10 +515,10 @@ def evolve(
 ):
     """Integrate one path, or a batch of paths, from t=0 to T.
 
-    Each path is recorded every ``record_every`` steps.  The Wiener
-    increments driving a path come from ``increments`` (shape (n_steps, K))
-    when given, else from numpy's PCG64 generator seeded with ``seed``
-    (``np.random.default_rng(seed)``).  The blow-up ``detector``, called
+    Each path is recorded every ``record_every`` steps.  A path draws one
+    row of K Wiener increments per step from one source: ``increments``
+    (shape (n_steps, K)) when given, else ``sample_increments`` on its own
+    ``np.random.default_rng(seed)`` (PCG64).  The blow-up ``detector``, called
     every step with (grad_norm_sq, tail_fraction), turns a trigger into a
     normal "blowup" outcome; a non-finite state without a trigger is
     "invalid".  If T/dt is not an integer the last partial step is dropped
@@ -568,11 +568,15 @@ def evolve(
         expected = (n_paths,) * batched + (n_steps, model.K)
         if increments.shape != expected:
             raise ValueError(f"increments must have shape {expected}, got {increments.shape}")
-        increments = increments.reshape(n_paths, n_steps, model.K)
-        rngs = None
+        sources = [iter(path) for path in increments.reshape(n_paths, n_steps, model.K)]
     else:
-        rngs = [np.random.default_rng(s)
-                for s in (per_path(seed, "seed") if seed is not None else [None] * n_paths)]
+        def draws(rng):
+            """A path's increments, one row per step, from its own generator."""
+            while True:
+                yield sample_increments(model.K, dt, rng)
+
+        seeds = per_path(seed, "seed") if seed is not None else [None] * n_paths
+        sources = [draws(np.random.default_rng(s)) for s in seeds]
     detectors = ([detector] * n_paths if detector is None or callable(detector)
                  else per_path(detector, "detector"))
     detecting = any(d is not None for d in detectors)
@@ -580,7 +584,7 @@ def evolve(
     from .observables import TrajectoryRecorder  # observables imports this module
 
     # the batch advances a private copy in place, through one workspace; path
-    # axis row r of its fields, increments, generators and detectors is path
+    # axis row r of its fields, increment sources and detectors is path
     # live[r], and the rows close up when a path leaves
     state = state0.copy()
     if not batched:
@@ -610,7 +614,7 @@ def evolve(
 
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
-        nonlocal state, live, work, increments, rngs, detectors
+        nonlocal state, live, work, sources, detectors
         materialise()
         for r in rows:
             final = SystemState.of_pair(state.fields[:, r].copy(), state.t, grid,
@@ -622,10 +626,7 @@ def evolve(
         keep = np.ones(len(live), dtype=bool)
         keep[rows] = False
         state = SystemState.of_pair(state.fields[:, keep], state.t, grid)
-        if increments is not None:
-            increments = increments[keep]
-        else:
-            rngs = [r for r, kept in zip(rngs, keep) if kept]
+        sources = [s for s, kept in zip(sources, keep) if kept]
         live = [p for p, kept in zip(live, keep) if kept]
         detectors = [d for d, kept in zip(detectors, keep) if kept]
         recorder.keep(keep)
@@ -647,12 +648,7 @@ def evolve(
                             spectra=work.spectra[:, r])
 
         for j in range(n_steps):
-            if increments is not None:
-                inc = increments[:, j]
-            else:
-                inc = np.empty((len(rngs), model.K))
-                for r, gen in enumerate(rngs):
-                    inc[r] = sample_increments(model.K, dt, gen)
+            inc = np.array([next(source) for source in sources])
             if recorder.track and model.K:
                 materialise()
                 recorder.on_step(state, inc, work.spectra)

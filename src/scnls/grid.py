@@ -148,17 +148,13 @@ class Grid:
             padded[-m:, :m + 1] = spec[m:]
         return self.irfft(padded)
 
-    def gradient(self, values: np.ndarray,
-                 coeffs: np.ndarray | None = None) -> list[np.ndarray]:
+    def gradient(self, values: np.ndarray) -> list[np.ndarray]:
         """Spectral gradient: Fourier multiplier ``i*k`` per axis.
 
         The Nyquist frequency is excluded from the multiplier so that real
-        input yields a real-valued derivative to round-off.  ``coeffs``, when
-        given, is ``self.fft(values)`` already taken, and is not transformed
-        again.
+        input yields a real-valued derivative to round-off.
         """
-        if coeffs is None:
-            coeffs = self.fft(values)
+        coeffs = self.fft(values)
         return [self._derivative(coeffs, axis) for axis in range(self.dim)]
 
     def _derivative(self, coeffs: np.ndarray, axis: int,

@@ -38,6 +38,7 @@ from .noise import sample_increments
 from .observables import (
     CSV_COLUMNS,
     TrajectoryRecord,
+    _hypotheses,
     blowup_criterion,
     corollary_energy_bound,
     criterion_lhs,
@@ -358,8 +359,9 @@ def run_ensemble(
     fail numerically (non-finite state without a detector trigger) are
     counted as invalid; more than 1% invalid paths fails the run.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    if n_paths < 1 or workers < 1:
+        raise ConfigError(f"need at least one path and one worker, got "
+                          f"n_paths={n_paths}, workers={workers}")
     out = _resolve_output_dir(cfg, output_dir)
     paths_dir = None
     if write_paths:
@@ -367,7 +369,7 @@ def run_ensemble(
         paths_dir.mkdir(exist_ok=True)
 
     batches = _batches(n_paths, workers, cfg.n**cfg.dim)
-    if workers <= 1:
+    if workers == 1:
         done = [_ensemble_batch(cfg, batch, paths_dir) for batch in batches]
     else:
         # the pool starts every worker at once, so it gets no more than there are tasks
@@ -625,10 +627,7 @@ def criterion_sweep(cfg: RunConfig, t_bar_max: float, points: int = 200) -> dict
         "t_bar_argmin": float(tbars[idx]),
         "lhs_min": float(values[idx]),
         "verdict_any": bool(np.any(values < 0)),
-        "hypotheses": {
-            "mass_critical_or_above": bool(cfg.coupling.sigma * cfg.dim >= 2),
-            "lam_entrywise_nonnegative": bool(np.all(cfg.coupling.lam >= 0)),
-        },
+        "hypotheses": _hypotheses(cfg.coupling, cfg.dim),
         "components": {
             "V0": crit.V0, "G0": crit.G0, "H0": crit.H0, "M0": crit.M0,
             "min_sup_F": crit.min_sup_F,

@@ -255,8 +255,8 @@ _ROW_NAMES = (
 )
 
 
-def _ito_terms(fields: np.ndarray, model: NoiseModel, rows=(0, 1),
-               spectra=None) -> tuple[np.ndarray, np.ndarray]:
+def _ito_terms(fields: np.ndarray, model: NoiseModel, rows,
+               spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-component, per-path, per-mode Ito integrands of a batch pair, each (2, P, K).
 
     Im integral conj(f) grad(f) . grad(g_k) dx (energy identity) and
@@ -268,8 +268,8 @@ def _ito_terms(fields: np.ndarray, model: NoiseModel, rows=(0, 1),
     shape (conj(f) and one derivative) and a real pair (the density and a
     product).  A scratch kept by the recorder stays resident and raised a
     batched ensemble's peak memory (ensemble_1d), while a call's two
-    allocations cost nothing measurable.  ``spectra``, when given, holds
-    the pair's forward transforms.
+    allocations cost nothing measurable.  ``spectra`` holds the pair's
+    forward transforms, so the gradients only transform back.
     """
     grid = model.grid
     h = grid.spacing**grid.dim
@@ -286,9 +286,8 @@ def _ito_terms(fields: np.ndarray, model: NoiseModel, rows=(0, 1),
         for k, field in enumerate(xdot):
             f_moment[:, k] = _node_sums(np.multiply(density, field, out=product), grid) * h
         np.conj(f, out=conj_f)
-        coeffs = grid.fft(f) if spectra is None else spectra[i]
         for axis in range(grid.dim):
-            grid._derivative(coeffs, axis, out=derivative)
+            grid._derivative(spectra[i], axis, out=derivative)
             derivative *= conj_f
             for k, mode_gradient in enumerate(grad_modes):
                 np.multiply(derivative.imag, mode_gradient[axis], out=product)
@@ -328,10 +327,10 @@ class TrajectoryRecorder:
     paths leave the batch, ``keep(mask)`` drops their rows so that the rest
     close up as the batch's rows do.  ``evolve`` sets ``rows``, the live
     components, to its workspace's; the Ito terms, G and the moduli are
-    taken over them only.  Both calls take an optional ``spectra``: the
-    forward transforms of the pair, which ``evolve`` has with the state, so
-    that the gradients only transform back.  Without it they
-    transform the state themselves.  ``record`` works in one block per call
+    taken over them only.  ``on_step`` takes the forward transforms of the
+    pair, which ``evolve`` has with the state, so that its gradients only
+    transform back; ``record`` takes them optionally and otherwise
+    transforms the path itself.  ``record`` works in one block per call
     (see the module docstring).
     """
 
@@ -349,15 +348,15 @@ class TrajectoryRecorder:
         self._sqrt_F = np.sqrt(model.F_u * model.F_v) if model.K else model.F_u
 
     def on_step(self, state: SystemState, increments: np.ndarray,
-                spectra: np.ndarray | None = None) -> None:
+                spectra: np.ndarray) -> None:
         """Add one step's Ito terms of the energy and momentum identities.
 
         ``state`` is the batch pair, fields of shape ``(2, paths, *grid.shape)``;
         one call takes the terms of both components, added in the order u, v.
         Every path's terms are sums over its own nodes, taken mode by mode,
         so they are bitwise the same whatever the batch size.  ``spectra``,
-        of the same shape, holds the pair's forward transforms when the
-        caller has them.
+        of the same shape, holds the pair's forward transforms (``evolve``
+        materialises them with the state before every tracked step).
         """
         model = self.model
         if not self.track or model.K == 0:
@@ -545,7 +544,6 @@ class CriterionResult:
     H0: float
     M0: float
     min_sup_F: float
-    stderr: float | None = None
 
 
 def criterion_lhs(V0: float, G0: float, H0: float, M0: float,
@@ -561,73 +559,55 @@ def criterion_lhs(V0: float, G0: float, H0: float, M0: float,
     )
 
 
+def _hypotheses(coupling: Coupling, dim: int) -> dict[str, bool]:
+    """Whether the criterion's two hypotheses hold: sigma*N >= 2 and an
+    entrywise nonnegative (focusing) coefficient matrix."""
+    return {
+        "mass_critical_or_above": bool(coupling.sigma * dim >= 2),
+        "lam_entrywise_nonnegative": bool(np.all(coupling.lam >= 0)),
+    }
+
+
 def blowup_criterion(
-    states,
+    state: SystemState,
     coupling: Coupling,
     t_bar: float,
     model: NoiseModel,
     check_hypotheses: bool = True,
 ) -> CriterionResult:
-    """Evaluate the blow-up criterion polynomial at horizon ``t_bar``.
+    """Evaluate the blow-up criterion polynomial of the initial ``state`` at horizon ``t_bar``.
 
-    ``states`` is a single initial :class:`SystemState` or a sequence of them;
-    for a sequence the functionals are sample means and the standard error of
-    the lhs is reported.  A negative lhs certifies positive blow-up
-    probability by ``t_bar`` only under the hypotheses sigma*N >= 2 and an
-    entrywise nonnegative (focusing) coefficient matrix, which keeps the
-    potential integrand of the virial identity nonnegative; outside them a
-    warning is emitted and the arithmetic is still returned.
+    A negative lhs certifies positive blow-up probability by ``t_bar`` only
+    under the hypotheses of :func:`_hypotheses`; the nonnegative matrix keeps
+    the potential integrand of the virial identity nonnegative.  Outside them
+    a warning is emitted and the arithmetic is still returned.  Raises
+    ValueError when a moment of the state is not finite: no verdict follows
+    from an overflow.
     """
-    if not 0 < t_bar < np.inf:
-        raise ValueError(f"t_bar must be positive and finite, got {t_bar}")
-    if isinstance(states, SystemState):
-        ensemble = [states]
-    else:
-        ensemble = list(states)
-        if not ensemble:
-            raise ValueError("need at least one initial state")
+    # the polynomial bounds V(t) through the virial identities, so the
+    # momentum enters in the identity-consistent orientation -momentum_G
+    moments = (variance(state, warn_boundary=False), -momentum_G(state),
+               hamiltonian(state, coupling), mass(state)[2])
+    if not all(map(math.isfinite, moments)):
+        raise ValueError(f"the initial moments (V0, G0, H0, M0) = {moments} are not all finite")
+    lhs = criterion_lhs(*moments, model.min_sup_F, t_bar)
     if check_hypotheses:
-        dim = ensemble[0].grid.dim
-        if coupling.sigma * dim < 2:
+        holds = _hypotheses(coupling, state.grid.dim)
+        if not holds["mass_critical_or_above"]:
             warnings.warn(
                 "criterion evaluated below the mass-critical exponent "
                 "(sigma*N < 2); a negative value carries no blow-up guarantee "
                 "in this regime",
                 stacklevel=2,
             )
-        if np.any(coupling.lam < 0):
+        if not holds["lam_entrywise_nonnegative"]:
             warnings.warn(
                 "criterion evaluated with a coefficient matrix that has a "
                 "negative (defocusing) entry; a negative value carries no "
                 "blow-up guarantee under these coefficients",
                 stacklevel=2,
             )
-
-    samples = []
-    for st in ensemble:
-        m = mass(st)[2]
-        # the polynomial bounds V(t) through the virial identities, so the
-        # momentum enters in the identity-consistent orientation -momentum_G
-        samples.append((
-            variance(st, warn_boundary=False),
-            -momentum_G(st),
-            hamiltonian(st, coupling),
-            m,
-        ))
-    arr = np.asarray(samples)
-    V0, G0, H0, M0 = arr.mean(axis=0)
-    lhs = criterion_lhs(V0, G0, H0, M0, model.min_sup_F, t_bar)
-    stderr = None
-    if len(ensemble) > 1:
-        per_path = np.array([
-            criterion_lhs(v, g, h, m, model.min_sup_F, t_bar) for v, g, h, m in samples
-        ])
-        stderr = float(per_path.std(ddof=1) / np.sqrt(len(per_path)))
-    return CriterionResult(
-        lhs=float(lhs), verdict=bool(lhs < 0), t_bar=t_bar,
-        V0=float(V0), G0=float(G0), H0=float(H0), M0=float(M0),
-        min_sup_F=model.min_sup_F, stderr=stderr,
-    )
+    return CriterionResult(lhs, lhs < 0, t_bar, *moments, model.min_sup_F)
 
 
 def corollary_energy_bound(m_bar: float, t_bar: float, min_sup_F: float) -> float:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -590,6 +592,38 @@ class TestBatch:
         assert [r.outcome for r in alone] == ["blowup", "blowup", "completed"]
         assert alone[1].steps < alone[0].steps < alone[2].steps
         for got, ref in zip(batch, alone):
+            self._assert_same(got, ref)
+
+    def test_seeds_and_given_increments_are_one_source(self, grid_1d):
+        # seed s drives a path exactly as the increments drawn step by step
+        # from default_rng(s) do, also when a path leaves the batch early
+        from scnls.noise import sample_increments
+
+        model = build_noise_model(NoiseSpec(K=2, a0=0.3), grid_1d)
+        c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 1.0]]))
+        x = grid_1d.x[0]
+        states = [make_state(grid_1d, a * np.exp(-x**2), 0.5 * np.exp(-x**2))
+                  for a in (0.8, 1.2, 1.6)]
+        seeds, T, dt = [11, 12, 13], 0.05, 1e-3
+
+        def fires_at_step(n):
+            """A detector that fires at its n-th call: evolve calls it every step."""
+            calls = itertools.count(1)
+            return lambda grad, tail: next(calls) >= n
+
+        def run(**source):
+            detectors = [None, fires_at_step(10), None]
+            return evolve(self._batch(states), T, dt, model, c, detector=detectors,
+                          record_every=5, track_identities=True, **source)
+
+        rngs = [np.random.default_rng(s) for s in seeds]
+        increments = np.array([[sample_increments(model.K, dt, rng) for _ in range(50)]
+                               for rng in rngs])
+        seeded, given = run(seed=seeds), run(increments=increments)
+        assert [r.outcome for r in seeded] == ["completed", "blowup", "completed"]
+        assert seeded[1].t_star == pytest.approx(10 * dt)
+        assert np.all(seeded[0].record.stoch_energy[1:] != 0)
+        for got, ref in zip(given, seeded):
             self._assert_same(got, ref)
 
     def test_nan_path_leaves_as_invalid(self, grid_1d):

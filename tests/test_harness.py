@@ -907,6 +907,34 @@ class TestCli:
         assert code == 3
         assert "failed numerically" in capsys.readouterr().err
 
+    def test_criterion_of_non_finite_moments_exits_three(self, tmp_path, grid_1d, capsys):
+        # no verdict is certified from moments that are not finite, and no
+        # NaN or Infinity (not JSON) reaches the report
+        poisoned = np.full(grid_1d.shape, np.nan, dtype=complex)
+        save_field_snapshot(tmp_path / "bad.bin", grid_1d, poisoned)
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT.replace(
+            "[initial_u]\nfamily = gaussian\namplitude = 1.0\nwidth = 1.0",
+            f"[initial_u]\nfamily = file\npath = {tmp_path / 'bad.bin'}",
+        ))
+        out = tmp_path / "out"
+        assert cli_main(["criterion", str(cfg_file), "--tbar", "1.0",
+                         "--output-dir", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert "are not all finite" in captured.err
+        assert not (out / "criterion.json").exists()
+        assert "NaN" not in captured.out and "Infinity" not in captured.out
+
+    @pytest.mark.parametrize("counts", [["--paths", "0"], ["--paths", "2", "--workers", "0"],
+                                        ["--paths", "2", "--workers", "-1"]],
+                             ids=["paths_0", "workers_0", "workers_-1"])
+    def test_bad_ensemble_counts_are_config_errors(self, tmp_path, capsys, counts):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT)
+        argv = ["ensemble", str(cfg_file)] + counts + ["--output-dir", str(tmp_path / "out")]
+        assert cli_main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_threshold_study_cli_empty_grid(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.ini"
         cfg_file.write_text(

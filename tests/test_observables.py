@@ -423,20 +423,6 @@ class TestBlowupCriterion:
         ]
         assert min(values) > 0
 
-    def test_ensemble_mean_with_stderr(self, grid_1d):
-        rng = np.random.default_rng(5)
-        states = [
-            make_state(grid_1d, (1.0 + 0.1 * rng.standard_normal())
-                       * np.exp(-grid_1d.x[0] ** 2))
-            for _ in range(8)
-        ]
-        c = scalar_coupling(1.0, 1.0)
-        model = build_noise_model(NoiseSpec(), grid_1d)
-        result = blowup_criterion(states, c, 0.5, model, check_hypotheses=False)
-        assert result.stderr is not None and result.stderr > 0
-        single = blowup_criterion(states[0], c, 0.5, model, check_hypotheses=False)
-        assert single.stderr is None
-
     def test_chirp_enters_via_identity_orientation(self, grid_1d_fine):
         # a focusing chirp (b < 0) must lower the criterion lhs through the
         # 4 G0 tbar term; printed-ordering momentum_G is positive there
