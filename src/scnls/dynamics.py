@@ -17,9 +17,12 @@ Between steps the state is held in Fourier space (Weideman & Herbst 1986;
 Bao, Jin & Markowich 2002) as w_hat, its transform before the trailing
 L(dt/2), which merges with the next step's leading one.  The diagnostics
 read |w_hat| = |u_hat| and take no transform.  The physical state is
-materialised only for a record, for the Ito terms of a tracked noisy step
-and for a path that leaves, into other buffers than w_hat, so a path's bits
-do not depend on how often it is recorded or diagnosed.
+materialised only for the Ito terms of a tracked noisy step, for a path
+that leaves and for a record of a state that fills a recorder block, into
+other buffers than w_hat.  Any other record stages the path's transforms
+from w_hat on the recorder, which computes its staged states a block at a
+time (see :mod:`scnls.observables`).  So a path's bits do not depend on
+how often it is recorded or diagnosed.
 
 A :class:`SystemState` holds the pair as one array, component axis first:
 shape ``(2, *grid.shape)``, or ``(2, P, *grid.shape)`` for a batch of P
@@ -612,6 +615,17 @@ def evolve(
         """A state that views batch row ``r`` of the fields, at the batch's time."""
         return SystemState.of_pair(state.fields[:, r], state.t, grid)
 
+    def record(r, grad, tail, leaving):
+        """A row of batch row ``r``: staged from its held pair, unless the
+        state fills a block or the path is ``leaving`` (the batch is then
+        materialised anyway), when it is recorded from the materialised batch."""
+        if recorder.capacity > 1 and not leaving:
+            recorder.stage(work.held[:, r], work.half.reshape(grid.shape), state.t,
+                           grad, tail, row=r)
+        else:
+            materialise()
+            recorder.record(path_state(r), grad, tail, row=r, spectra=work.spectra[:, r])
+
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
         nonlocal state, live, work, sources, detectors
@@ -669,9 +683,7 @@ def evolve(
             for r, detect in enumerate(detectors):
                 hit = detect is not None and bool(detect(grad[r], tail[r]))
                 if hit or due:
-                    materialise()
-                    recorder.record(path_state(r), grad[r], tail[r], row=r,
-                                    spectra=work.spectra[:, r])
+                    record(r, grad[r], tail[r], hit or j == n_steps - 1)
                 if hit:
                     fired.append(r)
             if fired:

@@ -265,8 +265,8 @@ def gn_ratio(u: np.ndarray, v: np.ndarray, beta: float, sigma: float, grid: Grid
     g = _spectral_diagnostics(SystemState(u, v, 0.0, grid))[0][0]
     if g <= 0:
         raise ValueError("gn_ratio requires a field pair with nonzero gradient")
-    iu, iv, iuv = _potential_integrals(_powers(np.abs(u), sigma), _powers(np.abs(v), sigma),
-                                       grid)
+    iu, iv, iuv = (p[0] for p in _potential_integrals(_powers(np.abs(u), sigma),
+                                                      _powers(np.abs(v), sigma), grid))
     ns = grid.dim * sigma
     return float((iu + iv + 2.0 * beta * iuv)
                  / (m ** (sigma + 1.0 - ns / 2.0) * g ** (ns / 2.0)))

@@ -36,6 +36,7 @@ from .grid import load_field_snapshot, save_field_snapshot
 from .groundstate import critical_threshold, solve_ground_state
 from .noise import sample_increments
 from .observables import (
+    _BATCH_NODES,
     CSV_COLUMNS,
     TrajectoryRecord,
     _hypotheses,
@@ -294,20 +295,9 @@ def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return float(center - half), float(center + half)
 
 
-# most grid nodes, summed over its paths, one batch integrates.  Batching
-# pays only while a step is bound by numpy's per-call overhead: in-process
-# (2-vCPU x86-64, numpy 2.4, stochastic_pair and collapse_2d.ini), the time
-# per path-step stopped falling at 8192 nodes in 1D (n = 512 at 16 paths,
-# n = 2048 at 4), and in 2D gained about 10% at n = 64 and nothing from
-# n = 128 on, while a batch's traced peak memory grew about 130 B per node.
-# An 8-path collapse_2d.ini ensemble (n = 256) run as one batch was slower
-# than path by path and raised the peak RSS from 60 to 100 MB, so 2D
-# ensembles at n >= 128 run one path per batch.
-_BATCH_NODES = 8192
-
-
 def _batches(n_paths: int, workers: int, node_count: int) -> list[range]:
-    """Contiguous path ranges: one per worker, more when a batch would be too big."""
+    """Contiguous path ranges: one per worker, more when a batch would have
+    more than ``_BATCH_NODES`` grid nodes (see :mod:`scnls.observables`)."""
     per_batch = max(1, _BATCH_NODES // node_count)
     count = min(n_paths, max(workers, -(-n_paths // per_batch)))
     bounds = [n_paths * i // count for i in range(count + 1)]
@@ -344,6 +334,13 @@ def _ensemble_path_star(index: int, seed: int, result: TrajectoryResult,
     return summary
 
 
+def _check_counts(n_paths: int, workers: int) -> None:
+    """Refuse an ensemble of no path or no worker."""
+    if n_paths < 1 or workers < 1:
+        raise ConfigError(f"need at least one path and one worker, got "
+                          f"n_paths={n_paths}, workers={workers}")
+
+
 def run_ensemble(
     cfg: RunConfig,
     n_paths: int,
@@ -359,9 +356,7 @@ def run_ensemble(
     fail numerically (non-finite state without a detector trigger) are
     counted as invalid; more than 1% invalid paths fails the run.
     """
-    if n_paths < 1 or workers < 1:
-        raise ConfigError(f"need at least one path and one worker, got "
-                          f"n_paths={n_paths}, workers={workers}")
+    _check_counts(n_paths, workers)
     out = _resolve_output_dir(cfg, output_dir)
     paths_dir = None
     if write_paths:
@@ -447,6 +442,7 @@ def threshold_study(
         raise ConfigError("threshold_study requires positive diagonal coefficients")
     if not all(0 <= target < np.inf for target in mass_grid):
         raise ConfigError(f"mass targets must be finite and non-negative, got {mass_grid}")
+    _check_counts(n_paths, workers)
 
     out = _resolve_output_dir(cfg, output_dir)
     rows: list[dict] = []

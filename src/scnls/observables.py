@@ -15,30 +15,47 @@ only from :func:`_potential_integrals`; H, the virial quartic below and
 :func:`scnls.groundstate.gn_ratio` weigh them with their own coefficients.
 The masked mixed-term factor |f|^(s-1) lives only in
 ``scnls.dynamics._phase_multiplier``, shared by the N step and the
-ground-state solver.  :meth:`TrajectoryRecorder.record` takes |u| and |v|
-once per row and reuses the diagnostics ``evolve`` has just computed, so of
-a row only G transforms, and only the live components (a component that is
-zero in every path ``evolve`` started from adds exactly 0 to G).  G and the
-Ito terms of :meth:`TrajectoryRecorder.on_step` take their forward
-transforms from the spectra ``evolve`` materialises with the state, so they
-transform only back.
+ground-state solver.  The recorder takes |u| and |v| once per row and
+reuses the diagnostics ``evolve`` has just computed, so of a row only G
+transforms, and only the live components (a component that is zero in
+every path ``evolve`` started from adds exactly 0 to G).  G takes its
+forward transforms from the transforms ``evolve`` stages or materialises
+with the state, and so do the Ito terms of
+:meth:`TrajectoryRecorder.on_step`, so both transform only back.
 
-A recorded row allocates one block of six real fields of one path per
-call, in which ``record`` first runs G's derivatives and products as
-``dim`` complex fields and then takes the moduli, densities and their
-products.  The Ito terms take one complex and one real field pair of the
-batch per call, reused over the rows, modes and axes.  Neither scratch is
-kept between calls: kept by the recorder, it stayed resident through the
-step and the writes and raised the run's peak memory.  Model constants
-such as sqrt(F_u F_v) are taken once per recorder.  What is exactly zero
-is skipped.  A dead component's modulus, mass and |f|^(2s+2) integral are
-0, and each of its other terms is 0, or 0 times a finite factor of the live
-component (|f|^2, 2|f|, |f|^(s+1)) as long as the live component's
-integral of |f|^(2s+2) is finite: that integral is a sum of nonnegative
-terms, so then every term is finite.  When it is not, the row is computed
-from both components, as the formulas read, so that a NaN still
-propagates.  With K = 0 and one live component, each drift-kernel term is
-0 times its |f|^2, so both kernels are 0.0 under the same condition.
+Rows are recorded a block of states at a time.  At a due step ``evolve``
+stages each path's state (:meth:`TrajectoryRecorder.stage`): its
+transforms half * w_hat, its time, its spectral diagnostics and its Ito
+sums at that step.  A block holds at most ``_BATCH_NODES`` grid nodes (8
+states at n = 1024, 16 at n = 512).  It is computed when it is full, when
+a path leaves (``keep``, ``finalize``; the end of a run is every path
+leaving) and before a state given to ``record`` itself.  A block takes one
+batched derivative transform per axis and live row for G, one batched
+inverse transform per live row for the fields, in place in the staged
+transforms once G's gradients have read them, and every integral as a
+per-state node sum over contiguous rows, so each state's bits are those of
+the state recorded alone.  A state given to ``record`` is a block of one
+from its own fields: the t = 0 row, a path that leaves at that step (the
+batch is materialised for it anyway), and every state of at least
+``_BATCH_NODES`` nodes, which ``evolve`` never stages, so that no staging
+array is allocated for it.  A block allocates one scratch of real fields
+of its shape, six for a live pair and three (1D) or four (2D) for one live
+row, in which G first runs its derivatives and products as complex fields,
+and then the moduli, densities and their products.  The Ito terms take one
+complex and one real field pair of the batch per call, reused over the
+rows, modes and axes.  Neither scratch is kept between calls: kept by the
+recorder, it stayed resident through the step and the writes and raised
+the run's peak memory.  The staged transforms are kept, from the first
+stage on.  Model constants such as sqrt(F_u F_v) are taken once per
+recorder.  What is exactly zero is skipped.  A dead component's modulus,
+mass and |f|^(2s+2) integral are 0, and each of its other terms is 0, or 0
+times a finite factor of the live component (|f|^2, 2|f|, |f|^(s+1)) as
+long as the live component's integral of |f|^(2s+2) is finite: that
+integral is a sum of nonnegative terms, so then every term is finite.
+When it is not, that state's row is computed from both components, as the
+formulas read, so that a NaN still propagates.  With K = 0 and one live
+component, each drift-kernel term is 0 times its |f|^2, so both kernels
+are 0.0 under the same condition.
 
 Along a path, M is exactly conserved by the scheme.  H evolves by an Ito
 martingale plus a drift; two candidate drift kernels are computed side by
@@ -111,7 +128,8 @@ def hamiltonian(state: SystemState, coupling: Coupling) -> float:
     """Energy functional; kinetic part from the spectral diagnostics."""
     grad_norm_sq = _spectral_diagnostics(state)[0][0]
     powers = _powers(np.abs(state.fields), coupling.sigma)
-    return _energy(grad_norm_sq, _potential_integrals(*powers, state.grid), coupling)
+    potential = [float(p[0]) for p in _potential_integrals(*powers, state.grid)]
+    return _energy(grad_norm_sq, potential, coupling)
 
 
 def _powers(moduli: np.ndarray, sigma: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -122,25 +140,28 @@ def _powers(moduli: np.ndarray, sigma: float, out: np.ndarray | None = None) -> 
 
 
 def _potential_integrals(pu: np.ndarray | None, pv: np.ndarray | None, grid: Grid,
-                         tmp: np.ndarray | None = None) -> tuple[float, float, float]:
-    """(integral |u|^(2s+2), integral |v|^(2s+2), integral (|u||v|)^(s+1)).
+                         tmp: np.ndarray | None = None) -> tuple:
+    """(integral |u|^(2s+2), integral |v|^(2s+2), integral (|u||v|)^(s+1)) of each state.
 
     The package's one potential integrand, from the powers ``pu`` =
     |u|^(s+1) and ``pv`` = |v|^(s+1) of :func:`_powers`, which it squares
     in place (``tmp``, when given, takes their product): H weighs the three
     integrals with (l11, l22, 2 l12), the virial quartic with
-    (l11, l22, 2 l21) and the interpolation ratio with (1, 1, 2 beta).  A
-    row given as None is zero: its integral and the mixed one are 0.0,
+    (l11, l22, 2 l21) and the interpolation ratio with (1, 1, 2 beta).  The
+    powers are one state's fields or a block of states on a leading axis;
+    each integral is an array of one value per state (:func:`_node_sums`).
+    A row given as None is zero: its integral and the mixed one are 0.0,
     which is exact while the other row's integral is finite (the caller
     checks that).
     """
+    h = grid.spacing**grid.dim
     if pu is None or pv is None:
         p = pu if pv is None else pv
-        own = float(grid.quadrature(np.square(p, out=p)))
+        own = _node_sums(np.square(p, out=p), grid) * h
         return (own, 0.0, 0.0) if pv is None else (0.0, own, 0.0)
-    mixed = float(grid.quadrature(np.multiply(pu, pv, out=tmp)))
-    return (float(grid.quadrature(np.square(pu, out=pu))),
-            float(grid.quadrature(np.square(pv, out=pv))), mixed)
+    mixed = _node_sums(np.multiply(pu, pv, out=tmp), grid) * h
+    return (_node_sums(np.square(pu, out=pu), grid) * h,
+            _node_sums(np.square(pv, out=pv), grid) * h, mixed)
 
 
 def _energy(grad_norm_sq: float, potential: tuple[float, float, float],
@@ -176,38 +197,63 @@ def variance(state: SystemState, warn_boundary: bool = True) -> float:
 
 def momentum_G(state: SystemState) -> float:
     """G = Im integral u x.grad(conj u) + v x.grad(conj v)."""
-    return _momentum(state.grid, state.fields)
+    grid, fields = state.grid, state.fields[:, None]
+    xdots = _conj_gradients(grid, grid.fft(fields), (0, 1),
+                            np.empty((grid.dim + 1,) + fields.shape[1:], dtype=complex))
+    return float(_momentum(grid, fields, (0, 1), xdots)[0])
 
 
-def _momentum(grid: Grid, fields, rows=(0, 1), spectra=None, out=None) -> float:
-    """G summed over the given rows of the pair; a zero field adds exactly 0.
+def _conj_gradients(grid: Grid, spectra: np.ndarray, rows, out: np.ndarray) -> list:
+    """x.grad(conj f) of each row f in ``rows`` of a pair whose transforms are ``spectra``.
 
-    ``spectra``, when given, holds the pair's forward transforms, so the
-    gradients take only their inverse transforms.  The derivatives and
-    products run in ``out``, ``dim`` complex fields of one component's shape
-    (allocated when not given).
+    Each row of the pair in ``rows`` is a block of m states, shape ``(m,
+    *grid.shape)``, and the gradients take only the inverse transforms.  ``out`` holds complex
+    fields of one row's shape: the j-th row taken works in
+    ``out[j:j + dim]`` and leaves its result in ``out[j]``, so ``dim + 1``
+    fields serve both rows.  Returns the results in the order of ``rows``.
     """
-    if out is None:
-        out = np.empty((grid.dim,) + fields.shape[1:], dtype=complex)
-    xdot = out[0]
-    total = 0.0j
-    for i in rows:
-        f = fields[i]
-        coeffs = grid.fft(f) if spectra is None else spectra[i]
+    xdots = []
+    for j, i in enumerate(rows):
+        xdot = out[j]
         # x . grad(conj f) starts from the first axis's term, not from 0:
         # the two differ only in the sign of a zero, which cannot reach G,
-        # since the total starts at 0j
-        for axis, (xa, term) in enumerate(zip(grid.x, out)):
-            grid._derivative(coeffs, axis, out=term)
+        # since its sum starts at 0j
+        for axis, (xa, term) in enumerate(zip(grid.x, out[j:j + grid.dim])):
+            grid._derivative(spectra[i], axis, out=term)
             np.conj(term, out=term)
             np.multiply(xa, term, out=term)
             if axis:
                 xdot += term
-        total += grid.quadrature(np.multiply(f, xdot, out=xdot))
-    return float(np.imag(total))
+        xdots.append(xdot)
+    return xdots
+
+
+def _momentum(grid: Grid, fields: np.ndarray, rows, xdots) -> np.ndarray:
+    """G of each state of a block pair, summed over ``rows``, from :func:`_conj_gradients`.
+
+    A zero field adds exactly 0.  The products run in place in ``xdots``.
+    """
+    h = grid.spacing**grid.dim
+    total = np.zeros(len(xdots[0]), dtype=complex)
+    for i, xdot in zip(rows, xdots):
+        total += _node_sums(np.multiply(fields[i], xdot, out=xdot), grid) * h
+    return total.imag
 
 
 # -- trajectory recording ----------------------------------------------------
+
+# the most grid nodes, summed over its states, that one batch of paths
+# (harness) or one block of recorded states (TrajectoryRecorder) holds.
+# Batching pays only while the work is bound by numpy's per-call overhead:
+# in-process (2-vCPU x86-64, numpy 2.4, stochastic_pair and collapse_2d.ini),
+# the time per path-step stopped falling at 8192 nodes in 1D (n = 512 at 16
+# paths, n = 2048 at 4), and in 2D gained about 10% at n = 64 and nothing
+# from n = 128 on, while a batch's traced peak memory grew about 130 B per
+# node.  An 8-path collapse_2d.ini ensemble (n = 256) run as one batch was
+# slower than path by path and raised the peak RSS from 60 to 100 MB, so 2D
+# ensembles at n >= 128 run one path per batch, and their states are
+# recorded one at a time.
+_BATCH_NODES = 8192
 
 CSV_COLUMNS = (
     "t", "mass_u", "mass_v", "H", "V", "G", "grad_norm_sq",
@@ -319,19 +365,23 @@ class TrajectoryRecorder:
     """Accumulates observable rows and the per-step Ito martingale sums of a batch.
 
     The recorder keeps ``paths`` paths (one by default); path r is row r of
-    the batch fields' path axis.  ``on_step(state, increments)`` must be called with the
-    pre-step batch state and the exact Wiener increments about to drive the
-    step, shape (paths, K) (left-point evaluation).  ``record(state,
-    grad_norm_sq, tail, row)`` appends one row to path ``row`` from that
-    path's own state; ``finalize(row)`` returns the path's record.  When
-    paths leave the batch, ``keep(mask)`` drops their rows so that the rest
-    close up as the batch's rows do.  ``evolve`` sets ``rows``, the live
+    the batch fields' path axis.  ``on_step(state, increments, spectra)``
+    must be called with the pre-step batch state and the exact Wiener
+    increments about to drive the step, shape (paths, K) (left-point
+    evaluation).  A row of path ``row`` is appended in one of two ways.
+    ``record(state, grad_norm_sq, tail, row)`` takes that path's own state at
+    once.  ``stage(held, half, t, grad_norm_sq, tail, row)`` keeps the
+    state's transforms until ``capacity`` states are staged, or a path
+    leaves (``keep``) or is finalized, and then ``record()``, without a
+    state, computes the staged states as one block (see the module
+    docstring).  ``finalize(row)`` returns the path's record.  When paths
+    leave the batch, ``keep(mask)`` drops their rows so that the rest close
+    up as the batch's rows do.  ``evolve`` sets ``rows``, the live
     components, to its workspace's; the Ito terms, G and the moduli are
     taken over them only.  ``on_step`` takes the forward transforms of the
     pair, which ``evolve`` has with the state, so that its gradients only
     transform back; ``record`` takes them optionally and otherwise
-    transforms the path itself.  ``record`` works in one block per call
-    (see the module docstring).
+    transforms the path itself.
     """
 
     def __init__(self, model: NoiseModel, coupling: Coupling,
@@ -346,6 +396,12 @@ class TrajectoryRecorder:
         self._rows = [{name: array("d") for name in _ROW_NAMES} for _ in range(paths)]
         # F is 0 without noise, and so is sqrt(F_u F_v): no field is added
         self._sqrt_F = np.sqrt(model.F_u * model.F_v) if model.K else model.F_u
+        # the staged states of one block, as many as fill _BATCH_NODES nodes;
+        # each live row's transforms are allocated at the first stage
+        self.capacity = max(1, _BATCH_NODES // model.grid.node_count)
+        self._staged = None
+        # (row, t, grad_norm_sq, tail, stoch_energy, stoch_G) of each staged state
+        self._pending = []
 
     def on_step(self, state: SystemState, increments: np.ndarray,
                 spectra: np.ndarray) -> None:
@@ -366,92 +422,147 @@ class TrajectoryRecorder:
         self._stoch_energy -= _mode_dot(energy[0] + energy[1], increments)
         self._stoch_G += _mode_dot(moment[0] + moment[1], increments)
 
-    def record(self, state: SystemState, grad_norm_sq: float, tail: float,
-               row: int = 0, spectra: np.ndarray | None = None) -> None:
+    def stage(self, held: np.ndarray, half: np.ndarray, t: float, grad_norm_sq: float,
+              tail: float, row: int = 0) -> None:
+        """Stage a row of path ``row`` at time ``t``, for the next block.
+
+        ``held`` is the path's held pair w_hat and ``half`` the multiplier of
+        dt/2 on the grid: the state's transforms half * w_hat are kept, as
+        :func:`scnls.dynamics._materialise` writes them, with the spectral
+        diagnostics and the path's Ito sums as they are now.  The staged
+        states are recorded when ``capacity`` of them are.
+        """
+        if self._staged is None:
+            shape = (self.capacity,) + self.model.grid.shape
+            self._staged = [np.empty(shape, dtype=complex) if i in self.rows else None
+                            for i in (0, 1)]
+        slot = len(self._pending)
+        for i in self.rows:
+            np.multiply(held[i], half, out=self._staged[i][slot])
+        self._pending.append((row, t, grad_norm_sq, tail, float(self._stoch_energy[row]),
+                              float(self._stoch_G[row])))
+        if len(self._pending) == self.capacity:
+            self.record()
+
+    def record(self, state: SystemState | None = None, grad_norm_sq: float = 0.0,
+               tail: float = 0.0, row: int = 0, spectra: np.ndarray | None = None) -> None:
         """Append one row to path ``row`` at ``state``, that path's own state.
 
         ``grad_norm_sq`` and ``tail`` are the spectral diagnostics of this
         state (``evolve`` has just computed them); H takes its kinetic part
         from them, and G its forward transforms from ``spectra`` (this path's
-        pair of them) when given.  Only G transforms, and only the rows in
-        ``rows``; the rest comes from the moduli (see :meth:`_integrals`).
+        pair of them) when given, else from its own.  The state is a block of
+        one, recorded after the staged states, which are recorded as one
+        block (all that a call without a state does).
         """
-        grid = state.grid
-        c = self.coupling
-        # the call's scratch: G's derivatives and products in its first dim
+        if self._pending:
+            pending, self._pending = self._pending, []
+            self._block(None, [s if s is None else s[:len(pending)] for s in self._staged],
+                        pending)
+        if state is not None:
+            fields = state.fields[:, None]
+            spectra = self.model.grid.fft(fields) if spectra is None else spectra[:, None]
+            self._block(fields, spectra, [(row, state.t, grad_norm_sq, tail,
+                                           float(self._stoch_energy[row]),
+                                           float(self._stoch_G[row]))])
+
+    def _block(self, fields: np.ndarray | None, spectra: np.ndarray, entries) -> None:
+        """Append a row for each state of a block, from the pair of its transforms ``spectra``.
+
+        Each row of ``spectra`` in ``rows`` has shape ``(m, *grid.shape)``
+        (a dead row may be None), and ``entries`` holds the m states' (row,
+        t, grad_norm_sq, tail, stoch_energy, stoch_G).  ``fields`` holds the
+        states alike, or is None for staged states, whose fields are then
+        transformed back in place in ``spectra`` once G's gradients have
+        read them.  Only G transforms, and only the rows in ``rows``; the
+        rest comes from the moduli (see :meth:`_integrals`).
+        """
+        grid, c, rows = self.model.grid, self.coupling, self.rows
+        shape, pair = spectra[rows[0]].shape, len(rows) == 2
+        # the block's scratch: G's gradients and products in its first
         # complex fields, then the moduli, densities and products (_integrals)
-        block = np.empty(6 * grid.node_count)
-        G = _momentum(grid, state.fields, self.rows, spectra,
-                      block.view(complex).reshape((3,) + grid.shape))
-        block = block.reshape((6,) + grid.shape)
-        sums = self._integrals(state.fields, self.rows, block)
-        if sums is None:
+        gradients, size = len(rows) - 1 + grid.dim, spectra[rows[0]].size
+        scratch = np.empty(max(2 * gradients, 6 if pair else 3) * size)
+        xdots = _conj_gradients(grid, spectra, rows, scratch[:2 * gradients * size]
+                                .view(complex).reshape((gradients,) + shape))
+        if fields is None:
+            fields = spectra
+            for i in rows:
+                grid.ifft(spectra[i], out=spectra[i])
+        G = _momentum(grid, fields, rows, xdots)
+        sums = self._integrals(fields, rows, scratch.reshape((-1,) + shape))
+        if not pair:
             # a live row's integral is not finite: the dead row's zeros may
-            # meet an inf there and give NaN, so it is taken as well
-            sums = self._integrals(state.fields, (0, 1), block)
-        (mass_u, mass_v), V, paper, gradient, potential = sums
-        iu, iv, iuv = potential
-        rows = self._rows[row]
-        rows["t"].append(state.t)
-        rows["mass_u"].append(mass_u)
-        rows["mass_v"].append(mass_v)
-        rows["H"].append(_energy(grad_norm_sq, potential, c))
-        rows["V"].append(V)
-        rows["G"].append(G)
-        rows["grad_norm_sq"].append(grad_norm_sq)
-        rows["spectral_tail_fraction"].append(tail)
-        rows["paper_kernel"].append(float(paper))
-        rows["gradient_kernel"].append(float(gradient))
-        rows["coupling_quartic"].append(c.l11 * iu + c.l22 * iv + 2.0 * c.l21 * iuv)
-        rows["stoch_energy"].append(float(self._stoch_energy[row]))
-        rows["stoch_G"].append(float(self._stoch_G[row]))
+            # meet an inf there and give NaN, so that state takes them as well
+            for b in np.flatnonzero(~np.isfinite(sums[5 + rows[0]])):
+                alone = np.zeros((2, 1) + grid.shape, dtype=complex)
+                alone[rows[0], 0] = fields[rows[0]][b]
+                sums[:, b] = self._integrals(alone, (0, 1), np.empty((6, 1) + grid.shape))[:, 0]
+        # the columns of the block, in _ROW_NAMES order, then each path's rows
+        paths, t, grad_norm_sq, tail, stoch_energy, stoch_G = zip(*entries)
+        grad_norm_sq = np.array(grad_norm_sq)
+        iu, iv, iuv = sums[5:]
+        table = np.array((t, sums[0], sums[1], _energy(grad_norm_sq, sums[5:], c), sums[2], G,
+                          grad_norm_sq, tail, sums[3], sums[4],
+                          c.l11 * iu + c.l22 * iv + 2.0 * c.l21 * iuv, stoch_energy, stoch_G))
+        for row in dict.fromkeys(paths):
+            picked = table[:, [b for b, p in enumerate(paths) if p == row]]
+            for column, values in zip(self._rows[row].values(), picked.tolist()):
+                column.extend(values)
 
-    def _integrals(self, fields: np.ndarray, rows, block: np.ndarray):
-        """((mass_u, mass_v), V, paper kernel, gradient kernel, potential integrals) of one path.
+    def _integrals(self, fields: np.ndarray, rows, block: np.ndarray) -> np.ndarray:
+        """Each state's mass_u, mass_v, V, paper and gradient kernels and potential integrals.
 
-        All come from |f| and |f|^2, taken once for each row in ``rows`` into
-        ``block``, six real fields; the terms of a row left out, and with it
-        both kernels when K = 0, are skipped as the module docstring says.
-        Returns None when that skip might not be exact (the live row's
-        |f|^(2s+2) integral is not finite).
+        ``fields`` is a block pair, each row in ``rows`` of shape ``(m,
+        *grid.shape)``, and the result an (8, m) array, the three integrals
+        of :func:`_potential_integrals` last.  All come from |f| and |f|^2,
+        taken once for each row in ``rows`` into ``block``, real fields of
+        one row's shape: six for both rows, three for one.  The terms of a
+        row left out, and with it both kernels when K = 0, are skipped as
+        the module docstring says (they read 0.0).  The skip might not be
+        exact where the live row's |f|^(2s+2) integral is not finite; the
+        caller checks that.
         """
         model, c = self.model, self.coupling
         grid = model.grid
+        h = grid.spacing**grid.dim
         pair = len(rows) == 2
-        moduli, dens = block[0:4:2], block[1:4:2]
-        # one live row takes the dead row's modulus field as its scratch, so
-        # that in 2D it touches no more of the block than G's complex fields
-        tmp, tmp2 = block[4:6] if pair else (moduli[1 - rows[0]], None)
-        masses = [0.0, 0.0]
+        sums = np.zeros((8, block.shape[1]))
+        if pair:
+            moduli, dens, (tmp, tmp2) = block[0:2], block[2:4], block[4:6]
+        else:
+            # a dead row's modulus and density are None
+            (live,), moduli, dens = rows, [None, None], [None, None]
+            moduli[live], dens[live], tmp, tmp2 = block[0], block[1], block[2], None
         for i in rows:
             np.abs(fields[i], out=moduli[i])
-            masses[i] = float(grid.quadrature(np.square(moduli[i], out=dens[i])))
+            sums[i] = _node_sums(np.square(moduli[i], out=dens[i]), grid) * h
 
         total = np.add(dens[0], dens[1], out=tmp) if pair else dens[rows[0]]
-        V = float(grid.quadrature(np.multiply(grid.r_sq, total, out=tmp)))
-        if model.K == 0 and not pair:
-            paper = gradient = 0.0
-        else:
-            gradient = 0.5 * grid.quadrature(_weighted(
-                dens, (model.grad_sq_sum_u, model.grad_sq_sum_v), rows, tmp, tmp2))
+        sums[2] = _node_sums(np.multiply(grid.r_sq, total, out=tmp), grid) * h
+        if model.K or pair:
+            gradient = _weighted(dens, (model.grad_sq_sum_u, model.grad_sq_sum_v), rows, tmp, tmp2)
+            sums[4] = 0.5 * (_node_sums(gradient, grid) * h)
             paper_terms = _weighted(dens, (model.F_u, model.F_v), rows, tmp, tmp2)
             if pair:
                 mixed = np.multiply(2.0, moduli[0], out=tmp2)
                 mixed *= moduli[1]
                 mixed *= self._sqrt_F
                 paper_terms += mixed
-            paper = 0.5 * grid.quadrature(paper_terms)
+            sums[3] = 0.5 * (_node_sums(paper_terms, grid) * h)
 
         if c.sigma != 1.0:  # at sigma = 1 the densities are the powers
             for i in rows:
                 _powers(moduli[i], c.sigma, out=dens[i])
-        potential = _potential_integrals(*(dens[i] if i in rows else None for i in (0, 1)),
-                                         grid, tmp)
-        if not (pair or math.isfinite(potential[rows[0]])):
-            return None
-        return masses, V, paper, gradient, potential
+        sums[5], sums[6], sums[7] = _potential_integrals(*dens, grid, tmp)
+        return sums
+
+    def _flush(self) -> None:
+        if self._pending:
+            self.record()
 
     def finalize(self, row: int = 0) -> TrajectoryRecord:
+        self._flush()
         arrays = {name: np.array(col) for name, col in self._rows[row].items()}
         return TrajectoryRecord(
             **arrays,
@@ -462,6 +573,7 @@ class TrajectoryRecorder:
 
     def keep(self, mask: np.ndarray) -> None:
         """Drop the paths at the rows where ``mask`` is False."""
+        self._flush()
         self._stoch_energy = self._stoch_energy[mask]
         self._stoch_G = self._stoch_G[mask]
         self._rows = [rows for rows, kept in zip(self._rows, mask) if kept]

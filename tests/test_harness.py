@@ -948,3 +948,18 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out) == []
         assert (tmp_path / "ts" / "threshold_study.csv").exists()
+
+    @pytest.mark.parametrize("counts", [["--paths", "0"], ["--paths", "2", "--workers", "0"]],
+                             ids=["paths_0", "workers_0"])
+    def test_threshold_study_of_bad_counts_is_a_config_error(self, tmp_path, capsys, counts):
+        # an empty mass grid runs no ensemble, and the counts are still checked
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(
+            CONFIG_TEXT.replace("sigma = 1.0", "sigma = 2.0")
+            .replace("lambda22 = 0.0", "lambda22 = 1.0")
+        )
+        argv = (["ensemble", str(cfg_file)] + counts
+                + ["--threshold-study", "", "--output-dir", str(tmp_path / "ts")])
+        assert cli_main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "ts" / "threshold_study.csv").exists()

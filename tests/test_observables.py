@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -696,3 +697,164 @@ class TestRecordRow:
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * 16 * g.node_count
+
+
+class TestStagedRecording:
+    """States staged and recorded a block at a time give bitwise the records
+    made one state at a time (``_BATCH_NODES`` = 1, so that every block
+    holds one state, taken from the materialised batch)."""
+
+    MIXED = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+    @staticmethod
+    def _staged_and_alone(monkeypatch, run):
+        """``run()`` staged and one state at a time, and each run's record() calls."""
+        from scnls import observables
+
+        calls = []
+        original = TrajectoryRecorder.record
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrajectoryRecorder, "record", counted)
+        staged = run()
+        staged_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(observables, "_BATCH_NODES", 1)
+        alone = run()
+        return staged, alone, (staged_calls, len(calls))
+
+    @staticmethod
+    def _assert_same(staged, alone):
+        for got, ref in zip(staged, alone, strict=True):
+            assert (got.outcome, got.t_star, got.steps) == (ref.outcome, ref.t_star, ref.steps)
+            for name, value in vars(ref.record).items():
+                np.testing.assert_array_equal(getattr(got.record, name), value, err_msg=name)
+            np.testing.assert_array_equal(got.state.fields, ref.state.fields)
+
+    @staticmethod
+    def _batch(states):
+        return SystemState(np.stack([s.u for s in states]), np.stack([s.v for s in states]),
+                           0.0, states[0].grid)
+
+    def test_soliton_flushes_a_partial_block_at_the_end(self, grid_1d_fine, no_noise_1d_fine,
+                                                        monkeypatch):
+        # n = 1024: blocks of 8 states; steps 1..20 are staged (two full
+        # blocks and 4 left), and the last step's record takes those first
+        x = grid_1d_fine.x[0]
+        st = make_state(grid_1d_fine, np.sqrt(2.0) / np.cosh(x))
+
+        def run():
+            return [evolve(st, 0.021, 1e-3, no_noise_1d_fine, scalar_coupling(),
+                           record_every=1)]
+
+        staged, alone, calls = self._staged_and_alone(monkeypatch, run)
+        assert len(staged[0].record) == 22
+        assert calls == (4, 22)
+        self._assert_same(staged, alone)
+
+    def test_paths_leaving_mid_block_flush_it(self, grid_1d_fine, monkeypatch):
+        # three paths, blocks of 8 states: the first leaves by blowup at step
+        # 5, the second turns non-finite at step 7 (an infinite increment)
+        # and leaves as invalid, the third completes
+        g = grid_1d_fine
+        x = g.x[0]
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), g)
+        c = Coupling(1.0, self.MIXED)
+        states = [make_state(g, a * np.exp(-x**2), 0.5 * np.exp(-x**2)) for a in (0.8, 1.2, 1.6)]
+        increments = np.random.default_rng(3).standard_normal((3, 12, 2)) * np.sqrt(1e-3)
+        increments[1, 6] = np.inf
+
+        def run():
+            calls = itertools.count(1)
+            detectors = [lambda grad, tail: next(calls) >= 5, None, None]
+            with np.errstate(over="ignore", invalid="ignore"):
+                return evolve(self._batch(states), 0.012, 1e-3, model, c, increments=increments,
+                              detector=detectors, record_every=1, track_identities=False)
+
+        staged, alone, calls = self._staged_and_alone(monkeypatch, run)
+        assert [r.outcome for r in staged] == ["blowup", "invalid", "completed"]
+        assert [len(r.record) for r in staged] == [6, 7, 13]
+        assert calls[0] < calls[1] == 26
+        self._assert_same(staged, alone)
+
+    def test_tracked_noisy_pair_stages_its_ito_sums(self, grid_1d, monkeypatch):
+        # n = 256: blocks of 32 states; the Ito sums are taken at each
+        # staged step, before on_step adds the next step's terms
+        x = grid_1d.x[0]
+        model = build_noise_model(NoiseSpec(K=2, a0=0.5), grid_1d)
+        st = make_state(grid_1d, np.exp(-x**2) * (1 + 0.3j * x), 0.7 * np.exp(-x**2 / 2))
+
+        def run():
+            return [evolve(st, 0.045, 1e-3, model, Coupling(0.5, self.MIXED), seed=9,
+                           record_every=1, track_identities=True)]
+
+        staged, alone, calls = self._staged_and_alone(monkeypatch, run)
+        rec = staged[0].record
+        assert len(rec) == 46 and calls == (3, 46)
+        assert np.all(rec.stoch_energy[1:] != 0) and np.all(rec.stoch_G[1:] != 0)
+        assert len(set(rec.stoch_energy[1:])) == 45
+        self._assert_same(staged, alone)
+
+    @pytest.mark.parametrize("sigma, amplitude", [(0.5, 1e250), (1.0, 1e100)],
+                             ids=["nan", "finite"])
+    def test_overflowing_state_in_a_block_takes_the_dead_row(self, grid_1d, monkeypatch,
+                                                              sigma, amplitude):
+        # one live row and no mixed term, so that the dead row is not
+        # revived: in the first path |u|^(2s+2) overflows while u stays
+        # finite, so that state's integrals are taken from both rows, the
+        # other state's from the live row alone.  At sigma = 0.5 |u|^(s+1)
+        # overflows too and 0 * inf reads NaN; at sigma = 1 the masses, V
+        # and G stay finite and differ from state to state
+        x = grid_1d.x[0]
+        model = build_noise_model(NoiseSpec(), grid_1d)
+        states = [make_state(grid_1d, a * np.exp(-x**2)) for a in (amplitude, 1.0)]
+
+        def run():
+            with np.errstate(over="ignore", invalid="ignore"):
+                return evolve(self._batch(states), 0.005, 1e-3, model,
+                              Coupling(sigma, np.eye(2)), record_every=1)
+
+        staged, alone, calls = self._staged_and_alone(monkeypatch, run)
+        assert [r.outcome for r in staged] == ["completed", "completed"]
+        assert np.isfinite(staged[0].state.fields).all()
+        overflowed = np.isnan if sigma == 0.5 else np.isposinf
+        assert overflowed(staged[0].record.coupling_quartic).all()
+        assert np.isfinite(staged[1].record.coupling_quartic).all()
+        if sigma == 1.0:
+            assert len(set(staged[0].record.V)) == len(staged[0].record)
+        assert calls[0] < calls[1]
+        self._assert_same(staged, alone)
+
+    def test_state_filling_the_block_stages_nothing(self):
+        # a 2D state of at least _BATCH_NODES nodes is recorded from the
+        # materialised batch, with no staging array.  Traced from the
+        # detector's call at the first step to its call at the second: the
+        # first step's record, the second step and its diagnostics: 3.51
+        # complex fields of one component (the record's block is 3.00).  A
+        # staging pair of the state would add 2.00
+        from scnls import observables
+
+        g = Grid(2, 128, 16.0)
+        assert g.node_count >= observables._BATCH_NODES
+        st = make_state(g, np.exp(-g.r_sq) * (1 + 0.3j * g.x[0]), 0.5 * np.exp(-g.r_sq / 2))
+        peaks = []
+
+        def detector(grad, tail):
+            if tracemalloc.is_tracing():
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            elif not peaks:
+                tracemalloc.start()
+            return False
+
+        try:
+            res = evolve(st, 3e-3, 1e-3, build_noise_model(NoiseSpec(), g),
+                         Coupling(1.0, self.MIXED), detector=detector, record_every=1,
+                         track_identities=False)
+        finally:
+            tracemalloc.stop()
+        assert len(res.record) == 4 and len(peaks) == 1
+        assert peaks[0] < 4.5 * 16 * g.node_count
