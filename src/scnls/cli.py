@@ -1,6 +1,9 @@
 """Command-line interface.
 
 Subcommands: simulate, ensemble, groundstate, verify, criterion.
+``criterion`` solves the blow-up criterion polynomial of the initial data in
+closed form on horizons up to ``--tbar``: its exact minimum and the earliest
+horizon that certifies blow-up (``t_bar_certified``, null when none does).
 Exit codes: 0 completed, 1 config error, 2 blow-up detected (simulate),
 3 runtime or I/O failure.  SCNLS_OUTPUT_DIR overrides the configured output
 directory; SCNLS_WORKERS sets the default of ``ensemble --workers``.
@@ -60,10 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--output-dir", default=None)
 
-    p = sub.add_parser("criterion", help="evaluate the blow-up criterion polynomial")
+    p = sub.add_parser("criterion", help="solve the blow-up criterion polynomial up to --tbar")
     p.add_argument("config")
     p.add_argument("--tbar", type=float, required=True)
-    p.add_argument("--points", type=int, default=200)
     p.add_argument("--output-dir", default=None)
     return parser
 
@@ -134,7 +136,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_criterion(args) -> int:
     cfg = load_config(args.config)
-    report = criterion_sweep(cfg, args.tbar, points=args.points)
+    report = criterion_sweep(cfg, args.tbar)
     if args.output_dir is not None:
         _write_json(_resolve_output_dir(cfg, args.output_dir) / "criterion.json", report)
     print(json.dumps(report, indent=2, sort_keys=True))

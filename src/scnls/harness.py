@@ -22,6 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -39,10 +40,10 @@ from .observables import (
     _BATCH_NODES,
     CSV_COLUMNS,
     TrajectoryRecord,
+    _criterion_extrema,
     _hypotheses,
     blowup_criterion,
     corollary_energy_bound,
-    criterion_lhs,
     energy_budget,
     mass,
     virial_residuals,
@@ -429,8 +430,10 @@ def threshold_study(
 
     Rescales the initial pair so that sqrt(l11)||u0||^2 + sqrt(l22)||v0||^2
     hits each target in ``mass_grid``, runs an ensemble per target, and tags
-    rows below the critical threshold as "global-regime".  Refuses configs
-    whose exponent is not mass-critical (sigma != 2/dim).
+    rows below the critical threshold as "global-regime".  Each target's
+    ensemble goes to ``mass_<target>``, the target to 6 significant digits.
+    Refuses configs whose exponent is not mass-critical (sigma != 2/dim) and
+    targets that would share such a directory, before any ensemble runs.
     """
     c = cfg.coupling
     if not c.is_mass_critical(cfg.dim):
@@ -442,6 +445,10 @@ def threshold_study(
         raise ConfigError("threshold_study requires positive diagonal coefficients")
     if not all(0 <= target < np.inf for target in mass_grid):
         raise ConfigError(f"mass targets must be finite and non-negative, got {mass_grid}")
+    subdirs = [f"mass_{target:.6g}" for target in mass_grid]
+    if len(set(subdirs)) < len(subdirs):
+        raise ConfigError(f"mass targets must differ in their first 6 significant digits, "
+                          f"got {mass_grid}")
     _check_counts(n_paths, workers)
 
     out = _resolve_output_dir(cfg, output_dir)
@@ -459,10 +466,10 @@ def threshold_study(
         if s0 <= 0:
             raise ConfigError("threshold_study requires nonzero initial data")
 
-        for target in mass_grid:
+        for target, subdir in zip(mass_grid, subdirs):
             sub = _rescaled_config(cfg, float(np.sqrt(target / s0)))
             ens = run_ensemble(sub, n_paths, workers=workers,
-                               output_dir=out / f"mass_{target:.6g}", write_paths=False)
+                               output_dir=out / subdir, write_paths=False)
             rows.append({
                 "mass_combination": float(target),
                 "blowup_fraction": ens.blowup_fraction,
@@ -590,45 +597,46 @@ def _run_verify_trajectory(cfg: RunConfig, increments: np.ndarray) -> Trajectory
     return _run_trajectory(cfg, [cfg.seed], increments[None])[0]
 
 
-# -- criterion sweep -----------------------------------------------------------------
+# -- criterion -----------------------------------------------------------------------
 
 
-def criterion_sweep(cfg: RunConfig, t_bar_max: float, points: int = 200) -> dict:
-    """Evaluate the blow-up criterion polynomial on a grid of horizons.
+def criterion_sweep(cfg: RunConfig, t_bar_max: float) -> dict:
+    """Solve the blow-up criterion polynomial on horizons in (0, t_bar_max].
 
-    Reports the minimizing horizon and whether any horizon certifies blow-up;
-    when none does the tool reports the positive minimum and asserts nothing.
-    Also returns the negative-energy-set bound at the minimizing horizon.
+    Reports its exact minimum, whether any horizon certifies blow-up and the
+    earliest one that does (:func:`scnls.observables._criterion_extrema`),
+    and the negative-energy-set bound at the minimizing horizon.  A horizon
+    at which the polynomial is not finite is a config error.
     """
     if not 0 < t_bar_max < np.inf:
         raise ConfigError(f"t_bar must be positive and finite, got {t_bar_max}")
-    if points < 1:
-        raise ConfigError(f"points must be at least 1, got {points}")
     grid = cfg.build_grid()
     state = cfg.build_state(grid)
     model = cfg.build_noise_model(grid)
-    # the initial-data moments do not depend on the horizon: evaluate them
-    # once (with the hypothesis check) and sweep the cubic polynomial
-    crit = blowup_criterion(state, cfg.coupling, t_bar_max, model,
-                            check_hypotheses=True)
-    tbars = np.linspace(t_bar_max / points, t_bar_max, points)
-    values = np.array([
-        criterion_lhs(crit.V0, crit.G0, crit.H0, crit.M0, crit.min_sup_F, tb)
-        for tb in tbars
-    ])
-    idx = int(np.argmin(values))
+    # the moments (and the hypothesis check) do not depend on the horizon: evaluate them once
+    try:
+        crit = blowup_criterion(state, cfg.coupling, t_bar_max, model)
+        finite = math.isfinite(crit.lhs)
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ConfigError(f"the criterion polynomial is not finite at t_bar = {t_bar_max}")
+    t_argmin, lhs_min, t_certified = _criterion_extrema(
+        crit.V0, crit.G0, crit.H0, crit.M0, crit.min_sup_F, t_bar_max
+    )
     m_bar = max(crit.V0, crit.G0, crit.M0)
     return {
         "t_bar_max": t_bar_max,
-        "t_bar_argmin": float(tbars[idx]),
-        "lhs_min": float(values[idx]),
-        "verdict_any": bool(np.any(values < 0)),
+        "t_bar_argmin": t_argmin,
+        "lhs_min": lhs_min,
+        "verdict_any": lhs_min < 0,
+        "t_bar_certified": t_certified,
         "hypotheses": _hypotheses(cfg.coupling, cfg.dim),
         "components": {
             "V0": crit.V0, "G0": crit.G0, "H0": crit.H0, "M0": crit.M0,
             "min_sup_F": crit.min_sup_F,
         },
         "negative_energy_bound": corollary_energy_bound(
-            m_bar, float(tbars[idx]), model.min_sup_F
-        ) if m_bar > 0 else None,
+            m_bar, t_argmin, model.min_sup_F
+        ) if m_bar > 0 and t_argmin > 0 else None,
     }

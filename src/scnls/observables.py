@@ -671,6 +671,49 @@ def criterion_lhs(V0: float, G0: float, H0: float, M0: float,
     )
 
 
+def _in_unit_horizon(coefficients, t_bar_max: float) -> np.ndarray:
+    """A polynomial in t (highest power first) as one in s = t / t_bar_max,
+    less its leading coefficients below round-off of the largest: they move
+    no root in [0, t_bar_max], and ``np.roots`` overflows dividing by them."""
+    scaled = np.asarray(coefficients) * t_bar_max ** np.arange(len(coefficients))[::-1]
+    magnitude = np.abs(scaled)
+    return scaled[np.argmax(magnitude > np.finfo(float).eps * magnitude.max()):]
+
+
+def _criterion_extrema(V0: float, G0: float, H0: float, M0: float,
+                       min_sup_F: float, t_bar_max: float):
+    """(t_argmin, lhs_min, t_certified) of :func:`criterion_lhs` on horizons in (0, t_bar_max].
+
+    The minimum lies at t_bar_max, at a root of p' / 4 = c t^2 + 4 H0 t + G0
+    (c = min_sup_F M0) inside the range, or at t -> 0, where p tends to V0:
+    t_argmin is then 0.0.  t_certified is the infimum of the horizons with
+    p < 0, None when there are none; for V0 >= 0 and c >= 0 they form one
+    interval.
+    """
+    c = min_sup_F * M0
+    # the real part of a complex pair is still a point of the range: a harmless extra candidate
+    stationary = np.roots(_in_unit_horizon([c, 4.0 * H0, G0], t_bar_max)).real * t_bar_max
+    horizons = [t_bar_max, *stationary[(0 < stationary) & (stationary < t_bar_max)]]
+    candidates = [(criterion_lhs(V0, G0, H0, M0, min_sup_F, t), t) for t in horizons]
+    # the first of equal values wins, so a constant p keeps the positive horizon t_bar_max
+    lhs_min, t_argmin = min(candidates + [(V0, 0.0)], key=lambda pair: pair[0])
+    t_argmin, lhs_min = float(t_argmin), float(lhs_min)
+    if not lhs_min < 0:
+        return t_argmin, lhs_min, None
+    # zero constant terms are roots at 0, where p keeps its sign on t > 0
+    p = np.trim_zeros(np.array([(4.0 / 3.0) * c, 8.0 * H0, 4.0 * G0, V0]), "b")
+    if p[-1] < 0:
+        return t_argmin, lhs_min, 0.0
+    # p(0) > 0 > lhs_min, so every root is real (a nearly double one may come out as a
+    # complex pair: its real part serves), and one is negative exactly when
+    # p(-inf) < 0.  Counting it, not testing signs, keeps a tiny positive root
+    # that comes out as 0 or below.
+    p = _in_unit_horizon(p, t_bar_max)
+    roots = np.sort(np.roots(p).real) * t_bar_max
+    negative = int((p[0] > 0) == (len(p) % 2 == 0))
+    return t_argmin, lhs_min, max(float(roots[negative]), 0.0)
+
+
 def _hypotheses(coupling: Coupling, dim: int) -> dict[str, bool]:
     """Whether the criterion's two hypotheses hold: sigma*N >= 2 and an
     entrywise nonnegative (focusing) coefficient matrix."""

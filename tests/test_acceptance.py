@@ -256,7 +256,7 @@ def test_criterion_9_blowup_criterion(tmp_path):
     )
     ens = run_ensemble(collapse_cfg, 4, output_dir=tmp_path / "collapse",
                        write_paths=False)
-    sweep = criterion_sweep(collapse_cfg, 1.0, points=100)
+    sweep = criterion_sweep(collapse_cfg, 1.0)
 
     # raise min sup F until the polynomial is positive for every horizon
     import dataclasses
@@ -264,7 +264,7 @@ def test_criterion_9_blowup_criterion(tmp_path):
     loud_cfg = dataclasses.replace(
         collapse_cfg, noise=NoiseSpec(K=1, family="constant", a0=np.sqrt(10.0))
     )
-    loud = criterion_sweep(loud_cfg, 1.0, points=100)
+    loud = criterion_sweep(loud_cfg, 1.0)
 
     report(9, sweep["verdict_any"] and ens.blowup_fraction == 1.0
            and not loud["verdict_any"] and loud["lhs_min"] > 0,

@@ -642,6 +642,14 @@ class TestThresholdStudy:
                              .read_text())
             assert float(lhs) == ens["criterion_lhs"]
 
+    def test_refuses_targets_sharing_a_directory(self, tmp_path):
+        cfg = base_config(coupling=Coupling(2.0, np.array([[1.0, 0.0], [0.0, 1.0]])))
+        for targets in ([5.0000001, 5.0000002], [1.0, 1.0]):
+            with pytest.raises(ConfigError, match="first 6 significant digits"):
+                threshold_study(cfg, targets, 2, output_dir=tmp_path)
+        # refused before any ensemble runs or any file is written
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestVerify:
     def test_requires_full_recording(self, tmp_path):
@@ -720,7 +728,7 @@ class TestCriterionSweep:
         # focusing and mass-critical: both hypotheses hold, so no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = criterion_sweep(cfg, 1.0, points=50)
+            report = criterion_sweep(cfg, 1.0)
         assert report["verdict_any"]
         assert report["lhs_min"] < 0
         assert report["components"]["H0"] < 0
@@ -739,7 +747,7 @@ class TestCriterionSweep:
             T=1.0, dt=1e-3, seed=0,
         )
         with pytest.warns(UserWarning, match="defocusing"):
-            report = criterion_sweep(cfg, 1.0, points=50)
+            report = criterion_sweep(cfg, 1.0)
         assert report["hypotheses"]["lam_entrywise_nonnegative"] is False
 
     def test_large_noise_reports_positive(self):
@@ -751,9 +759,31 @@ class TestCriterionSweep:
             noise=NoiseSpec(K=1, family="constant", a0=np.sqrt(10.0)),
             T=1.0, dt=1e-3, seed=0,
         )
-        report = criterion_sweep(cfg, 1.0, points=50)
+        report = criterion_sweep(cfg, 1.0)
         assert not report["verdict_any"]
         assert report["lhs_min"] > 0
+        assert report["t_bar_certified"] is None
+
+    def test_reports_the_earliest_certified_horizon(self):
+        cfg = RunConfig(
+            dim=2, n=64, L=20.0,
+            coupling=Coupling(1.0, np.array([[1.0, 0.0], [0.0, 1.0]])),
+            initial_u=InitialSpec("gaussian", amplitude=4.0, width=np.sqrt(0.5)),
+            initial_v=InitialSpec("zero"),
+            noise=NoiseSpec(),
+            T=1.0, dt=1e-3, seed=0,
+        )
+        # V0 + 8 H0 t^2 with V0 = 4 pi and H0 = -8 pi vanishes at t = 1/4 (to the
+        # moments' accuracy at n = 64)
+        report = criterion_sweep(cfg, 1.0)
+        assert report["t_bar_certified"] == pytest.approx(0.25, abs=1e-9)
+        assert report["t_bar_argmin"] == 1.0
+        early = criterion_sweep(cfg, 0.2)
+        assert not early["verdict_any"] and early["t_bar_certified"] is None
+
+    def test_overflowing_horizon_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="not finite at t_bar"):
+            criterion_sweep(base_config(), 1e120)
 
 
 class TestCli:
@@ -815,15 +845,9 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert "lhs_min" in report
 
-    @pytest.mark.parametrize("points", ["0", "-3"])
-    def test_criterion_cli_rejects_no_points(self, tmp_path, capsys, points):
-        cfg_file = tmp_path / "run.ini"
-        cfg_file.write_text(CONFIG_TEXT)
-        assert cli_main(["criterion", str(cfg_file), "--tbar", "0.5", "--points", points]) == 1
-        assert f"points must be at least 1, got {points}" in capsys.readouterr().err
-
     @pytest.mark.parametrize("args, edits", [
         pytest.param(["criterion", "--tbar", "nan"], [], id="tbar_nan"),
+        pytest.param(["criterion", "--tbar", "1e120"], [], id="tbar_overflow"),
         pytest.param(["simulate"], [("T = 0.1", "T = nan")], id="T_nan"),
         pytest.param(["simulate"], [("dt = 1e-3", "dt = inf")], id="dt_inf"),
         pytest.param(["simulate"], [("[run]", "[detector]\ntheta_grad = nan\n\n[run]")],
@@ -948,6 +972,18 @@ class TestCli:
         assert code == 0
         assert json.loads(capsys.readouterr().out) == []
         assert (tmp_path / "ts" / "threshold_study.csv").exists()
+
+    def test_threshold_study_cli_refuses_colliding_targets(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(
+            CONFIG_TEXT.replace("sigma = 1.0", "sigma = 2.0")
+            .replace("lambda22 = 0.0", "lambda22 = 1.0")
+        )
+        argv = ["ensemble", str(cfg_file), "--paths", "2", "--threshold-study",
+                "5.0000001,5.0000002", "--output-dir", str(tmp_path / "ts")]
+        assert cli_main(argv) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "ts").exists()
 
     @pytest.mark.parametrize("counts", [["--paths", "0"], ["--paths", "2", "--workers", "0"]],
                              ids=["paths_0", "workers_0"])

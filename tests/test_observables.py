@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from scnls import (
@@ -24,7 +26,7 @@ from scnls import (
 
 from scnls.dynamics import SystemState, Workspace, _spectral_diagnostics
 from scnls.grid import Grid
-from scnls.observables import _ROW_NAMES, TrajectoryRecorder
+from scnls.observables import _ROW_NAMES, TrajectoryRecorder, _criterion_extrema
 
 from conftest import make_state, random_smooth_field, scalar_coupling
 
@@ -364,6 +366,44 @@ class TestBlowupCriterion:
     def test_polynomial_examples(self):
         assert criterion_lhs(1.0, 0.0, -1.0, 1.0, 0.0, 1.0) == pytest.approx(-7.0)
         assert criterion_lhs(1.0, 0.0, -1.0, 1.0, 0.0, 0.1) == pytest.approx(0.92)
+
+    def test_extrema_examples(self):
+        # collapse data: V0 = 4 pi, H0 = -8 pi, no noise; p falls to t_max and vanishes at 1/4
+        t_argmin, lhs_min, t_certified = _criterion_extrema(
+            4 * np.pi, 0.0, -8 * np.pi, 8 * np.pi, 0.0, 1.0)
+        assert (t_argmin, lhs_min) == (1.0, criterion_lhs(4 * np.pi, 0.0, -8 * np.pi,
+                                                          8 * np.pi, 0.0, 1.0))
+        assert t_certified == pytest.approx(0.25, abs=1e-15)
+        # p' = 4 (t - 1)(t - 3): an interior minimum at t = 3, below p(t_max) = p(6) = 72
+        assert _criterion_extrema(0.0, 3.0, -1.0, 1.0, 1.0, 6.0)[:2] == (3.0, 0.0)
+        # increasing from V0: the infimum is approached as the horizon shrinks to 0
+        assert _criterion_extrema(2.0, 1.0, 1.0, 1.0, 1.0, 5.0) == (0.0, 2.0, None)
+
+    @settings(max_examples=150, deadline=None)
+    @given(V0=st.floats(0, 50), G0=st.floats(-50, 50), H0=st.floats(-50, 50),
+           M0=st.floats(0, 20), min_sup_F=st.floats(0, 5), t_bar_max=st.floats(1e-3, 100))
+    def test_extrema_agree_with_a_dense_sweep(self, V0, G0, H0, M0, min_sup_F, t_bar_max):
+        coefficients = (V0, G0, H0, M0, min_sup_F)
+        t_argmin, lhs_min, t_certified = _criterion_extrema(*coefficients, t_bar_max)
+        # the criterion's former report, the polynomial sampled at 4001 horizons,
+        # in criterion_lhs's arithmetic taken over the whole array
+        tbars = np.linspace(t_bar_max / 4001, t_bar_max, 4001)
+        values = (V0 + 4.0 * G0 * tbars + 8.0 * H0 * tbars**2
+                  + (4.0 / 3.0) * tbars**3 * min_sup_F * M0)
+        tol = 1e-9 * (V0 + 4 * abs(G0) * t_bar_max + 8 * abs(H0) * t_bar_max**2
+                      + (4 / 3) * min_sup_F * M0 * t_bar_max**3)
+        assert 0 <= t_argmin <= t_bar_max
+        assert lhs_min <= values.min() + tol
+        assert lhs_min == (criterion_lhs(*coefficients, t_argmin) if t_argmin > 0 else V0)
+        # verdict_any is lhs_min < 0, and a certified horizon is reported exactly then
+        assert (t_certified is not None) == (lhs_min < 0)
+        if t_certified is None:
+            assert values.min() >= -tol
+        else:
+            assert 0 <= t_certified <= t_bar_max * (1 + 1e-9)
+            at = criterion_lhs(*coefficients, t_certified) if t_certified > 0 else V0
+            assert abs(at) <= tol
+            assert np.all(values[tbars < t_certified] >= -tol)
 
     def test_rejects_nonpositive_horizon(self):
         with pytest.raises(ValueError):
