@@ -180,6 +180,15 @@ class RunConfig:
             raise ConfigError(f"theta_grad must be positive and finite, got {self.theta_grad}")
         if not (0 < self.theta_tail <= 1):
             raise ConfigError("theta_tail must lie in (0, 1]")
+        if self.groundstate_beta is not None and not 0 <= self.groundstate_beta < np.inf:
+            raise ConfigError(
+                f"[groundstate] beta must be finite and >= 0, got {self.groundstate_beta}")
+        if not 0 < self.groundstate_tol < np.inf:
+            raise ConfigError(
+                f"[groundstate] tol must be positive and finite, got {self.groundstate_tol}")
+        if self.groundstate_max_iter < 1:
+            raise ConfigError(
+                f"[groundstate] max_iter must be >= 1, got {self.groundstate_max_iter}")
         self.coupling.check_dimension(self.dim)
 
     def build_grid(self) -> Grid:

@@ -32,10 +32,16 @@ equal to P in every bit.  The solver therefore iterates P alone, takes each
 sum over the two components as x + x (exact, and bitwise x_P + x_Q), and
 returns a copy of P as Q.
 
-Each iterate is evaluated once: N_P, the numerator of S and the elliptic
-residual come from one pass, and the next sweep reuses them, so a level of
-m sweeps takes 2 + 4m transforms.  The iterate is real, so these are real
-transforms on the half spectrum.
+A sweep takes one pair of transforms, (1 - Lap)^-1 N_P.  The new iterate's
+(1 - Lap)P is S^gamma N_P, the right-hand side just inverted, so the
+numerator of S and the fixed-point residual max|S^gamma N_P - N_P(P+)| of
+the new iterate need no transform; the next sweep reuses N_P(P+).  Each
+level's seed takes a pair for its (1 - Lap)P, and when the fixed-point
+residual falls below ``tol`` the residual is measured directly on the
+iterate, from its transformed (1 - Lap)P (a pair); the level ends only if
+that measured residual is below ``tol`` too, and otherwise sweeps on.  So a
+level of m sweeps with one passing check takes 2 + 2m + 2 transforms.  The
+iterate is real, so these are real transforms on the half spectrum.
 
 The solve runs coarse to fine: the ground state decays exponentially, so a
 grid of n/2 nodes per axis on the same box nearly resolves it.  A grid of
@@ -79,7 +85,11 @@ _COARSEST_NODES = 64**2
 
 
 class GroundStateError(RuntimeError):
-    """Raised when the elliptic iteration fails to converge."""
+    """Raised when the elliptic iteration fails to converge.
+
+    ``residual_trace`` holds one residual per sweep so far, as in
+    :class:`GroundStatePair`.
+    """
 
     def __init__(self, message: str, residual_trace: list[float] | None = None):
         super().__init__(message)
@@ -91,7 +101,12 @@ class GroundStatePair:
     """Converged pair with residual and derived constants.
 
     ``iterations`` counts the sweeps of every grid level; ``levels`` lists
-    (n, sweeps) per level, coarsest first.
+    (n, sweeps) per level, coarsest first.  The solve's residual trace
+    holds one max-norm residual per sweep: the fixed-point residual
+    max|S^gamma N_P - N_P(P+)|, except where that fell below ``tol``; there
+    it is the residual measured directly on the iterate, from its
+    transformed (1 - Lap)P.  Each level ends on a measured residual, so
+    ``residual_inf``, the last, is measured on the returned P.
     ``k_opt_pair`` uses ||P||^2 + ||Q||^2 in the constant's formula,
     ``k_opt_single`` uses ||P||^2 alone (the Q = 0 reading, meaningful at
     beta = 0 where the system decouples).
@@ -138,7 +153,8 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
     nodes per axis, or from the Gaussian seed at or below the floor.
 
     Appends each sweep's residual to ``trace`` and (n, sweeps) to
-    ``levels``; all levels together take at most ``max_iter`` sweeps.
+    ``levels``; all levels together take at most ``max_iter`` sweeps.  A
+    non-finite residual ends the solve at once.
     """
     if grid.node_count > _COARSEST_NODES:
         # the coarse grid is a temporary, freed before the prolongation
@@ -160,16 +176,15 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
 
     # Q stays P's bits (see the module docstring), so only P is iterated;
     # each pair sum over the components is x + x, which is exact
-    def _evaluate(P):
-        # N_P, <P,(1-Lap)P> + <Q,(1-Lap)Q> and the residual max-norm of one
-        # iterate
+    def _evaluate(P, op_P):
+        # N_P, <P,(1-Lap)P> + <Q,(1-Lap)Q> and the fixed-point residual of one
+        # iterate, given its (1-Lap)P
         aP = np.abs(P)
         NP = _nonlinear_term(P, aP, aP, sigma, beta)
-        op_P = _apply_symbol(P, symbol)
         inner = (P * op_P).sum()
         return NP, float((inner + inner) * h), float(np.abs(op_P - NP).max())
 
-    NP, lhs, _ = _evaluate(P)
+    NP, lhs, _ = _evaluate(P, _apply_symbol(P, symbol))
     residual = trace[-1] if trace else np.inf
     for iteration in range(1, max_iter - len(trace) + 1):
         power = (P * NP).sum()
@@ -180,10 +195,15 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
             )
         s_factor = (lhs / rhs) ** gamma
         P = s_factor * _apply_symbol(NP, inv_symbol)
-        del NP  # freed before the evaluation allocates the next one
-
-        NP, lhs, residual = _evaluate(P)
+        # the new iterate's (1-Lap)P is the right-hand side just inverted
+        NP *= s_factor
+        NP, lhs, residual = _evaluate(P, NP)
+        if residual < tol:
+            # the level ends on a residual measured on the iterate itself
+            residual = float(np.abs(_apply_symbol(P, symbol) - NP).max())
         trace.append(residual)
+        if not np.isfinite(residual):
+            raise GroundStateError(f"non-finite residual at iteration {len(trace)}", trace)
         if residual < tol:
             break
     else:
@@ -209,16 +229,22 @@ def solve_ground_state(
     Returns a :class:`GroundStatePair` whose elliptic residual max-norm on
     ``grid`` is below ``tol``.  Raises :class:`GroundStateError` when the
     sweeps of all levels together exceed ``max_iter`` (with the residual
-    trace of every sweep attached) or on collapse to the zero solution.
+    trace of every sweep attached), at a non-finite residual, or on
+    collapse to the zero solution.  Raises ``ValueError`` for a sigma out
+    of range, a negative or non-finite beta, a non-positive or non-finite
+    ``tol``, or ``max_iter`` < 1.
     """
     dim = grid.dim
     upper = np.inf if dim <= 2 else 4.0 / (dim - 2)
     if not (0 < sigma < upper):
         raise ValueError(f"sigma must lie in (0, {upper}) for dim={dim}, got {sigma}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    # written so that NaN and inf fail too
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if 2.0 * sigma + 2.0 - dim * sigma <= 0:
         warnings.warn(
             "sigma at or beyond the energy-critical exponent; the constant's "

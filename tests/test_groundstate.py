@@ -27,12 +27,16 @@ def _nonlinear_terms(P: np.ndarray, Q: np.ndarray, sigma: float, beta: float):
             _nonlinear_term(Q, aQ, aP, sigma, beta))
 
 
-def _reference_solve(grid, sigma, beta, tol, level_ns):
-    """The two-component sweep written out plainly, recomputing N and (1-Lap)
-    at both ends of every iteration, on the grids of ``level_ns`` nodes in
-    turn: from the Gaussian seed on the first, and from both components
-    prolonged onto each next one.  Returns P, Q, the residual trace and
-    (n, sweeps) per level."""
+def _reference_solve(grid, sigma, beta, tol, level_ns, recompute=False):
+    """The two-component sweep written out plainly, on the grids of
+    ``level_ns`` nodes in turn: from the Gaussian seed on the first, and from
+    both components prolonged onto each next one.  A sweep takes the new
+    iterate's (1-Lap)P as s N_P, the right-hand side it inverted, and when
+    that fixed-point residual falls below ``tol`` the residual is measured on
+    the iterate by transforming it; the level ends when the measured one is
+    below ``tol``.  With ``recompute``, every sweep instead recomputes N and
+    (1-Lap) by transforms at both ends, and every residual is measured.
+    Returns P, Q, the residual trace and (n, sweeps) per level."""
     gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
     trace, levels = [], []
     for n in level_ns:
@@ -51,15 +55,22 @@ def _reference_solve(grid, sigma, beta, tol, level_ns):
         def op(f):
             return np.fft.irfftn(np.fft.rfftn(f) * half_symbol)
 
+        NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
+        opP, opQ = op(P), op(Q)
         for iteration in range(1, 5001):
-            NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
-            lhs = float(((P * op(P)).sum() + (Q * op(Q)).sum()) * h)
+            if recompute:
+                NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
+                opP, opQ = op(P), op(Q)
+            lhs = float(((P * opP).sum() + (Q * opQ).sum()) * h)
             rhs = float(((P * NP).sum() + (Q * NQ).sum()) * h)
             s_factor = (lhs / rhs) ** gamma
             P = s_factor * inv(NP)
             Q = s_factor * inv(NQ)
+            opP, opQ = s_factor * NP, s_factor * NQ
             NP, NQ = _nonlinear_terms(P, Q, sigma, beta)
-            residual = float(max(np.abs(op(P) - NP).max(), np.abs(op(Q) - NQ).max()))
+            residual = float(max(np.abs(opP - NP).max(), np.abs(opQ - NQ).max()))
+            if recompute or residual < tol:
+                residual = float(max(np.abs(op(P) - NP).max(), np.abs(op(Q) - NQ).max()))
             trace.append(residual)
             if residual < tol:
                 break
@@ -142,16 +153,24 @@ class TestSolveGroundState:
         assert np.max(np.abs(gs.P - analytic)) < 1e-8
 
     @pytest.mark.parametrize("sigma,beta,tol", [(-1.0, 0.0, 1e-8), (1.0, -0.5, 1e-8),
-                                                (1.0, 0.0, 0.0)])
+                                                (1.0, 0.0, 0.0), (1.0, np.nan, 1e-8),
+                                                (1.0, np.inf, 1e-8), (1.0, 0.0, np.nan),
+                                                (1.0, 0.0, np.inf)])
     def test_rejects_bad_arguments(self, grid_1d, sigma, beta, tol):
         with pytest.raises(ValueError):
             solve_ground_state(sigma, beta, grid_1d, tol=tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_rejects_max_iter_below_one(self, grid_1d, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_ground_state(1.0, 0.0, grid_1d, max_iter=max_iter)
+
     def test_evaluates_each_iterate_once(self, monkeypatch):
         # Q stays P's bits, so only P is transformed, with real transforms: on
         # each level the seed's (1-Lap)P takes 2; each sweep takes 2 for
-        # (1-Lap)^-1 N_P and 2 for the new iterate's (1-Lap)P; each
-        # prolongation onto the next level takes 2
+        # (1-Lap)^-1 N_P, and the new iterate's (1-Lap)P is s N_P, with no
+        # transform; the residual measured on the iterate that ends the level
+        # takes 2; each prolongation onto the next level takes 2
         g = Grid(2, 256, 16.0)
         calls = []
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
@@ -165,7 +184,8 @@ class TestSolveGroundState:
         gs = solve_ground_state(1.0, 0.5, g, tol=1e-10)
         assert [n for n, _ in gs.levels] == [64, 128, 256]
         assert gs.iterations == sum(m for _, m in gs.levels)
-        assert len(calls) == sum(2 + 4 * m for _, m in gs.levels) + 2 * (len(gs.levels) - 1)
+        assert len(calls) == (sum(2 + 2 * m + 2 for _, m in gs.levels)
+                              + 2 * (len(gs.levels) - 1))
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("sigma,beta", [
@@ -180,7 +200,10 @@ class TestSolveGroundState:
         # the one below, prolonged.
         # The solver, which iterates P alone and passes |P| as both moduli,
         # must agree bitwise with the plain two-component oracle (sigma = 0.75
-        # takes the general power)
+        # takes the general power), and to round-off with the recurrence that
+        # recomputes (1-Lap)P by transforms; that one may end a level on
+        # another sweep where the residual's round-off floor nears tol
+        # (1D n = 8192)
         tol = 1e-10
         for n in ((256, 8192) if dim == 1 else (64, 128)):
             g = Grid(dim, n, 40.0 if dim == 1 else 16.0)
@@ -193,6 +216,10 @@ class TestSolveGroundState:
             assert gs.levels == tuple(levels)
             assert gs.iterations == len(trace)
             assert gs.residual_inf == trace[-1]
+            recomputed, *_ = _reference_solve(g, sigma, beta, tol, _cascade_ns(n, dim),
+                                              recompute=True)
+            assert np.max(np.abs(gs.P - recomputed)) <= 1e-10
+            assert gs.residual_inf < tol
             # max_iter bounds the sweeps of all levels together
             with pytest.raises(GroundStateError) as err:
                 solve_ground_state(sigma, beta, g, tol=tol, max_iter=len(trace) - 1)
@@ -204,7 +231,7 @@ class TestSolveGroundState:
         # solution from the Gaussian seed, and its residual holds on the full grid
         g = load_config(CONFIGS / "collapse_2d.ini").build_grid()
         assert g.n > 64
-        one_level, *_ = _reference_solve(g, 1.0, beta, 1e-10, [g.n])
+        one_level, *_ = _reference_solve(g, 1.0, beta, 1e-10, [g.n], recompute=True)
         gs = solve_ground_state(1.0, beta, g, tol=1e-10)
         assert np.max(np.abs(gs.P - one_level)) <= 1e-10
         lap = np.fft.ifftn(np.fft.fftn(gs.P) * (-g.k_sq)).real
@@ -215,6 +242,18 @@ class TestSolveGroundState:
         with pytest.raises(GroundStateError) as err:
             solve_ground_state(1.0, 0.0, grid_1d, tol=1e-10, max_iter=3)
         assert len(err.value.residual_trace) == 3
+
+    def test_non_finite_residual_stops_at_once(self, grid_1d, monkeypatch):
+        import scnls.groundstate
+
+        def poisoned(f, *args):
+            return np.full_like(f, np.nan)
+
+        monkeypatch.setattr(scnls.groundstate, "_nonlinear_term", poisoned)
+        with pytest.raises(GroundStateError, match="non-finite residual") as err:
+            solve_ground_state(1.0, 0.0, grid_1d, tol=1e-10)
+        assert len(err.value.residual_trace) == 1
+        assert np.isnan(err.value.residual_trace[0])
 
 
 class TestKopt:

@@ -121,6 +121,9 @@ _VALID = {
     ("detector", "theta_grad"): _POSITIVE,
     ("detector", "theta_tail"): _spelled(st.floats(1e-3, 1.0)),
     ("initial", "width"): _POSITIVE,
+    ("groundstate", "beta"): _spelled(st.floats(0.0, 1e3)),
+    ("groundstate", "tol"): _POSITIVE,
+    ("groundstate", "max_iter"): _spelled(st.integers(1, 2**64 - 1)),
 }
 
 
@@ -262,6 +265,13 @@ class TestConfigParsing:
             base_config(dt=0.0)
         with pytest.raises(ConfigError):
             base_config(record_every=0)
+
+    @pytest.mark.parametrize("line", ["beta = nan", "beta = inf", "beta = -0.5", "tol = nan",
+                                      "tol = inf", "tol = 0", "tol = -1e-8", "max_iter = 0",
+                                      "max_iter = -3"])
+    def test_bad_groundstate_value_rejected(self, line):
+        with pytest.raises(ConfigError, match=r"\[groundstate\] " + line.split()[0]):
+            parse_config(CONFIG_TEXT + f"\n[groundstate]\n{line}\n")
 
     def test_to_dict_roundtrip_with_groundstate(self):
         text = CONFIG_TEXT + "\n[groundstate]\nbeta = 0.5\ntol = 1e-8\nmax_iter = 300\n"
@@ -855,6 +865,14 @@ class TestCli:
         pytest.param(["simulate"], [("width = 1.0", "width = nan")], id="width_nan"),
         pytest.param(["simulate"], [("amplitude = 1.0", "amplitude = inf")], id="amplitude_inf"),
         pytest.param(["simulate"], [("a0 = 0.05", "a0 = nan")], id="a0_nan"),
+        pytest.param(["groundstate"], [("[run]", "[groundstate]\nbeta = nan\n\n[run]")],
+                     id="groundstate_beta_nan"),
+        pytest.param(["groundstate"], [("[run]", "[groundstate]\nbeta = inf\n\n[run]")],
+                     id="groundstate_beta_inf"),
+        pytest.param(["groundstate"], [("[run]", "[groundstate]\ntol = nan\n\n[run]")],
+                     id="groundstate_tol_nan"),
+        pytest.param(["groundstate"], [("[run]", "[groundstate]\nmax_iter = -3\n\n[run]")],
+                     id="groundstate_max_iter_negative"),
         pytest.param(["ensemble", "--paths", "2", "--threshold-study", "abc"], [],
                      id="targets_abc"),
         pytest.param(["ensemble", "--paths", "2", "--threshold-study", "1,nan"],
