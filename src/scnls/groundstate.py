@@ -177,14 +177,13 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
     # Q stays P's bits (see the module docstring), so only P is iterated;
     # each pair sum over the components is x + x, which is exact
     def _evaluate(P, op_P):
-        # N_P, <P,(1-Lap)P> + <Q,(1-Lap)Q> and the fixed-point residual of one
-        # iterate, given its (1-Lap)P
+        # N_P and <P,(1-Lap)P> + <Q,(1-Lap)Q> of one iterate, given its (1-Lap)P
         aP = np.abs(P)
         NP = _nonlinear_term(P, aP, aP, sigma, beta)
         inner = (P * op_P).sum()
-        return NP, float((inner + inner) * h), float(np.abs(op_P - NP).max())
+        return NP, float((inner + inner) * h)
 
-    NP, lhs, _ = _evaluate(P, _apply_symbol(P, symbol))
+    NP, lhs = _evaluate(P, _apply_symbol(P, symbol))
     residual = trace[-1] if trace else np.inf
     for iteration in range(1, max_iter - len(trace) + 1):
         power = (P * NP).sum()
@@ -196,8 +195,10 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
         s_factor = (lhs / rhs) ** gamma
         P = s_factor * _apply_symbol(NP, inv_symbol)
         # the new iterate's (1-Lap)P is the right-hand side just inverted
-        NP *= s_factor
-        NP, lhs, residual = _evaluate(P, NP)
+        op_P = NP
+        op_P *= s_factor
+        NP, lhs = _evaluate(P, op_P)
+        residual = float(np.abs(op_P - NP).max())
         if residual < tol:
             # the level ends on a residual measured on the iterate itself
             residual = float(np.abs(_apply_symbol(P, symbol) - NP).max())

@@ -97,6 +97,105 @@ class TestNonlinearPhase:
         np.testing.assert_allclose(np.abs(out.v), np.abs(v), atol=1e-13)
 
 
+class TestTrivialAngles:
+    """N writes (1, theta) where |theta| < 2^-27 instead of taking cos and sin."""
+
+    def test_cos_and_sin_round_to_one_and_the_angle(self):
+        # the platform fact the masked N rests on, for angles of every binade
+        # below the bound, +-0 and subnormals, written through the strided
+        # parts of a complex array as N writes its factor
+        from scnls.dynamics import _TRIVIAL_ANGLE
+
+        rng = np.random.default_rng(0)
+        n = 200_000
+        magnitude = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, -26, n))
+        x = np.concatenate([
+            rng.choice([-1.0, 1.0], n) * magnitude,
+            rng.uniform(-_TRIVIAL_ANGLE, _TRIVIAL_ANGLE, n),
+            [0.0, -0.0, 5e-324, -5e-324, np.finfo(float).tiny, -np.finfo(float).tiny,
+             np.nextafter(_TRIVIAL_ANGLE, 0.0), -np.nextafter(_TRIVIAL_ANGLE, 0.0)],
+        ])
+        assert (np.abs(x) < _TRIVIAL_ANGLE).all()
+        factor = np.empty(x.size, dtype=complex)
+        np.cos(x, out=factor.real)
+        np.sin(x, out=factor.imag)
+        assert (factor.real == 1.0).all()
+        assert factor.imag.tobytes() == x.tobytes()
+        # twice the bound is too wide: there cos is 1.0 only at some angles
+        wider = rng.uniform(_TRIVIAL_ANGLE, 2.0 * _TRIVIAL_ANGLE, 10_000)
+        assert (np.cos(wider) != 1.0).any()
+
+    @staticmethod
+    def _rotated(monkeypatch, floor, fields, dt, c, rows, chunks, grid):
+        from scnls import dynamics
+        from scnls.dynamics import Workspace, _rotate_rows
+
+        monkeypatch.setattr(dynamics, "_MASKED_TRIG_NODES", floor)
+        fields = fields.copy()
+        work = Workspace(grid, dt, fields.shape)
+        work.rows = rows
+        work.spectra.fill(0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            turned = [_rotate_rows(fields, dt, c, work, index) for index in chunks]
+        return fields, work.spectra, turned
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("case", ["focusing", "defocusing", "revives", "non-finite"])
+    def test_masked_rotation_equals_cos_and_sin_everywhere(self, grid_2d, monkeypatch,
+                                                            split, case):
+        g = grid_2d
+        rng = np.random.default_rng(21)
+        dt = 1e-3
+        phase = np.exp(2j * np.pi * rng.uniform(size=(2, 2) + g.shape))
+        # Gaussians whose angles run from about 1e-2 down to exact zero
+        u = 3.0 * np.exp(-g.r_sq) * phase[0]
+        v = 2.0 * np.exp(-((g.x[0] - 2.0) ** 2 + g.x[1] ** 2)) * phase[1]
+        rows = (0, 1)
+        if case == "focusing":
+            c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 2.0]]))
+        elif case == "defocusing":
+            c = Coupling(1.5, np.array([[-1.0, -0.7], [-0.7, -2.0]]))
+        elif case == "revives":
+            # |u|^(s+1) overflows in the second half of the rows only, so
+            # that half turns the dead v NaN
+            c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
+            u[:, g.n // 2 + 5] *= 1e210
+            v[:] = 0.0
+            rows = (0,)
+        else:
+            c = Coupling(0.7, np.array([[1.0, 0.5], [0.5, 1.0]]))
+            u[0, 3, 4], u[1, 40, 7], v[0, 9, 9] = np.nan, np.inf, -np.inf
+            v[1, 20, 30] = complex(np.nan, 1.0)
+        fields = np.ascontiguousarray(np.stack([u, v]))
+        half = g.n // 2
+        chunks = ((np.s_[..., :half, :], np.s_[..., half:, :]) if split else (Ellipsis,))
+        masked = self._rotated(monkeypatch, 1, fields, dt, c, rows, chunks, g)
+        plain = self._rotated(monkeypatch, np.inf, fields, dt, c, rows, chunks, g)
+        assert masked[2] == plain[2]
+        assert masked[0].tobytes() == plain[0].tobytes()
+        assert masked[1].tobytes() == plain[1].tobytes()
+        angles = 3.0**2 * dt * np.exp(-2.0 * g.r_sq)
+        assert (angles < 2.0**-27).any() and (angles >= 2.0**-27).any()
+        if case == "revives":
+            assert masked[2] == ([(0,), (0, 1)] if split else [(0, 1)])
+        if case == "non-finite":
+            assert np.isnan(masked[0]).any()
+
+    def test_no_draws_without_noise(self, grid_1d, no_noise_1d, monkeypatch):
+        from scnls import dynamics
+
+        def refuse(*args):
+            raise AssertionError("sample_increments called with K = 0")
+
+        st_ = make_state(grid_1d, np.exp(-grid_1d.x[0] ** 2))
+        monkeypatch.setattr(dynamics, "sample_increments", refuse)
+        seeded = evolve(st_, 0.01, 1e-3, no_noise_1d, scalar_coupling(), seed=5)
+        given_ = evolve(st_, 0.01, 1e-3, no_noise_1d, scalar_coupling(),
+                        increments=np.zeros((10, 0)))
+        assert seeded.steps == given_.steps == 10
+        assert seeded.state.fields.tobytes() == given_.state.fields.tobytes()
+
+
 class TestStrangStep:
     def test_free_limit(self, grid_1d, no_noise_1d):
         rng = np.random.default_rng(1)
