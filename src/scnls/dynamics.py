@@ -270,7 +270,8 @@ def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
         np.square(a_self, out=out)
     else:
         np.power(a_self, 2.0 * sigma, out=out)
-    out *= l_self
+    if l_self != 1.0:  # x * 1.0 is x in every bit, so a unit coefficient is skipped
+        out *= l_self
     if l_mixed != 0.0:
         # 1.0 where the mixed term is kept, 0.0 where it is dropped
         np.greater(a_self, _TINY_MODULUS, out=tmp)

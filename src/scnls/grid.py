@@ -116,13 +116,19 @@ class Grid:
         return np.fft.ifftn(coeffs, s=self.shape, axes=self._axes, out=out)
 
     # the real-input pair: the half spectrum keeps modes 0..n/2 of the last
-    # axis, and the inverse returns a real field
+    # axis, and the inverse returns a real field, written into ``out`` when
+    # given.  The inverse takes irfftn's passes in irfftn's order, so its bits
+    # are irfftn's: the leading axes in place in ``coeffs``, then the last
+    # axis into ``out``.  So ``coeffs`` is overwritten (in 2D), and no
+    # intermediate spectrum is allocated
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfftn(values, s=self.shape, axes=self._axes)
+    def rfft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.rfftn(values, s=self.shape, axes=self._axes, out=out)
 
-    def irfft(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(coeffs, s=self.shape, axes=self._axes)
+    def irfft(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        for axis in self._axes[:-1]:
+            np.fft.ifft(coeffs, axis=axis, out=coeffs)
+        return np.fft.irfft(coeffs, n=self.n, axis=-1, out=out)
 
     def prolong(self, values: np.ndarray) -> np.ndarray:
         """Trigonometric interpolation onto this grid of the real ``values``,

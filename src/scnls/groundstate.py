@@ -43,6 +43,14 @@ that measured residual is below ``tol`` too, and otherwise sweeps on.  So a
 level of m sweeps with one passing check takes 2 + 2m + 2 transforms.  The
 iterate is real, so these are real transforms on the half spectrum.
 
+A sweep allocates no field.  Each level takes its buffers once, next to its
+seed P: the half spectrum ``coeffs``, which every transform pair goes
+through; real fields for |P|, N_P, op_P = (1 - Lap)P and one scratch (the
+products whose sums give S, and the residual); and N's second scratch, at
+sigma != 1 only.  The sweep writes into them: the new iterate over P, which
+the sweep no longer reads once S is known, and N_P(P+) into the old op_P
+while op_P takes the old N_P's buffer, so nothing is copied.
+
 The solve runs coarse to fine: the ground state decays exponentially, so a
 grid of n/2 nodes per axis on the same box nearly resolves it.  A grid of
 more than 64^2 nodes in all is first solved at n/2 per axis, recursively, and
@@ -127,13 +135,17 @@ class GroundStatePair:
 
 
 def _nonlinear_term(f: np.ndarray, a_self: np.ndarray, a_other: np.ndarray,
-                    sigma: float, beta: float) -> np.ndarray:
-    """Right-hand side N_f = (...)f of one real component, given the moduli
-    |f| and |g| of the pair; the bracket is the N-step multiplier with
-    l_self = 1 and l_mixed = beta."""
-    tmp, tmp2 = np.empty_like(a_self), np.empty_like(a_self)
-    nf = _phase_multiplier(a_self, a_other, 1.0, beta, sigma, np.empty_like(a_self),
-                           tmp, tmp2)
+                    sigma: float, beta: float, out: np.ndarray | None = None,
+                    tmp: np.ndarray | None = None,
+                    tmp2: np.ndarray | None = None) -> np.ndarray:
+    """Right-hand side N_f = (...)f of one real component into ``out``, given
+    the moduli |f| and |g| of the pair; the bracket is the N-step multiplier
+    with l_self = 1 and l_mixed = beta, taken with the scratch ``tmp`` and
+    (read only at sigma != 1) ``tmp2``.  Without ``out`` all three are
+    allocated."""
+    if out is None:
+        out, tmp, tmp2 = (np.empty_like(a_self) for _ in range(3))
+    nf = _phase_multiplier(a_self, a_other, 1.0, beta, sigma, out, tmp, tmp2)
     nf *= f
     return nf
 
@@ -169,39 +181,49 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
     gamma = (2.0 * sigma + 1.0) / (2.0 * sigma)
     h = grid.spacing**grid.dim
 
-    def _apply_symbol(f, symbol):
-        coeffs = grid.rfft(f)
-        coeffs *= symbol
-        return grid.irfft(coeffs)
+    # the level's buffers (see the module docstring); each sweep writes the
+    # new iterate over P, and N_P and op_P trade names
+    coeffs = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=complex)
+    modulus, NP, op_P, scratch = (np.empty(grid.shape) for _ in range(4))
+    scratch2 = np.empty(grid.shape) if sigma != 1.0 else None
+
+    def _apply_symbol(f, symbol, out):
+        np.multiply(grid.rfft(f, out=coeffs), symbol, out=coeffs)
+        return grid.irfft(coeffs, out=out)
 
     # Q stays P's bits (see the module docstring), so only P is iterated;
     # each pair sum over the components is x + x, which is exact
-    def _evaluate(P, op_P):
-        # N_P and <P,(1-Lap)P> + <Q,(1-Lap)Q> of one iterate, given its (1-Lap)P
-        aP = np.abs(P)
-        NP = _nonlinear_term(P, aP, aP, sigma, beta)
-        inner = (P * op_P).sum()
+    def _evaluate(P, op_P, out):
+        # N_P into ``out`` and <P,(1-Lap)P> + <Q,(1-Lap)Q> of one iterate,
+        # given its (1-Lap)P
+        aP = np.abs(P, out=modulus)
+        NP = _nonlinear_term(P, aP, aP, sigma, beta, out, scratch, scratch2)
+        inner = np.multiply(P, op_P, out=scratch).sum()
         return NP, float((inner + inner) * h)
 
-    NP, lhs = _evaluate(P, _apply_symbol(P, symbol))
+    NP, lhs = _evaluate(P, _apply_symbol(P, symbol, op_P), NP)
     residual = trace[-1] if trace else np.inf
     for iteration in range(1, max_iter - len(trace) + 1):
-        power = (P * NP).sum()
+        power = np.multiply(P, NP, out=scratch).sum()
         rhs = float((power + power) * h)
         if rhs <= 0 or lhs <= 0:
             raise GroundStateError(
                 "iteration collapsed to the zero solution", trace
             )
         s_factor = (lhs / rhs) ** gamma
-        P = s_factor * _apply_symbol(NP, inv_symbol)
+        P = _apply_symbol(NP, inv_symbol, P)
+        P *= s_factor
         # the new iterate's (1-Lap)P is the right-hand side just inverted
-        op_P = NP
+        op_P, NP = NP, op_P
         op_P *= s_factor
-        NP, lhs = _evaluate(P, op_P)
-        residual = float(np.abs(op_P - NP).max())
+        NP, lhs = _evaluate(P, op_P, NP)
+        difference = np.subtract(op_P, NP, out=scratch)
+        residual = float(np.abs(difference, out=difference).max())
         if residual < tol:
             # the level ends on a residual measured on the iterate itself
-            residual = float(np.abs(_apply_symbol(P, symbol) - NP).max())
+            difference = _apply_symbol(P, symbol, scratch)
+            difference -= NP
+            residual = float(np.abs(difference, out=difference).max())
         trace.append(residual)
         if not np.isfinite(residual):
             raise GroundStateError(f"non-finite residual at iteration {len(trace)}", trace)

@@ -311,33 +311,39 @@ def _ito_terms(fields: np.ndarray, model: NoiseModel, rows,
     component's own modes; a row not in ``rows`` is zero in every path and
     its terms are 0.  The rows are taken one at a time, as the L step takes
     them, in one scratch per call: a complex pair of one component's batch
-    shape (conj(f) and one derivative) and a real pair (the density and a
-    product).  A scratch kept by the recorder stays resident and raised a
-    batched ensemble's peak memory (ensemble_1d), while a call's two
+    shape (conj(f) and one derivative), the density |f|^2, and the (K, P,
+    nodes) products of one identity term with all K modes, which one
+    broadcast multiply writes and one reduction sums, a (mode, path) row of
+    nodes at a time.  A scratch kept by the recorder stays resident and
+    raised a batched ensemble's peak memory (ensemble_1d), while a call's
     allocations cost nothing measurable.  ``spectra`` holds the pair's
     forward transforms, so the gradients only transform back.
     """
     grid = model.grid
     h = grid.spacing**grid.dim
     conj_f, derivative = np.empty((2,) + fields.shape[1:], dtype=complex)
-    density, product = np.empty((2,) + fields.shape[1:])
+    density = np.empty(fields.shape[1:])
+    products = np.empty((model.K,) + fields.shape[1:])
     energy = np.zeros(fields.shape[:2] + (model.K,))
     moment = np.zeros_like(energy)
+
+    def mode_sums(factor, modes):
+        # each (mode, path) sum over its nodes, as a (P, K) array
+        np.multiply(factor, modes[:, None], out=products)
+        return _node_sums(products, grid).reshape(products.shape[:2]).T
+
     for i in rows:
-        f, f_energy, f_moment = fields[i], energy[i], moment[i]
+        f = fields[i]
         grad_modes = (model.grad_modes_u, model.grad_modes_v)[i]
         xdot = (model.xdot_grad_u, model.xdot_grad_v)[i]
         np.abs(f, out=density)
         np.square(density, out=density)
-        for k, field in enumerate(xdot):
-            f_moment[:, k] = _node_sums(np.multiply(density, field, out=product), grid) * h
+        moment[i] = mode_sums(density, xdot) * h
         np.conj(f, out=conj_f)
         for axis in range(grid.dim):
             grid._derivative(spectra[i], axis, out=derivative)
             derivative *= conj_f
-            for k, mode_gradient in enumerate(grad_modes):
-                np.multiply(derivative.imag, mode_gradient[axis], out=product)
-                f_energy[:, k] += _node_sums(product, grid)
+            energy[i] += mode_sums(derivative.imag, grad_modes[:, axis])
     return energy * h, moment
 
 

@@ -635,6 +635,34 @@ class TestKernel:
             else:
                 np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
+    def test_unit_self_coefficient_keeps_every_bit(self):
+        # a unit l_self skips its multiply, which must leave the bits of
+        # x * 1.0: +-0, +-inf, subnormals and quiet NaN payloads included,
+        # written through the strided parts of complex arrays as N writes them
+        from scnls.dynamics import _phase_multiplier
+
+        class Unit(float):
+            # equal to 1.0 as a factor, but never skipped by the guard
+            def __ne__(self, other):
+                return True
+
+        nans = np.array([0x7FF8000000000123, 0xFFF80000000ABCDE], dtype=np.uint64).view(float)
+        a = np.concatenate([[0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                             np.finfo(float).tiny / 3.0, 1.5, -2.5, 1e-301], nans])
+        b = a[::-1].copy()
+        product = np.empty(a.size, dtype=complex).real
+        np.multiply(a, 1.0, out=product)
+        assert product.tobytes() == a.tobytes()
+        for sigma in (1.0, 0.75):
+            for l_mixed in (0.0, 0.5):
+                results = []
+                for l_self in (1.0, Unit(1.0)):
+                    pair, spare = (np.empty(a.size, dtype=complex) for _ in range(2))
+                    with np.errstate(all="ignore"):
+                        results.append(_phase_multiplier(a, b, l_self, l_mixed, sigma,
+                                                         pair.real, pair.imag, spare.real))
+                assert results[0].tobytes() == results[1].tobytes()
+
 
 class TestBatch:
     """A batch of paths on a leading axis equals each path evolved alone, bitwise."""

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,33 @@ class TestFftSeam:
             if re.search(r"(np|numpy)\.fft\.i?r?fftn?\b", path.read_text(encoding="utf-8"))
         )
         assert callers == ["grid.py"]
+
+    @pytest.mark.parametrize("dim,n", [(1, 512), (1, 2048), (2, 64), (2, 128)])
+    def test_real_pair_into_out_equals_numpy_bitwise(self, dim, n):
+        # rfft and irfft into out= give numpy's rfftn/irfftn bits; irfft
+        # inverts the leading axes in place in its input, so it allocates no
+        # intermediate spectrum
+        grid = Grid(dim, n, 9.0)
+        rng = np.random.default_rng(dim * n)
+        values = rng.standard_normal(grid.shape)
+        coeffs = np.empty(grid.shape[:-1] + (n // 2 + 1,), dtype=complex)
+        assert grid.rfft(values, out=coeffs) is coeffs
+        expected = np.fft.rfftn(values)
+        assert coeffs.tobytes() == expected.tobytes()
+        assert grid.rfft(values).tobytes() == expected.tobytes()
+        coeffs *= 1.0 + grid.k_sq[..., :n // 2 + 1]
+        expected = np.fft.irfftn(coeffs)
+        assert grid.irfft(coeffs.copy()).tobytes() == expected.tobytes()
+        out = np.empty(grid.shape)
+        tracemalloc.start()
+        try:
+            got = grid.irfft(coeffs, out=out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is out
+        assert out.tobytes() == expected.tobytes()
+        assert peak < coeffs.nbytes // 2
 
 
 class TestProlong:

@@ -170,17 +170,28 @@ class TestSolveGroundState:
         # each level the seed's (1-Lap)P takes 2; each sweep takes 2 for
         # (1-Lap)^-1 N_P, and the new iterate's (1-Lap)P is s N_P, with no
         # transform; the residual measured on the iterate that ends the level
-        # takes 2; each prolongation onto the next level takes 2
+        # takes 2; each prolongation onto the next level takes 2.
+        # Transforms are counted at the Grid seam, whose inverse takes numpy's
+        # passes one axis at a time, and at numpy's n-dimensional functions
+        # called outside it (the prolongation's forward transform), once each
         g = Grid(2, 256, 16.0)
-        calls = []
+        calls, depth = [], [0]
+
+        def counting(original):
+            def counted(*args, **kwargs):
+                if not depth[0]:
+                    calls.append(1)
+                depth[0] += 1
+                try:
+                    return original(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return counted
+
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            monkeypatch.setattr(Grid, name, counting(getattr(Grid, name)))
         for name in ("fftn", "ifftn", "rfftn", "irfftn"):
-            original = getattr(np.fft, name)
-
-            def counted(*args, _original=original, **kwargs):
-                calls.append(1)
-                return _original(*args, **kwargs)
-
-            monkeypatch.setattr(np.fft, name, counted)
+            monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
         gs = solve_ground_state(1.0, 0.5, g, tol=1e-10)
         assert [n for n, _ in gs.levels] == [64, 128, 256]
         assert gs.iterations == sum(m for _, m in gs.levels)
@@ -224,6 +235,23 @@ class TestSolveGroundState:
             with pytest.raises(GroundStateError) as err:
                 solve_ground_state(sigma, beta, g, tol=tol, max_iter=len(trace) - 1)
             assert err.value.residual_trace == trace[:-1]
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_matches_reference_iteration_on_collapse_grid(self, beta):
+        # collapse_2d's 256^2 grid, solved on three levels (the solves the
+        # benchmark times), bitwise the plain two-component oracle's
+        g = load_config(CONFIGS / "collapse_2d.ini").build_grid()
+        ns = _cascade_ns(g.n, g.dim)
+        assert ns == [64, 128, 256]
+        P, Q, trace, levels = _reference_solve(g, 1.0, beta, 1e-10, ns)
+        gs = solve_ground_state(1.0, beta, g, tol=1e-10)
+        assert gs.P.tobytes() == P.tobytes()
+        assert gs.Q.tobytes() == Q.tobytes()
+        assert gs.levels == tuple(levels)
+        assert gs.residual_inf == trace[-1] < 1e-10
+        with pytest.raises(GroundStateError) as err:
+            solve_ground_state(1.0, beta, g, tol=1e-10, max_iter=len(trace) - 1)
+        assert err.value.residual_trace == trace[:-1]
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_cascade_agrees_with_one_level(self, beta):

@@ -24,9 +24,9 @@ from scnls import (
     virial_residuals,
 )
 
-from scnls.dynamics import SystemState, Workspace, _spectral_diagnostics
+from scnls.dynamics import SystemState, Workspace, _node_sums, _spectral_diagnostics
 from scnls.grid import Grid
-from scnls.observables import _ROW_NAMES, TrajectoryRecorder, _criterion_extrema
+from scnls.observables import _ROW_NAMES, TrajectoryRecorder, _criterion_extrema, _ito_terms
 
 from conftest import make_state, random_smooth_field, scalar_coupling
 
@@ -486,6 +486,47 @@ class TestBlowupCriterion:
             value = m_bar + 4 * t_bar * m_bar - 8 * t_bar**2 * (h_bar * 1.0001) \
                 + (4.0 / 3.0) * t_bar**3 * f * m_bar
             assert value < 0
+
+
+class TestItoTerms:
+    @staticmethod
+    def _per_mode(fields, model, rows, spectra):
+        # the Ito integrands mode by mode: one product and one node sum per
+        # (mode, axis), each (mode, path) sum over that path's own nodes
+        grid = model.grid
+        h = grid.spacing**grid.dim
+        energy = np.zeros(fields.shape[:2] + (model.K,))
+        moment = np.zeros_like(energy)
+        for i in rows:
+            grad_modes = (model.grad_modes_u, model.grad_modes_v)[i]
+            xdot = (model.xdot_grad_u, model.xdot_grad_v)[i]
+            density = np.square(np.abs(fields[i]))
+            for k in range(model.K):
+                moment[i, :, k] = _node_sums(density * xdot[k], grid) * h
+            for axis in range(grid.dim):
+                derivative = grid._derivative(spectra[i], axis) * np.conj(fields[i])
+                for k in range(model.K):
+                    energy[i, :, k] += _node_sums(derivative.imag * grad_modes[k, axis], grid)
+        return energy * h, moment
+
+    @pytest.mark.parametrize("dead", [0, 1])
+    def test_matches_per_mode_sums_bitwise(self, grid_2d, dead):
+        # 2D, each component with its own K = 3 modes (C = 2), a batch of 3
+        # paths, and one dead row, whose terms are 0
+        model = build_noise_model(NoiseSpec(K=3, a0=0.3, shared_modes=False), grid_2d)
+        assert model.grad_modes.shape[:2] == (2, 3)
+        rng = np.random.default_rng(8)
+        fields = np.zeros((2, 3) + grid_2d.shape, dtype=complex)
+        for p in range(3):
+            fields[1 - dead, p] = random_smooth_field(grid_2d, rng, n_modes=5)
+        spectra = grid_2d.fft(fields)
+        rows = (1 - dead,)
+        energy, moment = _ito_terms(fields, model, rows, spectra)
+        expected = self._per_mode(fields, model, rows, spectra)
+        assert energy.tobytes() == expected[0].tobytes()
+        assert moment.tobytes() == expected[1].tobytes()
+        assert not energy[dead].any() and not moment[dead].any()
+        assert energy[1 - dead].all() and moment[1 - dead].all()
 
 
 class TestRecordRow:
