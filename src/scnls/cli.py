@@ -4,7 +4,7 @@ Subcommands: simulate, ensemble, groundstate, verify, criterion.
 ``criterion`` solves the blow-up criterion polynomial of the initial data in
 closed form on horizons up to ``--tbar``: its exact minimum and the earliest
 horizon that certifies blow-up (``t_bar_certified``, null when none does).
-Exit codes: 0 completed, 1 config error, 2 blow-up detected (simulate),
+Exit codes: 0 completed, 1 config or usage error, 2 blow-up (simulate),
 3 runtime or I/O failure.  SCNLS_OUTPUT_DIR overrides the configured output
 directory; SCNLS_WORKERS sets the default of ``ensemble --workers``.
 """
@@ -17,7 +17,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config
-from .groundstate import GroundStateError, solve_ground_state
+from .groundstate import GroundStateError
 from .harness import (
     HarnessError,
     _resolve_output_dir,
@@ -33,45 +33,44 @@ from .harness import (
 ENV_WORKERS = "SCNLS_WORKERS"
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Exit 1 on a usage error, as on a config error: 2 means a detected blow-up."""
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="scnls",
         description="Spectral simulator and verification toolkit for the "
         "stochastic coupled nonlinear Schrodinger system",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate one path and write its trajectory CSV")
-    p.add_argument("config")
-    p.add_argument("--output-dir", default=None)
+    sub.add_parser("simulate", help="integrate one path and write its trajectory CSV")
 
     p = sub.add_parser("ensemble", help="Monte Carlo ensemble of independent paths")
-    p.add_argument("config")
     p.add_argument("--paths", type=int, required=True)
     # a string default goes through type=int, so a bad value is a usage error
     p.add_argument("--workers", type=int, default=os.environ.get(ENV_WORKERS, "1"))
-    p.add_argument("--output-dir", default=None)
     p.add_argument("--threshold-study", type=str, default=None, metavar="MASSES",
                    help="comma-separated mass-combination targets; runs the "
                    "mass-critical threshold study instead of a plain ensemble")
 
-    p = sub.add_parser("groundstate", help="solve the coupled elliptic ground state")
-    p.add_argument("config")
-    p.add_argument("--output-dir", default=None)
-
-    p = sub.add_parser("verify", help="check conservation/evolution identities")
-    p.add_argument("config")
-    p.add_argument("--output-dir", default=None)
+    sub.add_parser("groundstate", help="solve the coupled elliptic ground state")
+    sub.add_parser("verify", help="check conservation/evolution identities")
 
     p = sub.add_parser("criterion", help="solve the blow-up criterion polynomial up to --tbar")
-    p.add_argument("config")
     p.add_argument("--tbar", type=float, required=True)
-    p.add_argument("--output-dir", default=None)
+
+    # every command reads a config, which main loads, and takes an output directory
+    for p in sub.choices.values():
+        p.add_argument("config")
+        p.add_argument("--output-dir", default=None)
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_simulate(cfg, args) -> int:
     result = run_single(cfg, args.output_dir)
     print(f"outcome: {result.outcome}"
           + (f" at t*={result.t_star}" if result.t_star is not None else ""))
@@ -79,8 +78,7 @@ def _cmd_simulate(args) -> int:
     return result.exit_code
 
 
-def _cmd_ensemble(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_ensemble(cfg, args) -> int:
     if args.threshold_study is not None:
         try:
             masses = [float(tok) for tok in args.threshold_study.split(",") if tok.strip()]
@@ -95,12 +93,9 @@ def _cmd_ensemble(args) -> int:
     return 0
 
 
-def _cmd_groundstate(args) -> int:
-    cfg = load_config(args.config)
-    grid = cfg.build_grid()
-    beta = cfg.ground_state_beta()
-    gs = solve_ground_state(cfg.coupling.sigma, beta, grid,
-                            tol=cfg.groundstate_tol, max_iter=cfg.groundstate_max_iter)
+def _cmd_groundstate(cfg, args) -> int:
+    gs = cfg.ground_state()
+    grid = gs.grid
     out = _resolve_output_dir(cfg, args.output_dir)
     payload = {
         "sigma": gs.sigma,
@@ -127,15 +122,13 @@ def _cmd_groundstate(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_verify(cfg, args) -> int:
     report = verify(cfg, args.output_dir)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_criterion(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_criterion(cfg, args) -> int:
     report = criterion_sweep(cfg, args.tbar)
     if args.output_dir is not None:
         _write_json(_resolve_output_dir(cfg, args.output_dir) / "criterion.json", report)
@@ -155,7 +148,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](load_config(args.config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -39,6 +39,7 @@ import numpy as np
 
 from .dynamics import Coupling, SystemState
 from .grid import Grid, load_field_snapshot
+from .groundstate import GroundStatePair, _check_arguments, solve_ground_state
 from .noise import NoiseModel, NoiseSpec, build_noise_model
 
 __all__ = ["ConfigError", "InitialSpec", "RunConfig", "load_config", "parse_config"]
@@ -180,15 +181,11 @@ class RunConfig:
             raise ConfigError(f"theta_grad must be positive and finite, got {self.theta_grad}")
         if not (0 < self.theta_tail <= 1):
             raise ConfigError("theta_tail must lie in (0, 1]")
-        if self.groundstate_beta is not None and not 0 <= self.groundstate_beta < np.inf:
-            raise ConfigError(
-                f"[groundstate] beta must be finite and >= 0, got {self.groundstate_beta}")
-        if not 0 < self.groundstate_tol < np.inf:
-            raise ConfigError(
-                f"[groundstate] tol must be positive and finite, got {self.groundstate_tol}")
-        if self.groundstate_max_iter < 1:
-            raise ConfigError(
-                f"[groundstate] max_iter must be >= 1, got {self.groundstate_max_iter}")
+        beta = 0.0 if self.groundstate_beta is None else self.groundstate_beta
+        try:
+            _check_arguments(beta, self.groundstate_tol, self.groundstate_max_iter)
+        except ValueError as exc:
+            raise ConfigError(f"[groundstate] {exc}") from exc
         self.coupling.check_dimension(self.dim)
 
     def build_grid(self) -> Grid:
@@ -202,15 +199,16 @@ class RunConfig:
     def build_noise_model(self, grid: Grid) -> NoiseModel:
         return build_noise_model(self.noise, grid)
 
-    def ground_state_beta(self) -> float:
-        """The [groundstate] beta when set, else the interaction ratio
-        l12 / sqrt(l11 l22) when that is positive, else 0."""
-        if self.groundstate_beta is not None:
-            return self.groundstate_beta
-        c = self.coupling
-        if c.l11 > 0 and c.l22 > 0 and c.l12 > 0:
-            return c.l12 / np.sqrt(c.l11 * c.l22)
-        return 0.0
+    def ground_state(self) -> GroundStatePair:
+        """The ground state on the configured grid, solved with the [groundstate]
+        tol and max_iter at its beta when set, else at the interaction ratio
+        l12 / sqrt(l11 l22) when that is positive, else at 0."""
+        beta, c = self.groundstate_beta, self.coupling
+        if beta is None:
+            positive = c.l11 > 0 and c.l22 > 0 and c.l12 > 0
+            beta = c.l12 / np.sqrt(c.l11 * c.l22) if positive else 0.0
+        return solve_ground_state(c.sigma, beta, self.build_grid(), tol=self.groundstate_tol,
+                                  max_iter=self.groundstate_max_iter)
 
     def to_dict(self) -> dict:
         """Plain-value echo of the configuration for manifests, read off the

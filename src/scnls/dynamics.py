@@ -541,6 +541,11 @@ def _finite_paths(state: SystemState) -> np.ndarray:
     return np.isfinite(fields.reshape(2, fields.shape[1], -1)).all(axis=(0, 2))
 
 
+def _step_count(T: float, dt: float) -> int:
+    """Whole steps of size dt up to T, with 1e-9 of a step of slack for T's round-off."""
+    return int(np.floor(T / dt + 1e-9))
+
+
 def evolve(
     state0: SystemState,
     T: float,
@@ -585,7 +590,7 @@ def evolve(
         raise ValueError("need T >= 0 and dt > 0")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
-    n_steps = int(np.floor(T / dt + 1e-9))
+    n_steps = _step_count(T, dt)
     effective_T = n_steps * dt
     dropped = max(T - effective_T, 0.0)
     if dropped > 1e-9 * max(dt, 1.0):

@@ -239,6 +239,17 @@ def _solve_levels(sigma: float, beta: float, grid: Grid, tol: float, max_iter: i
     return P
 
 
+def _check_arguments(beta: float, tol: float, max_iter: int) -> None:
+    """Raise ``ValueError`` unless beta, tol and max_iter are valid for the solver."""
+    # written so that NaN and inf fail too
+    if not 0 <= beta < np.inf:
+        raise ValueError(f"beta must be finite and >= 0, got {beta}")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def solve_ground_state(
     sigma: float,
     beta: float,
@@ -261,13 +272,7 @@ def solve_ground_state(
     upper = np.inf if dim <= 2 else 4.0 / (dim - 2)
     if not (0 < sigma < upper):
         raise ValueError(f"sigma must lie in (0, {upper}) for dim={dim}, got {sigma}")
-    # written so that NaN and inf fail too
-    if not 0 <= beta < np.inf:
-        raise ValueError(f"beta must be finite and >= 0, got {beta}")
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _check_arguments(beta, tol, max_iter)
     if 2.0 * sigma + 2.0 - dim * sigma <= 0:
         warnings.warn(
             "sigma at or beyond the energy-critical exponent; the constant's "

@@ -32,9 +32,9 @@ import numpy as np
 
 from ._version import __version__
 from .config import ConfigError, RunConfig
-from .dynamics import SystemState, TrajectoryResult, _spectral_diagnostics, evolve
+from .dynamics import SystemState, TrajectoryResult, _spectral_diagnostics, _step_count, evolve
 from .grid import load_field_snapshot, save_field_snapshot
-from .groundstate import critical_threshold, solve_ground_state
+from .groundstate import critical_threshold
 from .noise import sample_increments
 from .observables import (
     _BATCH_NODES,
@@ -454,14 +454,11 @@ def threshold_study(
     out = _resolve_output_dir(cfg, output_dir)
     rows: list[dict] = []
     if mass_grid:
-        grid = cfg.build_grid()
-        beta = cfg.ground_state_beta()
-        gs = solve_ground_state(c.sigma, beta, grid, tol=cfg.groundstate_tol,
-                                max_iter=cfg.groundstate_max_iter)
-        k = gs.k_opt_single if beta == 0.0 else gs.k_opt_pair
+        gs = cfg.ground_state()
+        k = gs.k_opt_single if gs.beta == 0.0 else gs.k_opt_pair
         threshold = critical_threshold(c.l11, c.l22, k)
 
-        mu, mv, _ = mass(cfg.build_state(grid))
+        mu, mv, _ = mass(cfg.build_state(gs.grid))
         s0 = np.sqrt(c.l11) * mu + np.sqrt(c.l22) * mv
         if s0 <= 0:
             raise ConfigError("threshold_study requires nonzero initial data")
@@ -537,8 +534,9 @@ def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
     Runs the configured trajectory with identities tracked at each step size
     of ``[dt, dt/2]`` on one Brownian path (the finest increments are drawn
     once and pair-summed for each coarser level) and reports the values at
-    dt, the convergence orders over the levels, and pass flags.
-    Requires record_every = 1.
+    dt, the convergence orders over the levels, and pass flags.  The dt level
+    runs the n steps of a plain run to T, and alone warns when T is not a
+    multiple of dt; level l runs n 2^l steps to n dt.  Needs record_every = 1.
     """
     if cfg.record_every != 1:
         raise ConfigError("verify requires record_every = 1")
@@ -546,13 +544,18 @@ def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
 
     dts = [cfg.dt, cfg.dt / 2]
     K = cfg.noise.K
-    n_fine = int(np.floor(cfg.T / cfg.dt + 1e-9)) * 2 ** (len(dts) - 1)
+    n_steps = _step_count(cfg.T, cfg.dt)
+    if n_steps == 0:
+        raise ConfigError(f"verify needs T >= dt, got T={cfg.T}, dt={cfg.dt}")
+    n_fine = n_steps * 2 ** (len(dts) - 1)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     increments = [sample_increments(n_fine * K, dts[-1], rng).reshape(n_fine, K)]
     while len(increments) < len(dts):
         increments.insert(0, increments[0][0::2] + increments[0][1::2])
-    results = [_run_verify_trajectory(dataclasses.replace(cfg, dt=dt, track_identities=True), dw)
-               for dt, dw in zip(dts, increments)]
+    horizons = [cfg.T] + [n_steps * cfg.dt] * (len(dts) - 1)
+    results = [_run_verify_trajectory(
+                   dataclasses.replace(cfg, T=T, dt=dt, track_identities=True), dw)
+               for T, dt, dw in zip(horizons, dts, increments)]
     levels = [_identity_metrics(result.record) for result in results]
 
     def _order(section, key, size):

@@ -43,9 +43,9 @@ class NoiseSpec:
     """Configuration of the finite mode family.
 
     Mode k (k = 0..K-1) carries amplitude ``a0 * (1 + k)**(-decay_p)``.
-    ``family="fourier"`` uses the lowest cos/sin box modes
-    (cos(2*pi*m.x/L), sin(2*pi*m.x/L), ordered by |m|^2); ``family="constant"``
-    uses the constant function 1 for every mode.  With ``shared_modes`` both
+    ``family="fourier"`` uses the box modes cos(2*pi*m.x/L), sin(2*pi*m.x/L),
+    m in the order of :func:`_frequency_vectors`; ``family="constant"`` uses
+    the constant function 1 for every mode.  With ``shared_modes`` both
     components use the same mode shapes; otherwise component 2 takes the next
     K members of the family.  ``scale_u``/``scale_v`` multiply the modes of the
     respective component.
@@ -80,8 +80,8 @@ class NoiseSpec:
 def _frequency_vectors(dim: int):
     """Canonical half-space enumeration of nonzero integer frequencies.
 
-    Yields vectors with first nonzero entry positive, sorted by (|m|^2, m),
-    so the cos/sin pairs they generate are a fixed, documented order.
+    Yields vectors with first nonzero entry positive, by ring max(|m_1|, |m_2|),
+    then by (|m|^2, m), so (3, +-3) precedes (0, 4): a fixed, documented order.
     """
     radius = 1
     while True:

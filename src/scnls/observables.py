@@ -85,6 +85,7 @@ use the trapezoid rule on the recorded cadence.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from array import array
@@ -294,11 +295,8 @@ class TrajectoryRecord:
         return len(self.t)
 
 
-_ROW_NAMES = (
-    "t", "mass_u", "mass_v", "H", "V", "G", "grad_norm_sq",
-    "spectral_tail_fraction", "paper_kernel", "gradient_kernel",
-    "coupling_quartic", "stoch_energy", "stoch_G",
-)
+# the record's series fields, in order: one column of a recorder row each
+_ROW_NAMES = tuple(f.name for f in dataclasses.fields(TrajectoryRecord) if f.type == "np.ndarray")
 
 
 def _ito_terms(fields: np.ndarray, model: NoiseModel, rows,

@@ -1017,3 +1017,102 @@ class TestCli:
         assert cli_main(argv) == 1
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "ts" / "threshold_study.csv").exists()
+
+
+class TestVerifyHorizon:
+    """Every verify level runs to the horizon n dt of the dt level's n whole steps."""
+
+    @staticmethod
+    def _soliton_file(tmp_path, T):
+        text = (Path(__file__).resolve().parent.parent / "configs" / "soliton.ini").read_text()
+        cfg_file = tmp_path / f"soliton_{T}.ini"
+        cfg_file.write_text(text.replace("T = 1.0", f"T = {T}"))
+        return cfg_file
+
+    def test_t_not_a_multiple_of_dt(self, tmp_path, monkeypatch, capsys):
+        import scnls.harness
+
+        ends = []
+
+        def run_level(cfg, increments):
+            result = run_level.original(cfg, increments)
+            ends.append((result.steps, float(result.record.t[-1])))
+            return result
+
+        run_level.original = scnls.harness._run_verify_trajectory
+        monkeypatch.setattr(scnls.harness, "_run_verify_trajectory", run_level)
+        cfg_file = self._soliton_file(tmp_path, 0.0106)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli_main(["verify", str(cfg_file), "--output-dir", str(tmp_path / "out")])
+        assert code == 0, capsys.readouterr().err
+        assert [steps for steps, _ in ends] == [10, 20]
+        assert [t for _, t in ends] == [pytest.approx(0.010, abs=1e-15)] * 2
+        # raised once, by the dt level
+        assert [str(w.message) for w in caught] == [
+            "T=0.0106 is not a multiple of dt=0.001; integrating to 0.01"]
+
+    def test_dropped_remainder_leaves_the_report_unchanged(self, tmp_path):
+        from scnls import load_config
+
+        whole = verify(load_config(self._soliton_file(tmp_path, 0.01)), tmp_path / "whole")
+        with pytest.warns(UserWarning, match="not a multiple of dt"):
+            cut = verify(load_config(self._soliton_file(tmp_path, 0.0104)), tmp_path / "cut")
+        assert cut == whole
+        assert ((tmp_path / "cut" / "verify.json").read_bytes()
+                == (tmp_path / "whole" / "verify.json").read_bytes())
+
+    def test_t_below_dt_is_a_config_error(self, tmp_path):
+        # no level would take a step, so no identity would be checked
+        with pytest.raises(ConfigError, match="T >= dt"):
+            verify(base_config(T=4e-4, dt=1e-3, record_every=1), tmp_path)
+
+
+class TestSnapshotBits:
+    def test_signed_zeros_nan_and_inf_round_trip(self, tmp_path, grid_2d):
+        rng = np.random.default_rng(3)
+        parts = rng.standard_normal(grid_2d.shape + (2,))
+        payload_nan = np.array([0xFFF8_0000_0000_0001], dtype=np.uint64).view(float)[0]
+        special = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (1.0, np.nan), (2.0, np.inf),
+                   (3.0, -np.inf), (np.nan, 4.0), (5.0, payload_nan)]
+        parts[0, :len(special)] = special
+        values = parts.view(complex)[..., 0]
+        path = tmp_path / "field.bin"
+        save_field_snapshot(path, grid_2d, values)
+
+        # the file is the explicit little-endian (re, im) interleave, row-major
+        interleaved = np.empty(2 * grid_2d.node_count, dtype="<f8")
+        interleaved[0::2] = values.real.reshape(-1)
+        interleaved[1::2] = values.imag.reshape(-1)
+        assert path.read_bytes() == interleaved.tobytes()
+
+        _, loaded = load_field_snapshot(path)
+        assert loaded.shape == grid_2d.shape and loaded.dtype == complex
+        assert loaded.flags.writeable
+        np.testing.assert_array_equal(loaded.view(np.uint64), values.view(np.uint64))
+
+
+class TestCliUsageErrors:
+    """A usage error exits 1, never 2, which means a detected blow-up."""
+
+    @pytest.mark.parametrize("args, env", [
+        pytest.param(["simulate"], None, id="no_config"),
+        pytest.param(["criterion", "{cfg}", "--tbar", "abc"], None, id="tbar_abc"),
+        pytest.param(["ensemble", "{cfg}", "--paths", "2"], "many", id="workers_env_many"),
+        pytest.param(["verify", "{cfg}", "--no-such-flag"], None, id="unknown_flag"),
+    ])
+    def test_usage_error_exits_one(self, tmp_path, monkeypatch, capsys, args, env):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT)
+        if env is not None:
+            monkeypatch.setenv("SCNLS_WORKERS", env)
+        with pytest.raises(SystemExit) as exc:
+            cli_main([arg.format(cfg=cfg_file) for arg in args])
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["simulate", "--help"])
+        assert exc.value.code == 0
+        assert "usage: scnls simulate" in capsys.readouterr().out

@@ -174,3 +174,20 @@ class TestStratonovichPhase:
         stat = 5 * np.sqrt(model.sup_F_u / (n_samples * dt)) * np.abs(f).max()
         bias = model.sup_F_u**2 * dt / 8 * np.abs(f).max()
         assert np.max(np.abs(mean_step - target)) < stat + bias
+
+
+class TestFrequencyOrder:
+    def test_2d_vectors_go_ring_by_ring(self):
+        # by max(|m1|, |m2|), then by (|m|^2, m) within a ring: (3, +-3), with
+        # |m|^2 = 18, comes before (0, 4), with 16.  Outputs depend on this order.
+        import itertools
+
+        from scnls.noise import _frequency_vectors
+
+        assert list(itertools.islice(_frequency_vectors(2), 26)) == [
+            (0, 1), (1, 0), (1, -1), (1, 1),
+            (0, 2), (2, 0), (1, -2), (1, 2), (2, -1), (2, 1), (2, -2), (2, 2),
+            (0, 3), (3, 0), (1, -3), (1, 3), (3, -1), (3, 1), (2, -3), (2, 3), (3, -2),
+            (3, 2), (3, -3), (3, 3),
+            (0, 4), (4, 0),
+        ]
