@@ -540,13 +540,13 @@ def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
     """
     if cfg.record_every != 1:
         raise ConfigError("verify requires record_every = 1")
+    n_steps = _step_count(cfg.T, cfg.dt)
+    if n_steps == 0:
+        raise ConfigError(f"verify needs T >= dt, got T={cfg.T}, dt={cfg.dt}")
     out = _resolve_output_dir(cfg, output_dir)
 
     dts = [cfg.dt, cfg.dt / 2]
     K = cfg.noise.K
-    n_steps = _step_count(cfg.T, cfg.dt)
-    if n_steps == 0:
-        raise ConfigError(f"verify needs T >= dt, got T={cfg.T}, dt={cfg.dt}")
     n_fine = n_steps * 2 ** (len(dts) - 1)
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     increments = [sample_increments(n_fine * K, dts[-1], rng).reshape(n_fine, K)]

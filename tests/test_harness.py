@@ -1065,7 +1065,8 @@ class TestVerifyHorizon:
     def test_t_below_dt_is_a_config_error(self, tmp_path):
         # no level would take a step, so no identity would be checked
         with pytest.raises(ConfigError, match="T >= dt"):
-            verify(base_config(T=4e-4, dt=1e-3, record_every=1), tmp_path)
+            verify(base_config(T=4e-4, dt=1e-3, record_every=1), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestSnapshotBits:

@@ -29,9 +29,11 @@ class TestSameOutputs:
         assert (tmp_path / "change" / "criterion" / "criterion.json").is_file()
 
     def test_a_different_tree_is_reported(self, tmp_path, capsys):
-        # a tree whose scnls prints one line and exits 3 on every command
+        # a tree whose scnls prints one line and exits 3 on every command; a
+        # regular package, so it comes before an installed scnls on sys.path
         other = tmp_path / "other"
         (other / "src" / "scnls").mkdir(parents=True)
+        (other / "src" / "scnls" / "__init__.py").write_text("")
         (other / "src" / "scnls" / "__main__.py").write_text(
             "import sys\nprint('other')\nsys.exit(3)\n")
         tool = _same_outputs()
