@@ -34,6 +34,7 @@ from .harness import (
     EnsembleResult,
     HarnessError,
     criterion_sweep,
+    ground_state_report,
     path_seed,
     run_ensemble,
     run_single,
@@ -53,6 +54,6 @@ __all__ = [
     "GroundStateError", "GroundStatePair", "critical_threshold", "gn_ratio",
     "solve_ground_state",
     "ConfigError", "InitialSpec", "RunConfig", "load_config", "parse_config",
-    "BlowupDetector", "EnsembleResult", "HarnessError", "criterion_sweep",
+    "BlowupDetector", "EnsembleResult", "HarnessError", "criterion_sweep", "ground_state_report",
     "path_seed", "run_ensemble", "run_single", "splitmix64", "threshold_study", "verify",
 ]

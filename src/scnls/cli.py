@@ -1,6 +1,9 @@
-"""Command-line interface.
+"""Command-line interface: parses the arguments, dispatches and prints.
 
 Subcommands: simulate, ensemble, groundstate, verify, criterion.
+:mod:`scnls.harness` writes every output file.  ``simulate`` prints its
+outcome and trajectory path; the other four commands print the JSON report
+the harness returns, in the text of the harness's JSON files.
 ``criterion`` solves the blow-up criterion polynomial of the initial data in
 closed form on horizons up to ``--tbar``: its exact minimum and the earliest
 horizon that certifies blow-up (``t_bar_certified``, null when none does).
@@ -12,18 +15,16 @@ directory; SCNLS_WORKERS sets the default of ``ensemble --workers``.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 from .config import ConfigError, load_config
+from .grid import json_text
 from .groundstate import GroundStateError
 from .harness import (
     HarnessError,
-    _resolve_output_dir,
-    _write_csv,
-    _write_json,
     criterion_sweep,
+    ground_state_report,
     run_ensemble,
     run_single,
     threshold_study,
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(cfg, args) -> int:
+def _simulate(cfg, args) -> int:
     result = run_single(cfg, args.output_dir)
     print(f"outcome: {result.outcome}"
           + (f" at t*={result.t_star}" if result.t_star is not None else ""))
@@ -78,77 +79,35 @@ def _cmd_simulate(cfg, args) -> int:
     return result.exit_code
 
 
-def _cmd_ensemble(cfg, args) -> int:
-    if args.threshold_study is not None:
-        try:
-            masses = [float(tok) for tok in args.threshold_study.split(",") if tok.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"--threshold-study takes comma-separated numbers: {exc}") from exc
-        rows = threshold_study(cfg, masses, args.paths, workers=args.workers,
-                               output_dir=args.output_dir)
-        print(json.dumps(rows, indent=2, sort_keys=True))
-        return 0
-    ens = run_ensemble(cfg, args.paths, workers=args.workers, output_dir=args.output_dir)
-    print(json.dumps(ens.to_dict(), indent=2, sort_keys=True))
-    return 0
+def _ensemble(cfg, args):
+    if args.threshold_study is None:
+        return run_ensemble(cfg, args.paths, workers=args.workers,
+                            output_dir=args.output_dir).to_dict()
+    try:
+        masses = [float(tok) for tok in args.threshold_study.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--threshold-study takes comma-separated numbers: {exc}") from exc
+    return threshold_study(cfg, masses, args.paths, workers=args.workers,
+                           output_dir=args.output_dir)
 
 
-def _cmd_groundstate(cfg, args) -> int:
-    gs = cfg.ground_state()
-    grid = gs.grid
-    out = _resolve_output_dir(cfg, args.output_dir)
-    payload = {
-        "sigma": gs.sigma,
-        "beta": gs.beta,
-        "N": grid.dim,
-        "l2_P": gs.norm_sq_P,
-        "l2_Q": gs.norm_sq_Q,
-        "k_opt": gs.k_opt_pair,
-        "k_opt_single_component": gs.k_opt_single,
-        "residual_inf": gs.residual_inf,
-        "iterations": gs.iterations,
-        "levels": [{"n": n, "iterations": m} for n, m in gs.levels],
-        "grid": {"dim": grid.dim, "n": grid.n, "L": grid.length},
-    }
-    _write_json(out / "groundstate.json", payload)
-
-    # radial profile along the positive x-axis through the box center
-    half = grid.n // 2
-    line = (slice(half, None),) + (half,) * (grid.dim - 1)
-    _write_csv(out / "groundstate_profile.csv", ["r", "P", "Q"],
-               zip(grid.x[0][line], gs.P[line], gs.Q[line]))
-
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_verify(cfg, args) -> int:
-    report = verify(cfg, args.output_dir)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
-def _cmd_criterion(cfg, args) -> int:
-    report = criterion_sweep(cfg, args.tbar)
-    if args.output_dir is not None:
-        _write_json(_resolve_output_dir(cfg, args.output_dir) / "criterion.json", report)
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return 0
-
-
-_COMMANDS = {
-    "simulate": _cmd_simulate,
-    "ensemble": _cmd_ensemble,
-    "groundstate": _cmd_groundstate,
-    "verify": _cmd_verify,
-    "criterion": _cmd_criterion,
+# the commands that print the JSON report they return
+_REPORTS = {
+    "ensemble": _ensemble,
+    "groundstate": lambda cfg, args: ground_state_report(cfg, args.output_dir),
+    "verify": lambda cfg, args: verify(cfg, args.output_dir),
+    "criterion": lambda cfg, args: criterion_sweep(cfg, args.tbar, args.output_dir),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](load_config(args.config), args)
+        cfg = load_config(args.config)
+        if args.command == "simulate":
+            return _simulate(cfg, args)
+        print(json_text(_REPORTS[args.command](cfg, args)), end="")
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -56,6 +56,14 @@ _FAMILY_KEYS = {
     "zero": {"required": set(), "optional": set()},
 }
 
+
+def _check_family(family: str) -> None:
+    """Raise ``ConfigError`` unless ``family`` is an initial-data family."""
+    if family not in _FAMILY_KEYS:
+        raise ConfigError(f"unknown initial-data family {family!r}; "
+                          f"choose from {sorted(_FAMILY_KEYS)}")
+
+
 # The schema.  Each section lists its keys as manifests spell them, with their
 # types: first the keys a file must set, then those it may omit, which take
 # the defaults of the RunConfig, Coupling and NoiseSpec fields.  A section is
@@ -104,11 +112,7 @@ class InitialSpec:
     path: str = ""
 
     def __post_init__(self):
-        if self.family not in _FAMILY_KEYS:
-            raise ConfigError(
-                f"unknown initial-data family {self.family!r}; "
-                f"choose from {sorted(_FAMILY_KEYS)}"
-            )
+        _check_family(self.family)
         if not np.isfinite([self.amplitude, self.width, self.center, self.chirp]).all():
             raise ConfigError(f"initial-data parameters must be finite, got {self}")
         if self.family in ("gaussian", "sech") and self.width <= 0:
@@ -186,7 +190,6 @@ class RunConfig:
             _check_arguments(beta, self.groundstate_tol, self.groundstate_max_iter)
         except ValueError as exc:
             raise ConfigError(f"[groundstate] {exc}") from exc
-        self.coupling.check_dimension(self.dim)
 
     def build_grid(self) -> Grid:
         return Grid(self.dim, self.n, self.L)
@@ -248,11 +251,10 @@ def _read(parser, section, required: dict, optional: dict) -> dict:
 
 def _parse_initial(parser, section) -> InitialSpec:
     family = _read(parser, section, {"family": str}, {})["family"]
-    if family not in _FAMILY_KEYS:
-        raise ConfigError(
-            f"unknown initial-data family {family!r} in [{section}]; "
-            f"choose from {sorted(_FAMILY_KEYS)}"
-        )
+    try:
+        _check_family(family)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
     keys = _FAMILY_KEYS[family]
     present = set(parser[section].keys()) - {"family"}
     extra = present - keys["required"] - keys["optional"]

@@ -136,24 +136,6 @@ class Coupling:
     def l22(self) -> float:
         return float(self.lam[1, 1])
 
-    def check_dimension(self, dim: int) -> None:
-        """Warn when sigma falls outside the local-theory range for this dim.
-
-        The admissible set is [0, 2/dim) union (1/2, 2/(dim-2)^+); for
-        dim <= 2 the upper limit is infinite.
-        """
-        upper = np.inf if dim <= 2 else 2.0 / (dim - 2)
-        if self.sigma >= upper:
-            warnings.warn(
-                f"sigma={self.sigma} is not subcritical for dim={dim}", stacklevel=2
-            )
-        if not (self.sigma < 2.0 / dim or self.sigma > 0.5):
-            warnings.warn(
-                f"sigma={self.sigma} lies outside the well-posedness range "
-                f"[0, {2.0 / dim}) u (0.5, {upper}) for dim={dim}",
-                stacklevel=2,
-            )
-
     def is_mass_critical(self, dim: int) -> bool:
         return abs(self.sigma - 2.0 / dim) < 1e-12
 

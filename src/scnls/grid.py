@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Grid", "save_field_snapshot", "load_field_snapshot"]
+__all__ = ["Grid", "json_text", "save_field_snapshot", "load_field_snapshot"]
 
 
 class Grid:
@@ -199,6 +199,11 @@ class Grid:
         return f"Grid(dim={self.dim}, n={self.n}, length={self.length})"
 
 
+def json_text(payload) -> str:
+    """The JSON text of every scnls file and report: indent 2, sorted keys, final newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def save_field_snapshot(path: str | Path, grid: Grid, values: np.ndarray) -> None:
     """Raw snapshot: little-endian float64 (re, im) pairs in row-major node order.
 
@@ -215,8 +220,7 @@ def save_field_snapshot(path: str | Path, grid: Grid, values: np.ndarray) -> Non
         "layout": "row-major",
         "dtype": "<f8 interleaved re,im",
     }
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.with_suffix(path.suffix + ".json").write_text(json_text(sidecar), encoding="utf-8")
 
 
 def load_field_snapshot(path: str | Path) -> tuple[Grid, np.ndarray]:

@@ -71,7 +71,6 @@ the ``k_opt_pair`` and ``k_opt_single`` fields of :class:`GroundStatePair`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,21 +263,15 @@ def solve_ground_state(
     ``grid`` is below ``tol``.  Raises :class:`GroundStateError` when the
     sweeps of all levels together exceed ``max_iter`` (with the residual
     trace of every sweep attached), at a non-finite residual, or on
-    collapse to the zero solution.  Raises ``ValueError`` for a sigma out
-    of range, a negative or non-finite beta, a non-positive or non-finite
-    ``tol``, or ``max_iter`` < 1.
+    collapse to the zero solution.  Raises ``ValueError`` for a non-positive
+    or non-finite sigma, a negative or non-finite beta, a non-positive or
+    non-finite ``tol``, or ``max_iter`` < 1.
     """
     dim = grid.dim
-    upper = np.inf if dim <= 2 else 4.0 / (dim - 2)
-    if not (0 < sigma < upper):
-        raise ValueError(f"sigma must lie in (0, {upper}) for dim={dim}, got {sigma}")
+    # a grid has dim 1 or 2, where every positive finite sigma is energy-subcritical
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must lie in (0, inf) for dim={dim}, got {sigma}")
     _check_arguments(beta, tol, max_iter)
-    if 2.0 * sigma + 2.0 - dim * sigma <= 0:
-        warnings.warn(
-            "sigma at or beyond the energy-critical exponent; the constant's "
-            "formula degenerates",
-            stacklevel=2,
-        )
 
     trace: list[float] = []
     levels: list[tuple[int, int]] = []

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +32,7 @@ import numpy as np
 from ._version import __version__
 from .config import ConfigError, RunConfig
 from .dynamics import SystemState, TrajectoryResult, _spectral_diagnostics, _step_count, evolve
-from .grid import load_field_snapshot, save_field_snapshot
+from .grid import json_text, load_field_snapshot, save_field_snapshot
 from .groundstate import critical_threshold
 from .noise import sample_increments
 from .observables import (
@@ -60,6 +59,7 @@ __all__ = [
     "run_ensemble",
     "threshold_study",
     "verify",
+    "ground_state_report",
     "criterion_sweep",
     "save_field_snapshot",
     "load_field_snapshot",
@@ -149,16 +149,14 @@ def write_trajectory_csv(path: Path, record: TrajectoryRecord) -> None:
     else:
         nan = np.full(len(record), np.nan)
         res_paper = res_gradient = res_v = res_g = nan
-    columns = [
-        record.t, record.mass_u, record.mass_v, record.H, record.V, record.G,
-        record.grad_norm_sq, record.spectral_tail_fraction,
-        res_paper, res_gradient, res_v, res_g,
-    ]
+    # the first eight columns are the record's series of the same names
+    columns = [getattr(record, name) for name in CSV_COLUMNS[:8]]
+    columns += [res_paper, res_gradient, res_v, res_g]
     _write_csv(path, CSV_COLUMNS, zip(*(col.tolist() for col in columns)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json_text(payload), encoding="utf-8")
 
 
 def _manifest(cfg: RunConfig, outcome: dict, files: list[str]) -> dict:
@@ -317,22 +315,14 @@ def _ensemble_path_star(index: int, seed: int, result: TrajectoryResult,
     """One integrated path's CSV (when ``out`` is given) and summary."""
     if out is not None:
         write_trajectory_csv(out / f"path_{index:04d}.csv", result.record)
-    rec = result.record
-    summary = {
+    return {
         "path": index,
         "seed": seed,
         "outcome": result.outcome,
         "t_star": result.t_star,
-        "final": {
-            "t": float(rec.t[-1]),
-            "mass_u": float(rec.mass_u[-1]),
-            "mass_v": float(rec.mass_v[-1]),
-            "H": float(rec.H[-1]),
-            "V": float(rec.V[-1]),
-            "G": float(rec.G[-1]),
-        },
+        # the record's last t, masses, H, V and G: the first six CSV columns
+        "final": {name: float(getattr(result.record, name)[-1]) for name in CSV_COLUMNS[:6]},
     }
-    return summary
 
 
 def _check_counts(n_paths: int, workers: int) -> None:
@@ -600,15 +590,51 @@ def _run_verify_trajectory(cfg: RunConfig, increments: np.ndarray) -> Trajectory
     return _run_trajectory(cfg, [cfg.seed], increments[None])[0]
 
 
+# -- ground state ---------------------------------------------------------------------
+
+
+def ground_state_report(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
+    """The configured ground state (:meth:`RunConfig.ground_state`) and its constants.
+
+    Writes the report to ``groundstate.json`` and P and Q along the positive
+    x-axis through the box center to ``groundstate_profile.csv``; returns
+    the report.
+    """
+    gs = cfg.ground_state()
+    grid = gs.grid
+    out = _resolve_output_dir(cfg, output_dir)
+    report = {
+        "sigma": gs.sigma,
+        "beta": gs.beta,
+        "N": grid.dim,
+        "l2_P": gs.norm_sq_P,
+        "l2_Q": gs.norm_sq_Q,
+        "k_opt": gs.k_opt_pair,
+        "k_opt_single_component": gs.k_opt_single,
+        "residual_inf": gs.residual_inf,
+        "iterations": gs.iterations,
+        "levels": [{"n": n, "iterations": m} for n, m in gs.levels],
+        "grid": {"dim": grid.dim, "n": grid.n, "L": grid.length},
+    }
+    _write_json(out / "groundstate.json", report)
+    half = grid.n // 2
+    line = (slice(half, None),) + (half,) * (grid.dim - 1)
+    _write_csv(out / "groundstate_profile.csv", ["r", "P", "Q"],
+               zip(grid.x[0][line], gs.P[line], gs.Q[line]))
+    return report
+
+
 # -- criterion -----------------------------------------------------------------------
 
 
-def criterion_sweep(cfg: RunConfig, t_bar_max: float) -> dict:
+def criterion_sweep(cfg: RunConfig, t_bar_max: float,
+                    output_dir: str | Path | None = None) -> dict:
     """Solve the blow-up criterion polynomial on horizons in (0, t_bar_max].
 
     Reports its exact minimum, whether any horizon certifies blow-up and the
     earliest one that does (:func:`scnls.observables._criterion_extrema`),
-    and the negative-energy-set bound at the minimizing horizon.  A horizon
+    and the negative-energy-set bound at the minimizing horizon.  Writes the
+    report to ``criterion.json`` only when ``output_dir`` is given.  A horizon
     at which the polynomial is not finite is a config error.
     """
     if not 0 < t_bar_max < np.inf:
@@ -628,7 +654,7 @@ def criterion_sweep(cfg: RunConfig, t_bar_max: float) -> dict:
         crit.V0, crit.G0, crit.H0, crit.M0, crit.min_sup_F, t_bar_max
     )
     m_bar = max(crit.V0, crit.G0, crit.M0)
-    return {
+    report = {
         "t_bar_max": t_bar_max,
         "t_bar_argmin": t_argmin,
         "lhs_min": lhs_min,
@@ -643,3 +669,6 @@ def criterion_sweep(cfg: RunConfig, t_bar_max: float) -> dict:
             m_bar, t_argmin, model.min_sup_F
         ) if m_bar > 0 and t_argmin > 0 else None,
     }
+    if output_dir is not None:
+        _write_json(_resolve_output_dir(cfg, output_dir) / "criterion.json", report)
+    return report

@@ -598,15 +598,20 @@ class EnergyBudget:
     gradient: np.ndarray
 
 
+def _require_tracked(record: TrajectoryRecord) -> None:
+    """Refuse a record made without identity tracking."""
+    if not record.tracked:
+        raise ValueError("trajectory was recorded without increments; "
+                         "re-run with identity tracking enabled")
+
+
 def energy_budget(record: TrajectoryRecord) -> EnergyBudget:
     """residual(t) = H(t) - H(0) - [martingale sum] - [drift integral].
 
     Returns the residual series of both drift kernels; rejects records
     produced without identity tracking.
     """
-    if not record.tracked:
-        raise ValueError("trajectory was recorded without increments; "
-                         "re-run with identity tracking enabled")
+    _require_tracked(record)
     dh = record.H - record.H[0] - record.stoch_energy  # left for the drift
     return EnergyBudget(
         paper=dh - _cumulative_trapezoid(record.paper_kernel, record.t),
@@ -630,9 +635,7 @@ def virial_residuals(record: TrajectoryRecord) -> tuple[np.ndarray, np.ndarray]:
     is recorded in the ``u x.grad(conj u)`` ordering as well and enters with
     the matching sign.
     """
-    if not record.tracked:
-        raise ValueError("trajectory was recorded without increments; "
-                         "re-run with identity tracking enabled")
+    _require_tracked(record)
     t = record.t
     g_series = -record.G  # identity-consistent orientation
     res_v = record.V - record.V[0] - 4.0 * _cumulative_trapezoid(g_series, t)

@@ -165,6 +165,11 @@ class TestSolveGroundState:
         with pytest.raises(ValueError, match="max_iter"):
             solve_ground_state(1.0, 0.0, grid_1d, max_iter=max_iter)
 
+    @pytest.mark.parametrize("sigma", [0.0, -0.5, np.nan, np.inf])
+    def test_rejects_sigma_not_positive_and_finite(self, grid_1d, sigma):
+        with pytest.raises(ValueError, match="sigma must lie in"):
+            solve_ground_state(sigma, 0.0, grid_1d)
+
     def test_evaluates_each_iterate_once(self, monkeypatch):
         # Q stays P's bits, so only P is transformed, with real transforms: on
         # each level the seed's (1-Lap)P takes 2; each sweep takes 2 for

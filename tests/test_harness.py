@@ -253,6 +253,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="family"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("section, family", [("initial_u", "gaussian"),
+                                                 ("initial_v", "zero")])
+    def test_unknown_family_names_its_section(self, section, family):
+        bad = CONFIG_TEXT.replace(f"family = {family}", "family = airy")
+        with pytest.raises(ConfigError) as info:
+            parse_config(bad)
+        assert str(info.value) == (f"[{section}] unknown initial-data family 'airy'; "
+                                   f"choose from {sorted(_FAMILY_KEYS)}")
+
     def test_bad_grid_rejected(self):
         bad = CONFIG_TEXT.replace("n = 256", "n = 100")
         with pytest.raises(ConfigError):
@@ -1117,3 +1126,35 @@ class TestCliUsageErrors:
             cli_main(["simulate", "--help"])
         assert exc.value.code == 0
         assert "usage: scnls simulate" in capsys.readouterr().out
+
+
+class TestCliReportFiles:
+    def test_criterion_without_output_dir_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        # every other source of an output directory is set: only the flag writes the file
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SCNLS_OUTPUT_DIR", str(tmp_path / "env"))
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT + f"output_dir = {tmp_path / 'cfg'}\n")
+        with pytest.warns(UserWarning, match="mass-critical"):
+            assert cli_main(["criterion", str(cfg_file), "--tbar", "0.5"]) == 0
+        assert "lhs_min" in json.loads(capsys.readouterr().out)
+        assert list(tmp_path.rglob("criterion.json")) == []
+        assert not (tmp_path / "env").exists() and not (tmp_path / "cfg").exists()
+
+    @pytest.mark.parametrize("args, name", [
+        (["groundstate"], "groundstate.json"),
+        (["criterion", "--tbar", "0.5"], "criterion.json"),
+        (["verify"], "verify.json"),
+        (["ensemble", "--paths", "2"], "ensemble.json"),
+    ], ids=["groundstate", "criterion", "verify", "ensemble"])
+    def test_printed_report_is_the_written_file(self, tmp_path, capsys, args, name):
+        cfg_file = tmp_path / "run.ini"
+        cfg_file.write_text(CONFIG_TEXT.replace("record_every = 10", "record_every = 1")
+                            + "\n[groundstate]\nbeta = 0.0\ntol = 1e-8\n")
+        out = tmp_path / "out"
+        argv = args[:1] + [str(cfg_file)] + args[1:] + ["--output-dir", str(out)]
+        with warnings.catch_warnings():
+            # the criterion's mass-critical hypothesis warning
+            warnings.simplefilter("ignore", UserWarning)
+            assert cli_main(argv) == 0
+        assert capsys.readouterr().out == (out / name).read_text(encoding="utf-8")

@@ -44,15 +44,28 @@ MATRIX = (
     ("simulate_collapse_2d", "simulate", "collapse_2d.ini", {}, []),
     ("simulate_snapshot", "simulate", "stochastic_pair.ini",
      {"time": {"T": "0.2"}, "run": {"snapshot_final": "true"}}, []),
+    # sigma != 1 takes N's general power
+    ("simulate_sigma_0.75", "simulate", "stochastic_pair.ini",
+     {"coupling": {"sigma": "0.75"}, "time": {"T": "0.2"}}, []),
     ("ensemble_workers_1", "ensemble", "stochastic_pair.ini", {"time": {"T": "0.2"}},
      ["--paths", "6", "--workers", "1"]),
     ("ensemble_workers_2", "ensemble", "stochastic_pair.ini", {"time": {"T": "0.2"}},
      ["--paths", "6", "--workers", "2"]),
+    # each component draws its own modes
+    ("ensemble_separate_modes", "ensemble", "stochastic_pair.ini",
+     {"time": {"T": "0.2"}, "noise": {"shared_modes": "false"}},
+     ["--paths", "4", "--workers", "2"]),
+    ("threshold_study_collapse_2d", "ensemble", "collapse_2d.ini", {"time": {"T": "0.02"}},
+     ["--threshold-study", "1.0,20.0", "--paths", "2"]),
     ("verify_soliton", "verify", "soliton.ini", {}, []),
     # T not a multiple of dt: each level runs its whole steps to the same horizon
     ("verify_soliton_T_0.0104", "verify", "soliton.ini", {"time": {"T": "0.0104"}}, []),
     ("verify_stochastic_pair", "verify", "stochastic_pair.ini",
      {"time": {"T": "0.25", "record_every": "1"}}, []),
+    # l12 != l21: tracked, though no energy identity holds
+    ("verify_asymmetric", "verify", "stochastic_pair.ini",
+     {"coupling": {"lambda21": "0.25", "allow_asymmetric": "true"},
+      "time": {"T": "0.1", "record_every": "1"}}, []),
     ("groundstate_soliton", "groundstate", "soliton.ini", {}, []),
     ("groundstate_collapse_2d", "groundstate", "collapse_2d.ini", {}, []),
     ("criterion_collapse_2d", "criterion", "collapse_2d.ini", {}, ["--tbar", "1.0"]),
