@@ -52,7 +52,6 @@ allocate no field: they reuse the buffers of one :class:`Workspace`.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -544,13 +543,16 @@ def evolve(
 ):
     """Integrate one path, or a batch of paths, from t=0 to T.
 
-    Each path is recorded every ``record_every`` steps.  A path draws one
-    row of K Wiener increments per step from one source: ``increments``
-    (shape (n_steps, K)) when given, else ``sample_increments`` on its own
-    ``np.random.default_rng(seed)`` (PCG64), or with K = 0 an empty row, as
-    that would draw nothing.  The blow-up ``detector``, called every step
-    with (grad_norm_sq, tail_fraction), turns a trigger into a normal
-    "blowup" outcome; a non-finite state without a trigger is "invalid".
+    Each path is recorded every ``record_every`` steps.  A path's K Wiener
+    increments per step come from one (n_steps, K) array, held for the
+    whole run: ``increments`` when given, else one ``sample_increments``
+    call of n_steps * K on its own ``np.random.default_rng(seed)`` (PCG64
+    draws the same numbers at once as step by step), or none with K = 0.
+    Step j reads its row j.  That costs 8 * K bytes per path and step: 32 kB
+    for ``stochastic_pair.ini`` to T = 2.  The blow-up ``detector``, called
+    every step with (grad_norm_sq, tail_fraction), turns a trigger into a
+    normal "blowup" outcome; a non-finite state without a trigger is
+    "invalid".
     If T/dt is not an integer the last partial step is dropped and reported
     via ``dropped_remainder``.
 
@@ -593,24 +595,18 @@ def evolve(
             raise ValueError(f"{name} needs one entry per path ({n_paths}), got {len(value)}")
         return value
 
-    if increments is not None:
+    if increments is None:
+        seeds = per_path(seed, "seed") if seed is not None else [None] * n_paths
+        # one call per path for its whole run; with K = 0 it would draw nothing
+        increments = np.empty((n_paths, n_steps, 0)) if model.K == 0 else np.array(
+            [sample_increments(n_steps * model.K, dt, np.random.default_rng(s))
+             for s in seeds]).reshape(n_paths, n_steps, model.K)
+    else:
         increments = np.asarray(increments, dtype=float)
         expected = (n_paths,) * batched + (n_steps, model.K)
         if increments.shape != expected:
             raise ValueError(f"increments must have shape {expected}, got {increments.shape}")
-        sources = [iter(path) for path in increments.reshape(n_paths, n_steps, model.K)]
-    else:
-        def draws(rng):
-            """A path's increments, one row per step, from its own generator."""
-            while True:
-                yield sample_increments(model.K, dt, rng)
-
-        seeds = per_path(seed, "seed") if seed is not None else [None] * n_paths
-        if model.K == 0:
-            # standard_normal(0) draws nothing, so every path's row is one empty row
-            sources = [itertools.repeat(np.empty(0))] * n_paths
-        else:
-            sources = [draws(np.random.default_rng(s)) for s in seeds]
+        increments = increments.reshape(n_paths, n_steps, model.K)
     detectors = ([detector] * n_paths if detector is None or callable(detector)
                  else per_path(detector, "detector"))
     detecting = any(d is not None for d in detectors)
@@ -618,8 +614,8 @@ def evolve(
     from .observables import TrajectoryRecorder  # observables imports this module
 
     # the batch advances a private copy in place, through one workspace; path
-    # axis row r of its fields, increment sources and detectors is path
-    # live[r], and the rows close up when a path leaves
+    # axis row r of its fields, increments and detectors is path live[r], and
+    # the rows close up when a path leaves
     state = state0.copy()
     if not batched:
         state = SystemState.of_pair(state.fields[:, None], state.t, grid)
@@ -659,7 +655,7 @@ def evolve(
 
     def leave(rows, outcome, steps):
         """Finish the paths at batch ``rows`` and drop them from the batch."""
-        nonlocal state, live, work, sources, detectors
+        nonlocal state, live, work, increments, detectors
         materialise()
         for r in rows:
             final = SystemState.of_pair(state.fields[:, r].copy(), state.t, grid,
@@ -671,7 +667,7 @@ def evolve(
         keep = np.ones(len(live), dtype=bool)
         keep[rows] = False
         state = SystemState.of_pair(state.fields[:, keep], state.t, grid)
-        sources = [s for s, kept in zip(sources, keep) if kept]
+        increments = increments[keep]
         live = [p for p, kept in zip(live, keep) if kept]
         detectors = [d for d, kept in zip(detectors, keep) if kept]
         recorder.keep(keep)
@@ -693,7 +689,7 @@ def evolve(
                             spectra=work.spectra[:, r])
 
         for j in range(n_steps):
-            inc = np.array([next(source) for source in sources])
+            inc = increments[:, j]
             if recorder.track and model.K:
                 materialise()
                 recorder.on_step(state, inc, work.spectra)

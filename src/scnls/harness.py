@@ -263,25 +263,14 @@ class EnsembleResult:
     blowup_count: int
     invalid_count: int
     blowup_fraction: float
-    wilson_low: float
-    wilson_high: float
+    wilson_95: list
     blowup_time_quantiles: dict
     per_path: list
     criterion_lhs: float
     criterion_verdict: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "blowup_count": self.blowup_count,
-            "invalid_count": self.invalid_count,
-            "blowup_fraction": self.blowup_fraction,
-            "wilson_95": [self.wilson_low, self.wilson_high],
-            "blowup_time_quantiles": self.blowup_time_quantiles,
-            "criterion_lhs": self.criterion_lhs,
-            "criterion_verdict": self.criterion_verdict,
-            "per_path": self.per_path,
-        }
+        return dataclasses.asdict(self)
 
 
 def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
@@ -304,8 +293,14 @@ def _batches(n_paths: int, workers: int, node_count: int) -> list[range]:
 
 
 def _ensemble_batch(cfg: RunConfig, indices: range, out: Path | None) -> list[dict]:
-    """Integrate one batch of ensemble paths, then write each path's output."""
+    """Integrate one batch of ensemble paths, then write each path's output.
+
+    Without ``out`` no path CSV reads the identity sums, so the batch runs
+    untracked: a path's bits do not depend on tracking (see ``evolve``).
+    """
     seeds = [path_seed(cfg.seed, i) for i in indices]
+    if out is None:
+        cfg = dataclasses.replace(cfg, track_identities=False)
     results = _run_trajectory(cfg, seeds)
     return [_ensemble_path_star(i, s, r, out) for i, s, r in zip(indices, seeds, results)]
 
@@ -378,8 +373,6 @@ def run_ensemble(
         q10, q50, q90 = np.quantile(times, [0.1, 0.5, 0.9])
         quantiles = {"p10": float(q10), "p50": float(q50), "p90": float(q90)}
 
-    low, high = _wilson_interval(len(blowups), n_paths)
-
     grid = cfg.build_grid()
     crit = blowup_criterion(
         cfg.build_state(grid), cfg.coupling, cfg.T, cfg.build_noise_model(grid),
@@ -391,8 +384,7 @@ def run_ensemble(
         blowup_count=len(blowups),
         invalid_count=len(invalid),
         blowup_fraction=len(blowups) / n_paths,
-        wilson_low=low,
-        wilson_high=high,
+        wilson_95=list(_wilson_interval(len(blowups), n_paths)),
         blowup_time_quantiles=quantiles,
         per_path=summaries,
         criterion_lhs=crit.lhs,

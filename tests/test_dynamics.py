@@ -753,6 +753,26 @@ class TestBatch:
         for got, ref in zip(given, seeded):
             self._assert_same(got, ref)
 
+    def test_one_draw_per_seeded_path(self, grid_1d, monkeypatch):
+        # each seeded path draws its whole run's n_steps * K increments at once
+        from scnls import dynamics
+
+        draws = []
+        original = dynamics.sample_increments
+
+        def counting(K, dt, rng):
+            draws.append(K)
+            return original(K, dt, rng)
+
+        monkeypatch.setattr(dynamics, "sample_increments", counting)
+        model = build_noise_model(NoiseSpec(K=2, a0=0.3), grid_1d)
+        x = grid_1d.x[0]
+        states = [make_state(grid_1d, a * np.exp(-x**2)) for a in (0.8, 1.2, 1.6)]
+        results = evolve(self._batch(states), 0.01, 1e-3, model, scalar_coupling(),
+                         seed=[1, 2, 3])
+        assert [r.steps for r in results] == [10, 10, 10]
+        assert draws == [10 * model.K] * 3
+
     def test_nan_path_leaves_as_invalid(self, grid_1d):
         import warnings
 

@@ -485,6 +485,24 @@ class TestEnsemble:
             assert (tmp_path / "w2" / name).read_bytes() == reference, name
             assert (tmp_path / "w5" / name).read_bytes() == reference, name
 
+    def test_reports_do_not_depend_on_path_files(self, tmp_path):
+        # without path CSVs the batches run untracked; a tracked noisy
+        # ensemble whose paths all blow up still writes the same reports
+        import dataclasses
+
+        from scnls import load_config
+
+        cfg = dataclasses.replace(
+            load_config(Path(__file__).resolve().parent.parent / "configs" / "collapse_2d.ini"),
+            n=64, T=0.2, noise=NoiseSpec(K=2, a0=0.05), track_identities=True)
+        ens = run_ensemble(cfg, 4, output_dir=tmp_path / "paths", write_paths=True)
+        run_ensemble(cfg, 4, output_dir=tmp_path / "none", write_paths=False)
+        assert ens.blowup_count == 4
+        assert not (tmp_path / "none" / "paths").exists()
+        for name in ("ensemble.json", "paths_index.csv"):
+            assert (tmp_path / "none" / name).read_bytes() == (
+                tmp_path / "paths" / name).read_bytes(), name
+
     def test_path_output_runs_once_per_path(self, tmp_path, monkeypatch):
         import scnls.harness
 
@@ -560,7 +578,8 @@ class TestEnsemble:
         assert ens.blowup_count == 4
         assert ens.criterion_lhs < 0 and ens.criterion_verdict
         assert set(ens.blowup_time_quantiles) == {"p10", "p50", "p90"}
-        assert ens.wilson_low < 1.0 <= ens.wilson_high + 1e-12
+        low, high = ens.wilson_95
+        assert low < 1.0 <= high + 1e-12
 
     def test_no_blowups_empty_quantiles(self, tmp_path):
         cfg = base_config(T=0.05)

@@ -36,8 +36,12 @@ from pathlib import Path
 
 CHECKOUT = Path(__file__).resolve().parent.parent
 
-# (name, subcommand, shipped config, {section: {key: value}} changed in it,
-# arguments after the config)
+# stochastic_pair with u0 = 0 (the zero family takes no amplitude or width)
+_U0_ZERO = {"initial_u": {"family": "zero", "amplitude": None, "width": None},
+            "time": {"T": "0.2"}}
+
+# (name, subcommand, shipped config, {section: {key: value}} changed in it, a
+# value of None dropping the key, arguments after the config)
 MATRIX = (
     ("simulate_soliton", "simulate", "soliton.ini", {}, []),
     ("simulate_stochastic_pair", "simulate", "stochastic_pair.ini", {}, []),
@@ -57,6 +61,15 @@ MATRIX = (
      ["--paths", "4", "--workers", "2"]),
     ("threshold_study_collapse_2d", "ensemble", "collapse_2d.ini", {"time": {"T": "0.02"}},
      ["--threshold-study", "1.0,20.0", "--paths", "2"]),
+    # noisy and tracked, though its ensembles write no path CSV
+    ("threshold_study_tracked_noisy", "ensemble", "collapse_2d.ini",
+     {"grid": {"n": "128"}, "time": {"T": "0.2"}, "noise": {"K": "2", "a0": "0.05"},
+      "run": {"track_identities": "true"}},
+     ["--threshold-study", "5.0,20.0", "--paths", "4"]),
+    # u0 = 0: a dead row from the start
+    ("simulate_u0_zero", "simulate", "stochastic_pair.ini", _U0_ZERO, []),
+    ("ensemble_u0_zero", "ensemble", "stochastic_pair.ini", _U0_ZERO,
+     ["--paths", "3", "--workers", "2"]),
     ("verify_soliton", "verify", "soliton.ini", {}, []),
     # T not a multiple of dt: each level runs its whole steps to the same horizon
     ("verify_soliton_T_0.0104", "verify", "soliton.ini", {"time": {"T": "0.0104"}}, []),
@@ -73,7 +86,8 @@ MATRIX = (
 
 
 def _variant(text: str, changes: dict) -> str:
-    """The config ``text`` with the keys in ``changes`` set (sections added as needed)."""
+    """The config ``text`` with the keys in ``changes`` set (sections added as
+    needed), or dropped where their value is None."""
     parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keep "T" and "L" as written
     parser.read_string(text)
@@ -81,7 +95,10 @@ def _variant(text: str, changes: dict) -> str:
         if not parser.has_section(section):
             parser.add_section(section)
         for key, value in values.items():
-            parser.set(section, key, value)
+            if value is None:
+                parser.remove_option(section, key)
+            else:
+                parser.set(section, key, value)
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
