@@ -38,10 +38,13 @@ do not depend on the batch it was run in.
 
 A row that is zero in every path of the initial batch stays zero in every
 bit (each term of its equation carries it), so :func:`evolve` marks it dead
-on the :class:`Workspace` and the step, the diagnostics and the recorder
-skip it; every output is bitwise what computing on its zeros gives.  Revive
-rule: when its mixed coefficient is nonzero and the live row's |f|^(s+1) is
-not all finite, 0 * inf turns it NaN, so N computes it from then on.
+on the :class:`Workspace` once per run, and the step, the diagnostics and
+the recorder skip it; every output is bitwise what computing on its zeros
+gives.  With a nonzero mixed coefficient the live row f must also meet
+2 node_count^2 S < float_max^min(1, 2/(s+1)) in every path, S its node sum
+of |f|^2: the scheme conserves S, |f|^2 <= S and a transform's partial sums
+stay below node_count sqrt(S), so N's 0 * |f|^(s+1) never meets inf.  From
+a step that leaves the batch non-finite on, both rows are computed.
 
 A step and the diagnostics are written once, as phases over chunks of the
 grid (see :func:`strang_step` and :mod:`scnls.phases`).  :func:`evolve` runs
@@ -198,8 +201,9 @@ class Workspace:
     (N's angle) and a bool component field ``turning`` (N's mask of the
     angles that take cos and sin).  One workspace serves one state (a path
     or a batch) at a time.  ``rows`` names the rows computed: both, unless
-    :func:`evolve` marks one dead; a dead row's moduli and held values stay
-    zero, and its spectra are never read (nor, allocated empty, their pages
+    :func:`evolve` marks one dead; a dead row's moduli stay zero, nothing
+    reads its held values (W writes +-0, or NaN) until a non-finite step,
+    and its spectra are never read (nor, allocated empty, their pages
     touched).  ``runner`` runs each phase: as one chunk, unless
     :func:`evolve` gives it a split runner.
     """
@@ -273,12 +277,9 @@ def _phase_multiplier(a_self: np.ndarray, a_other: np.ndarray, l_self: float,
 
 
 def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Workspace,
-                 index) -> tuple[int, ...]:
-    """N on the nodes ``index`` of the trailing grid axes; returns the rows it rotated.
+                 index) -> None:
+    """N of the rows ``work.rows`` on the nodes ``index`` of the trailing grid axes.
 
-    Those are ``work.rows``, or both rows when the revive rule fires on these
-    nodes: the dead row's mixed term is 0 * |f|^(s+1) (0 * |f| * |f| at
-    sigma = 1), which is NaN where that power of the live row is not finite.
     Each rotated row's unimodular factor is left in that row of
     ``work.spectra`` on these nodes.
 
@@ -303,12 +304,6 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
     else:
         (live,) = rows
         np.abs(fields[live][index], out=work.moduli[live][index])
-        if pairs[1 - live][1] != 0.0:
-            peak = moduli[live].max()
-            if coupling.sigma != 1.0:
-                peak = np.power(peak, coupling.sigma + 1.0)
-            if not np.isfinite(peak):
-                rows = (0, 1)
     for i in rows:
         l_self, l_mixed = pairs[i]
         _phase_multiplier(moduli[i], moduli[1 - i], l_self, l_mixed, coupling.sigma,
@@ -329,24 +324,19 @@ def _rotate_rows(fields: np.ndarray, dt: float, coupling: Coupling, work: Worksp
             np.sin(theta, out=e[i].imag, where=turning)
         f = fields[i][index]
         f *= factor[i]
-    return rows
 
 
-def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling,
-                    work: Workspace | None = None) -> SystemState:
+def nonlinear_phase(state: SystemState, dt: float, coupling: Coupling) -> SystemState:
     """Exact flow of the nonlinear sub-equation: pointwise phase rotation.
 
     u <- u * exp(i*dt*(l11|u|^(2s) + l12|v|^(s+1)|u|^(s-1))) and the symmetric
     update for v with (l22, l21), both from the moduli before the update.
-    Moduli are pointwise invariant; t is left to the caller.
-
-    Without ``work`` the input is left untouched and a new state is returned.
-    With a :class:`Workspace` ``state`` itself is updated and returned.
-    :func:`strang_step` runs the same rotation inside its phases.
+    Moduli are pointwise invariant; t is left to the caller.  The input is
+    left untouched and a new state is returned; :func:`strang_step` runs the
+    same rotation inside its phases.
     """
-    if work is None:
-        state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
-    work.rows = _rotate_rows(state.fields, dt, coupling, work, Ellipsis)
+    state, work = state.copy(), Workspace(state.grid, shape=state.fields.shape)
+    _rotate_rows(state.fields, dt, coupling, work, Ellipsis)
     return state
 
 
@@ -409,7 +399,7 @@ def strang_step(
     elif work.dt != dt:
         raise ValueError(f"workspace was built for dt={work.dt}, not dt={dt}")
     grid, held, runner, rows = state.grid, work.held, work.runner, work.rows
-    revived, finite = [], []
+    finite = []
 
     def free_flow(index, axis):
         for i in rows:
@@ -420,11 +410,9 @@ def strang_step(
             grid.ifft(h, out=h, axis=axis)
 
     def rotate(index, axis):
-        turned = _rotate_rows(held, dt, coupling, work, index)
-        if turned != rows:
-            revived.append(index)
+        _rotate_rows(held, dt, coupling, work, index)
         # a row N skips is dead: finite unless W's increments are not (then no row is)
-        for i in turned:
+        for i in rows:
             h = held[i][index]
             finite.append(bool(np.isfinite(h).all()))
             grid.fft(h, out=h, axis=axis)
@@ -434,9 +422,6 @@ def strang_step(
     if model.K > 0:
         stratonovich_phase(held, model, increments, out=held)
     runner.run(rotate, runner.rows)
-    if revived:
-        # a chunk that did not revive it left the dead row's zeros: their own transform
-        work.rows = rows = (0, 1)
     runner.run(_transform(grid.fft, held, rows), runner.cols)
     state.t = state.t + dt
     if not all(finite):
@@ -564,7 +549,9 @@ def evolve(
     One path returns a :class:`TrajectoryResult`, a batch a list of P in path
     order, each bitwise equal to the result of that path evolved alone (but
     for the sign bits of NaN in the final state of an "invalid" path, which
-    a transform of a batch row can propagate differently).
+    a transform of a batch row can propagate differently).  From a step that
+    leaves a path non-finite on, both rows are computed, so an "invalid"
+    path's final dead row is what W made of it, alone or in a batch.
 
     The batch is held in Fourier space between steps (module docstring), so
     a path's bits depend neither on ``record_every``, nor on a detector that
@@ -621,13 +608,20 @@ def evolve(
         state = SystemState.of_pair(state.fields[:, None], state.t, grid)
     live = list(range(n_paths))
     work = Workspace(grid, dt, state.fields.shape)
-    # a row zero in every path is dead, unless non-finite coefficients NaN it
+    # a row zero in every path is dead, unless a non-finite coefficient or a
+    # live row past the bound (module docstring) can NaN its mixed term
     rows = tuple(i for i, f in enumerate(state.fields) if f.any())
     if len(rows) == 1 and np.isfinite(coupling.lam).all():
-        work.rows = rows
+        (row,) = rows
+        with np.errstate(over="ignore"):  # an overflowing sum fails the bound
+            sums = (0.0 if coupling.lam[1 - row, row] == 0.0
+                    else _node_sums(np.square(np.abs(state.fields[row])), grid).max())
+        bound = np.finfo(float).max ** min(1.0, 2.0 / (coupling.sigma + 1.0))
+        if sums < bound / (2.0 * grid.node_count**2):
+            work.rows = rows
     recorder = TrajectoryRecorder(model, coupling, track_identities=track_identities,
                                   paths=n_paths)
-    # a revived row is NaN only in paths that leave unrecorded, as invalid
+    # the staying paths' dead row stays zero after a non-finite step
     recorder.rows = work.rows
     results: list[TrajectoryResult | None] = [None] * n_paths
     current = True  # the fields and work.spectra hold the state, not only w_hat
@@ -697,6 +691,7 @@ def evolve(
             current = False
 
             if state.blown_up:
+                work.rows = (0, 1)
                 materialise()
                 leave(np.flatnonzero(~_finite_paths(state)), "invalid", j + 1)
                 if not live:

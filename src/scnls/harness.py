@@ -274,8 +274,6 @@ class EnsembleResult:
 
 
 def _wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
-    if trials == 0:
-        return 0.0, 1.0
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -544,7 +542,7 @@ def verify(cfg: RunConfig, output_dir: str | Path | None = None) -> dict:
         errors = [level[section][key] if key else level[section] for level in levels]
         return convergence_order(dts, errors, levels[0]["sizes"][size])
 
-    deterministic = K == 0 or cfg.noise.a0 == 0.0
+    deterministic = cfg.noise.deterministic
     orders = {
         "energy_residual_gradient": _order("energy_residuals", "gradient", "H"),
         "virial_residual_V": _order("virial_residuals", "V", "V"),

@@ -72,6 +72,11 @@ class NoiseSpec:
         if not np.isfinite([self.scale_u, self.scale_v]).all():
             raise ValueError(f"mode scales must be finite, got {self.scale_u}, {self.scale_v}")
 
+    @property
+    def deterministic(self) -> bool:
+        """Every mode is zero: K = 0, a0 = 0, or both components scaled by 0."""
+        return self.K == 0 or self.a0 == 0.0 or self.scale_u == self.scale_v == 0.0
+
     def amplitudes(self) -> np.ndarray:
         k = np.arange(self.K, dtype=float)
         return self.a0 * (1.0 + k) ** (-self.decay_p)

@@ -126,21 +126,21 @@ class TestTrivialAngles:
         assert (np.cos(wider) != 1.0).any()
 
     @staticmethod
-    def _rotated(monkeypatch, floor, fields, dt, c, rows, chunks, grid):
+    def _rotated(monkeypatch, floor, fields, dt, c, chunks, grid):
         from scnls import dynamics
         from scnls.dynamics import Workspace, _rotate_rows
 
         monkeypatch.setattr(dynamics, "_MASKED_TRIG_NODES", floor)
         fields = fields.copy()
         work = Workspace(grid, dt, fields.shape)
-        work.rows = rows
         work.spectra.fill(0.0)
         with np.errstate(over="ignore", invalid="ignore"):
-            turned = [_rotate_rows(fields, dt, c, work, index) for index in chunks]
-        return fields, work.spectra, turned
+            for index in chunks:
+                _rotate_rows(fields, dt, c, work, index)
+        return fields, work.spectra
 
     @pytest.mark.parametrize("split", [False, True])
-    @pytest.mark.parametrize("case", ["focusing", "defocusing", "revives", "non-finite"])
+    @pytest.mark.parametrize("case", ["focusing", "defocusing", "non-finite"])
     def test_masked_rotation_equals_cos_and_sin_everywhere(self, grid_2d, monkeypatch,
                                                             split, case):
         g = grid_2d
@@ -150,18 +150,10 @@ class TestTrivialAngles:
         # Gaussians whose angles run from about 1e-2 down to exact zero
         u = 3.0 * np.exp(-g.r_sq) * phase[0]
         v = 2.0 * np.exp(-((g.x[0] - 2.0) ** 2 + g.x[1] ** 2)) * phase[1]
-        rows = (0, 1)
         if case == "focusing":
             c = Coupling(1.0, np.array([[1.0, 0.5], [0.5, 2.0]]))
         elif case == "defocusing":
             c = Coupling(1.5, np.array([[-1.0, -0.7], [-0.7, -2.0]]))
-        elif case == "revives":
-            # |u|^(s+1) overflows in the second half of the rows only, so
-            # that half turns the dead v NaN
-            c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
-            u[:, g.n // 2 + 5] *= 1e210
-            v[:] = 0.0
-            rows = (0,)
         else:
             c = Coupling(0.7, np.array([[1.0, 0.5], [0.5, 1.0]]))
             u[0, 3, 4], u[1, 40, 7], v[0, 9, 9] = np.nan, np.inf, -np.inf
@@ -169,15 +161,12 @@ class TestTrivialAngles:
         fields = np.ascontiguousarray(np.stack([u, v]))
         half = g.n // 2
         chunks = ((np.s_[..., :half, :], np.s_[..., half:, :]) if split else (Ellipsis,))
-        masked = self._rotated(monkeypatch, 1, fields, dt, c, rows, chunks, g)
-        plain = self._rotated(monkeypatch, np.inf, fields, dt, c, rows, chunks, g)
-        assert masked[2] == plain[2]
+        masked = self._rotated(monkeypatch, 1, fields, dt, c, chunks, g)
+        plain = self._rotated(monkeypatch, np.inf, fields, dt, c, chunks, g)
         assert masked[0].tobytes() == plain[0].tobytes()
         assert masked[1].tobytes() == plain[1].tobytes()
         angles = 3.0**2 * dt * np.exp(-2.0 * g.r_sq)
         assert (angles < 2.0**-27).any() and (angles >= 2.0**-27).any()
-        if case == "revives":
-            assert masked[2] == ([(0,), (0, 1)] if split else [(0, 1)])
         if case == "non-finite":
             assert np.isnan(masked[0]).any()
 
@@ -328,6 +317,13 @@ class TestEvolve:
         rec = res.record
         for series in (rec.mass_u, rec.mass_v):
             assert np.max(np.abs(series - series[0])) < 1e-12 * series[0]
+
+    def test_fields_must_match_the_grid(self, grid_1d):
+        half = np.zeros(grid_1d.n // 2, dtype=complex)
+        with pytest.raises(ValueError, match="^field shapes do not match the grid$"):
+            SystemState(half, half, 0.0, grid_1d)
+        with pytest.raises(ValueError, match="^field shapes do not match the grid$"):
+            SystemState.of_pair(np.zeros((3,) + grid_1d.shape, dtype=complex), 0.0, grid_1d)
 
     def test_increments_shape_validated(self, grid_1d):
         model = build_noise_model(NoiseSpec(K=2, a0=0.1), grid_1d)
@@ -858,6 +854,56 @@ class TestBatch:
         # through a transform of the batch may differ, with or without a dead row
         self._assert_same(batch[0], alone)
 
+    @pytest.mark.parametrize("amplitude, mixed, rows", [
+        (1e160, 0.5, (0, 1)), (1e153, 0.5, (0, 1)), (1e160, 0.0, (0,)), (1e150, 0.5, (0,))])
+    def test_dead_row_decided_once_from_the_bound(self, grid_1d, monkeypatch, amplitude,
+                                                   mixed, rows):
+        # 2 n^2 times the node sum of |u|^2 passes float_max near |u| = 1.3e151
+        # on this grid: above it a coupled v0 = 0 is computed from the first
+        # N on (at 1e160 |u|^2 itself overflows, and the path leaves at that
+        # step), below it, or with no mixed term, v is skipped at every N
+        from scnls import dynamics
+
+        seen, rotate = [], dynamics._rotate_rows
+
+        def spy(fields, dt, coupling, work, index):
+            seen.append(work.rows)
+            return rotate(fields, dt, coupling, work, index)
+
+        monkeypatch.setattr(dynamics, "_rotate_rows", spy)
+        x = grid_1d.x[0]
+        c = Coupling(1.0, np.array([[1.0, mixed], [mixed, 1.0]]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = evolve(make_state(grid_1d, amplitude * np.exp(-x**2)), 0.005, 1e-3,
+                            build_noise_model(NoiseSpec(), grid_1d), c)
+        assert seen == [rows] * result.steps
+        assert result.steps == (1 if amplitude == 1e160 else 5)
+        assert not result.state.v.any()
+
+    @pytest.mark.parametrize("mixed", [0.0, 0.5])
+    def test_nan_increment_reaches_a_dead_row_alone_and_batched(self, grid_1d, mixed):
+        # W's phase from a NaN increment is NaN at every node of both rows;
+        # the invalid path's v is what W made of it, whether v was dead
+        # (alone) or computed for a companion with a live v
+        x = grid_1d.x[0]
+        model = build_noise_model(NoiseSpec(K=2, a0=0.2), grid_1d)
+        c = Coupling(1.0, np.array([[1.0, mixed], [mixed, 1.0]]))
+        path = make_state(grid_1d, np.exp(-x**2))
+        companion = make_state(grid_1d, 0.8 * np.exp(-x**2), 0.5 * np.exp(-x**2))
+        dw = np.random.default_rng(8).standard_normal((2, 10, 2)) * np.sqrt(1e-3)
+        dw[0, 3, 1] = np.nan
+        kwargs = dict(record_every=2, track_identities=True)
+        alone = evolve(path, 0.01, 1e-3, model, c, increments=dw[0], **kwargs)
+        batch = evolve(self._batch([path, companion]), 0.01, 1e-3, model, c,
+                       increments=dw, **kwargs)
+        assert alone.outcome == "invalid" and alone.steps == 4
+        assert np.isnan(alone.state.v).all()
+        self._assert_same(batch[0], alone)
+        other = evolve(companion, 0.01, 1e-3, model, c, increments=dw[1], **kwargs)
+        assert batch[1].outcome == "completed"
+        self._assert_same(batch[1], other)
+        assert batch[1].state.fields.tobytes() == other.state.fields.tobytes()
+
     def test_per_path_arguments_checked(self, grid_1d, no_noise_1d):
         st_ = make_state(grid_1d, np.exp(-grid_1d.x[0] ** 2))
         pair = self._batch([st_, st_])
@@ -954,8 +1000,9 @@ class TestSplitStep:
 
     def test_dead_row_revived_in_one_half(self, grid_2d, monkeypatch):
         # the first path's |u|^(s+1) overflows in the second half of the rows
-        # only, so only that half revives the dead row in the first N, which
-        # sees the field after the free flow of half a step
+        # only, in the first N, which sees the field after the free flow of
+        # half a step.  Its node sums fail the dead-row bound, so v is
+        # computed from the first step on, and 0 * inf turns it NaN there
         g = grid_2d
         model = build_noise_model(NoiseSpec(K=2, a0=0.2), g)
         c = Coupling(0.5, np.array([[1.0, 0.5], [0.5, 1.0]]))
@@ -973,56 +1020,6 @@ class TestSplitStep:
         self._assert_bitwise(split[1:], one[1:])
         # equal with NaN at the same nodes; NaN sign bits may differ
         TestBatch._assert_same(split[0], one[0])
-
-    def test_no_factor_reused_after_one_half_revived(self, grid_2d):
-        # the first path's |u|^(s+1) is finite at the first step's N and,
-        # once the chirped peak has focused under L, overflows at the second
-        # step's N in the second half of the rows only.  That half revives
-        # the dead v and writes its factor into spectra; the first half never
-        # writes v's there, so the third step's N must compute it rather than
-        # read the NaN left there
-        from scnls.dynamics import Workspace, _enter, _materialise
-        from scnls.phases import _OneChunk, _Split
-
-        g = grid_2d
-        model = build_noise_model(NoiseSpec(K=0), g)
-        c = Coupling(0.5, np.array([[0.0, 0.5], [0.5, 1.0]]))  # u never rotates
-        dt = 1e-3
-        below = np.finfo(float).max ** (1.0 / 1.5) / 1.006
-        chirped = below * np.exp(-(1.0 + 3.0j) * ((g.x[0] - 4.0) ** 2 + g.x[1] ** 2))
-        assert np.isfinite(np.abs(chirped).max() ** 1.5)
-        assert np.isfinite(np.abs(free_propagate(g, chirped, 0.5 * dt)) ** 1.5).all()
-        focused = np.abs(free_propagate(g, chirped, 1.5 * dt))
-        with np.errstate(over="ignore"):
-            assert not np.isfinite(focused[g.n // 2:] ** 1.5).all()
-        assert np.isfinite(focused[: g.n // 2] ** 1.5).all()
-        pair = make_state(g, np.stack([chirped, 0.5 * np.exp(-g.r_sq)]),
-                          np.zeros((2,) + g.shape)).fields
-        steps = []
-        for split in (False, True):
-            state = SystemState.of_pair(pair.copy(), 0.0, g)
-            work = Workspace(g, dt, pair.shape)
-            # the helper thread takes the error state its runner is made in
-            with np.errstate(over="ignore", invalid="ignore"):
-                work.rows, work.runner = (0,), _Split(g) if split else _OneChunk()
-                try:
-                    _enter(state, work)
-                    work.spectra.fill(np.nan)
-                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
-                    assert work.rows == (0,)
-                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
-                    assert work.rows == (0, 1)
-                    assert np.isnan(work.held[1, 0]).any()
-                    strang_step(state, dt, model, np.zeros((2, 0)), c, work=work)
-                    _materialise(state, work)
-                finally:
-                    work.runner.close()
-            assert np.isfinite(state.fields[:, 1]).all()
-            steps.append(state.fields)
-        one, split = steps
-        assert split[:, 1].tobytes() == one[:, 1].tobytes()
-        # equal with NaN at the same nodes; NaN sign bits may differ
-        np.testing.assert_array_equal(split[:, 0], one[:, 0])
 
     def test_helper_ends_when_evolve_raises(self, grid_2d, monkeypatch):
         import threading

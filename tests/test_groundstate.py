@@ -105,6 +105,16 @@ def townes(grid_2d):
 
 
 class TestSolveGroundState:
+    # at sigma = 1e-4, beta = 2 the first sweep's gain S^gamma (gamma = 5001)
+    # underflows and the iterate is exactly 0: a one-level grid ends on it at
+    # the mass floor, a two-level grid's fine level starts from it
+    @pytest.mark.parametrize("grid, message", [
+        (Grid(1, 64, 10.0), r"converged to the zero solution \(mass floor\)"),
+        (Grid(1, 8192, 10.0), "iteration collapsed to the zero solution")])
+    def test_zero_iterate_refused(self, grid, message):
+        with pytest.raises(GroundStateError, match=f"^{message}$"):
+            solve_ground_state(1e-4, 2.0, grid)
+
     def test_scalar_matches_sech(self, gs_scalar, grid_1d_fine):
         profile = np.sqrt(2) / np.cosh(grid_1d_fine.x[0])
         assert np.max(np.abs(gs_scalar.P - profile)) < 1e-6
@@ -377,6 +387,12 @@ class TestGnRatio:
         z = np.zeros(grid_1d.shape, dtype=complex)
         with pytest.raises(ValueError):
             gn_ratio(z, z, 0.0, 1.0, grid_1d)
+
+    def test_rejects_a_spatially_constant_pair(self, grid_1d):
+        one = np.ones(grid_1d.shape, dtype=complex)
+        with pytest.raises(ValueError, match="^gn_ratio requires a field pair with nonzero "
+                                             "gradient$"):
+            gn_ratio(one, 0.5 * one, 0.0, 1.0, grid_1d)
 
 
 class TestNonlinearTerms:

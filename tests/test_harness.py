@@ -267,6 +267,32 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(bad)
 
+    @pytest.mark.parametrize("family", ["gaussian", "sech"])
+    def test_nonpositive_width_rejected(self, family):
+        with pytest.raises(ConfigError, match=r"^initial width must be positive, got 0\.0$"):
+            InitialSpec(family, amplitude=1.0, width=0.0)
+
+    @pytest.mark.parametrize("theta_tail", [0.0, 1.5])
+    def test_theta_tail_outside_unit_interval_rejected(self, theta_tail):
+        with pytest.raises(ConfigError, match=r"^theta_tail must lie in \(0, 1\]$"):
+            base_config(theta_tail=theta_tail)
+
+    def test_value_of_the_wrong_type_rejected(self):
+        bad = CONFIG_TEXT.replace("n = 256", "n = 12.5")
+        with pytest.raises(ConfigError, match=r"^invalid value for \[grid\] n: '12\.5'$"):
+            parse_config(bad)
+
+    def test_family_missing_a_required_key_rejected(self):
+        bad = CONFIG_TEXT.replace("width = 1.0\n", "", 1)
+        with pytest.raises(ConfigError, match=r"^family 'gaussian' in \[initial_u\] requires "
+                                              r"keys \['width'\]$"):
+            parse_config(bad)
+
+    def test_key_before_any_section_rejected(self):
+        with pytest.raises(ConfigError, match="^malformed config: File contains no section "
+                                              "headers"):
+            parse_config("seed = 1\n" + CONFIG_TEXT)
+
     def test_nonpositive_time_rejected(self):
         with pytest.raises(ConfigError):
             base_config(T=-1.0)
@@ -680,6 +706,28 @@ class TestThresholdStudy:
                              .read_text())
             assert float(lhs) == ens["criterion_lhs"]
 
+    def test_refuses_nonpositive_diagonal(self, tmp_path):
+        cfg = base_config(coupling=Coupling(2.0, np.array([[1.0, 0.0], [0.0, 0.0]])))
+        with pytest.raises(ConfigError, match="^threshold_study requires positive diagonal "
+                                              "coefficients$"):
+            threshold_study(cfg, [1.0], 2, output_dir=tmp_path)
+
+    def test_refuses_zero_initial_data(self, tmp_path):
+        cfg = base_config(coupling=Coupling(2.0, np.eye(2)), initial_u=InitialSpec("zero"))
+        with pytest.raises(ConfigError, match="^threshold_study requires nonzero initial "
+                                              "data$"):
+            threshold_study(cfg, [1.0], 2, output_dir=tmp_path)
+
+    def test_refuses_file_initial_data(self, tmp_path):
+        cfg = base_config(coupling=Coupling(2.0, np.eye(2)))
+        path = tmp_path / "u0.bin"
+        save_field_snapshot(path, cfg.build_grid(), cfg.initial_u.build(cfg.build_grid()))
+        cfg = base_config(coupling=Coupling(2.0, np.eye(2)),
+                          initial_u=InitialSpec("file", path=str(path)))
+        with pytest.raises(ConfigError, match="^threshold_study cannot rescale file-based "
+                                              "initial data$"):
+            threshold_study(cfg, [1.0], 2, output_dir=tmp_path / "out")
+
     def test_refuses_targets_sharing_a_directory(self, tmp_path):
         cfg = base_config(coupling=Coupling(2.0, np.array([[1.0, 0.0], [0.0, 1.0]])))
         for targets in ([5.0000001, 5.0000002], [1.0, 1.0]):
@@ -743,6 +791,19 @@ class TestVerify:
         assert report["passes"]["mass"]
         assert report["passes"]["energy_gradient_order"]
         assert report["orders"]["h_drift"] is None
+
+    def test_zero_noise_is_judged_deterministic(self, tmp_path):
+        # modes scaled by 0 in both components drive nothing: the report is
+        # the K = 0 one, with the H drift order and the 1.8 threshold
+        kwargs = dict(initial_u=InitialSpec("gaussian", amplitude=2.0, width=np.sqrt(0.5)),
+                      T=0.1, dt=2e-3, record_every=1)
+        zero = NoiseSpec(K=2, a0=0.05, scale_u=0.0, scale_v=0.0)
+        assert zero.deterministic and NoiseSpec().deterministic
+        assert NoiseSpec(K=2).deterministic
+        assert not NoiseSpec(K=2, a0=0.05, scale_u=0.0).deterministic
+        report = verify(base_config(noise=zero, **kwargs), tmp_path / "zero")
+        assert report["deterministic"] and report["orders"]["h_drift"] is not None
+        assert report == verify(base_config(**kwargs), tmp_path / "none")
 
     def test_tracks_identities_whatever_the_config_says(self, tmp_path):
         kwargs = dict(noise=NoiseSpec(K=2, a0=0.05), T=0.1, dt=2e-3, record_every=1)

@@ -26,6 +26,15 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             NoiseSpec(K=-1)
 
+    def test_rejects_negative_decay(self):
+        with pytest.raises(ValueError, match=r"^decay exponent must be finite and >= 0, "
+                                             r"got -0\.5$"):
+            NoiseSpec(K=1, decay_p=-0.5)
+
+    def test_rejects_non_finite_scale(self):
+        with pytest.raises(ValueError, match=r"^mode scales must be finite, got 1\.0, nan$"):
+            NoiseSpec(K=1, scale_v=float("nan"))
+
     def test_amplitude_decay_law(self):
         spec = NoiseSpec(K=3, a0=2.0, decay_p=2.0)
         np.testing.assert_allclose(spec.amplitudes(), [2.0, 0.5, 2.0 / 9.0])
@@ -110,6 +119,15 @@ class TestSampleIncrements:
 
 
 class TestStratonovichPhase:
+    def test_no_modes_copy_the_values(self, grid_1d):
+        model = build_noise_model(NoiseSpec(), grid_1d)
+        pair = np.stack([np.exp(-grid_1d.x[0] ** 2) + 0.3j] * 2)
+        got = stratonovich_phase(pair, model, np.zeros(0))
+        assert got is not pair and got.tobytes() == pair.tobytes()
+        out = np.empty_like(pair)
+        assert stratonovich_phase(pair, model, np.zeros(0), out=out) is out
+        assert out.tobytes() == pair.tobytes()
+
     def test_zero_increment_is_identity(self, grid_1d):
         model = build_noise_model(NoiseSpec(K=3, a0=0.5), grid_1d)
         f = np.exp(-grid_1d.x[0] ** 2) + 0.3j

@@ -43,3 +43,49 @@ class TestSameOutputs:
         assert "DIFFERS  simulate_short.stdout" in report
         assert "only in parent simulate_short/trajectory.csv" in report
         assert "NOT identical" in report
+
+    @staticmethod
+    def _writing_tree(root, files):
+        """A tree whose scnls writes ``files`` (name -> text) where it runs and exits 0."""
+        package = root / "src" / "scnls"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "__main__.py").write_text(
+            f"from pathlib import Path\nfor name, text in {files!r}.items():\n"
+            "    Path(name).write_text(text)\n")
+        return root
+
+    def test_differing_csv_and_json_files_are_described(self, tmp_path, capsys):
+        # per column or key path: the largest absolute and relative
+        # difference of its numbers, a count of other differing values, and
+        # the names only one side has; equal columns and keys are not listed
+        parent = self._writing_tree(tmp_path / "parent", {
+            "run.csv": "t,M,label,gone\n0,1.0,a,5\n0.5,2.0,b,6\n",
+            "run.json": '{"orders": {"V": 2.0, "G": null}, "paths": [{"t": 1.0}, {"t": 2.0}],'
+                        ' "flag": true, "old": 1}',
+            "same.csv": "t\n1\n"})
+        change = self._writing_tree(tmp_path / "change", {
+            "run.csv": "t,M,label,added\n0,1.0,a,5\n0.5,2.5,c,6\n",
+            "run.json": '{"orders": {"V": 1.5, "G": 1.9}, "paths": [{"t": 1.0}, {"t": NaN}],'
+                        ' "flag": false, "new": 1}',
+            "same.csv": "t\n1\n"})
+        tool = _same_outputs()
+        matrix = (("fake", "simulate", "soliton.ini", {}, []),)
+        assert tool.compare(parent, change, matrix, work=tmp_path / "work") == 1
+        report = capsys.readouterr().out.splitlines()
+        at = report.index("DIFFERS  fake/run.csv")
+        assert report[at + 1:at + 5] == [
+            "         only in parent: gone",
+            "         only in change: added",
+            "         M: max abs 0.5, max rel 0.2",
+            "         label: 1 other values differ"]
+        at = report.index("DIFFERS  fake/run.json")
+        assert report[at + 1:at + 7] == [
+            "         only in parent: old",
+            "         only in change: new",
+            "         orders.V: max abs 0.5, max rel 0.25",
+            "         orders.G: 1 other values differ",
+            "         paths[].t: max abs inf, max rel inf",
+            "         flag: 1 other values differ"]
+        assert report[at + 7] == "same     fake/same.csv"
+        assert report[-1] == "1 commands, 4 files: NOT identical"

@@ -17,16 +17,24 @@ to ``<tree>.stderr/``.  Everything is written under ``.same_outputs/``
 in the checkout, which is emptied first and is git-ignored.
 
 The report gives each command's exit codes and, for each file either tree
-wrote, whether the SHA-256 of the two copies match.  The exit status is 0
-only when every exit code and every file is identical, else 1.  Standard
-library and numpy only (numpy through the trees' own package).
+wrote, whether the SHA-256 of the two copies match.  Under a CSV file or a
+JSON file (or a command's standard output that is JSON) that differs, it
+says how: for each column (CSV) or key path (JSON, list positions taken
+together as ``[]``) whose numbers differ, the largest absolute and relative
+difference, a count of other values that differ, and any column or key
+that only one side has.  The exit status is 0 only when every exit code
+and every file is identical, else 1.  Standard library and numpy only
+(numpy through the trees' own package).
 """
 
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import io
+import json
+import math
 import os
 import shutil
 import subprocess
@@ -132,6 +140,70 @@ def _digests(root: Path) -> dict:
             for path in sorted(root.rglob("*")) if path.is_file()}
 
 
+def _series(path: Path) -> dict | None:
+    """Column name (CSV) or key path (JSON) -> its values in file order; None
+    for a file that is neither."""
+    try:
+        text = path.read_text(encoding="utf-8")
+        if path.suffix == ".csv":
+            header, *rows = csv.reader(io.StringIO(text))
+            return {name: [row[i] for row in rows if i < len(row)]
+                    for i, name in enumerate(header)}
+        payload = json.loads(text)
+    except (UnicodeDecodeError, ValueError):
+        return None
+    out: dict = {}
+
+    def walk(value, key):
+        if isinstance(value, dict):
+            for name, item in value.items():
+                walk(item, f"{key}.{name}" if key else name)
+        elif isinstance(value, list):
+            for item in value:
+                walk(item, key + "[]")
+        else:
+            out.setdefault(key, []).append(value)
+
+    walk(payload, "")
+    return out
+
+
+def _number(value) -> float | None:
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def _differences(parent: Path, change: Path) -> list[str]:
+    """How the CSV or JSON file ``change`` differs from ``parent``, one line per finding."""
+    a, b = _series(parent), _series(change)
+    if a is None or b is None:
+        return []
+    lines = [f"only in {side}: {name}" for side, mine, other in
+             (("parent", a, b), ("change", b, a)) for name in mine if name not in other]
+    for name in (name for name in a if name in b):
+        worst, ratio, other = 0.0, 0.0, 0
+        for x, y in zip(a[name], b[name]):
+            fx, fy = _number(x), _number(y)
+            if fx is None or fy is None or (math.isnan(fx) and math.isnan(fy)):
+                other += x != y
+            elif fx != fy:
+                # a NaN or an infinity against another value is infinitely far
+                gap = abs(fx - fy) if math.isfinite(fx - fy) else math.inf
+                worst = max(worst, gap)
+                ratio = max(ratio, gap / max(abs(fx), abs(fy)) if gap < math.inf else gap)
+        sizes = len(a[name]), len(b[name])
+        found = ([f"max abs {worst:.3g}, max rel {ratio:.3g}"] * (worst > 0)
+                 + [f"{other} other values differ"] * (other > 0)
+                 + [f"{sizes[0]} / {sizes[1]} values"] * (sizes[0] != sizes[1]))
+        if found:
+            lines.append(f"{name}: " + "; ".join(found))
+    return lines
+
+
 def compare(parent: Path, change: Path, matrix=MATRIX, work: Path | None = None) -> int:
     """Run ``matrix`` on both trees under ``work``, print the report, return 0 on identity."""
     work = CHECKOUT / ".same_outputs" if work is None else work
@@ -158,6 +230,9 @@ def compare(parent: Path, change: Path, matrix=MATRIX, work: Path | None = None)
                    else "only in parent" if a else "only in change")
         same &= a == b
         print(f"{verdict:8} {path}")
+        if a and b and a != b:
+            for line in _differences(work / "parent" / path, work / "change" / path):
+                print(f"{'':9}{line}")
     count = len(files["parent"].keys() | files["change"].keys())
     print(f"{len(matrix)} commands, {count} files: "
           + ("all identical" if same else "NOT identical"))
